@@ -48,8 +48,10 @@ class AlgebraicPoint:
     v: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "v", Fraction(self.v))
+        if type(self.u) is not Fraction:
+            object.__setattr__(self, "u", Fraction(self.u))
+        if type(self.v) is not Fraction:
+            object.__setattr__(self, "v", Fraction(self.v))
 
     def __add__(self, other: "AlgebraicPoint") -> "AlgebraicPoint":
         return AlgebraicPoint(self.u + other.u, self.v + other.v)
@@ -96,28 +98,6 @@ def canonical_key(x: AlgebraicPoint) -> tuple[int, int, int, int]:
     return (x.u.numerator, x.u.denominator, x.v.numerator, x.v.denominator)
 
 
-def _sign_of_s_plus_t_sqrt_d(s: Fraction, t: Fraction, d: int) -> int:
-    """Exact sign of s + t*sqrt(d) for rational s, t and non-square d > 0."""
-    if t == 0:
-        return (s > 0) - (s < 0)
-    if s == 0:
-        return (t > 0) - (t < 0)
-    if s > 0 and t > 0:
-        return 1
-    if s < 0 and t < 0:
-        return -1
-    # Signs differ: the comparison reduces to s*s versus t*t*d, which can
-    # never tie since d is not a square of a rational.
-    lhs = s * s
-    rhs = t * t * d
-    if lhs == rhs:  # pragma: no cover - excluded by the non-square check
-        raise RationalAlphaError(f"d={d} admits a rational square root")
-    bigger_is_s = lhs > rhs
-    if s > 0:
-        return 1 if bigger_is_s else -1
-    return -1 if bigger_is_s else 1
-
-
 class AlphaContext:
     """Comparison context for a validated alpha.
 
@@ -133,22 +113,43 @@ class AlphaContext:
         if spec.q == 0:
             raise RationalAlphaError("q = 0 makes alpha rational")
         self.spec = spec
-        self._p_over_r = Fraction(spec.p, spec.r)
-        self._q_over_r = Fraction(spec.q, spec.r)
         if self.sign(ALPHA) <= 0 or self.sign(ALPHA - ONE) >= 0:
             raise OutOfRangeError(
                 f"alpha = ({spec.p}+{spec.q}*sqrt({spec.d}))/{spec.r} is not in (0, 1)"
             )
 
+    def sign_scaled(self, u: int, v: int) -> int:
+        """Exact sign of u + v*alpha for integers u, v.
+
+        r*(u + v*alpha) = s + t*sqrt(d) with s = r*u + p*v and t = q*v;
+        when s and t differ in sign, s*s against t*t*d decides, and it
+        cannot tie because d is not a square.
+        """
+        spec = self.spec
+        t = spec.q * v
+        s = spec.r * u + spec.p * v
+        if t == 0:
+            return (s > 0) - (s < 0)
+        if s == 0 or (s > 0) == (t > 0):
+            return 1 if t > 0 else -1
+        return 1 if (s * s > t * t * spec.d) == (s > 0) else -1
+
     def sign(self, x: AlgebraicPoint) -> int:
         """Exact sign of u + v*alpha, one of -1, 0, 1."""
-        s = x.u + x.v * self._p_over_r
-        t = x.v * self._q_over_r
-        return _sign_of_s_plus_t_sqrt_d(s, t, self.spec.d)
+        u, v = x.u, x.v
+        return self.sign_scaled(
+            u.numerator * v.denominator, v.numerator * u.denominator
+        )
 
     def compare(self, x: AlgebraicPoint, y: AlgebraicPoint) -> int:
         """LESS, EQUAL, or GREATER; total order, exact."""
-        return self.sign(x - y)
+        xu, xv, yu, yv = x.u, x.v, y.u, y.v
+        du = xu.denominator * yu.denominator
+        dv = xv.denominator * yv.denominator
+        # x - y = (nu/du) + (nv/dv)*alpha; scale both parts by du*dv > 0
+        nu = xu.numerator * yu.denominator - yu.numerator * xu.denominator
+        nv = xv.numerator * yv.denominator - yv.numerator * xv.denominator
+        return self.sign_scaled(nu * dv, nv * du)
 
     def lt(self, x: AlgebraicPoint, y: AlgebraicPoint) -> bool:
         return self.compare(x, y) == LESS

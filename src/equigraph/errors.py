@@ -62,7 +62,6 @@ class ConfigError(EquigraphError):
 # built to check has failed.  Commands surface Findings with exit code 3.
 EVEN_PATH_COMPONENT = "EvenPathComponent"
 CONNECTOR_MISSING = "ConnectorMissing"
-LEMMA_VIOLATION = "LemmaViolation"
 CLAIM1_VIOLATION = "Claim1Violation"
 
 

@@ -15,8 +15,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Callable, Optional
+from functools import cmp_to_key, partial
+from math import lcm
+from typing import TYPE_CHECKING, Callable, Hashable, Optional
 
 from .algebra import (
     ALPHA,
@@ -119,6 +120,16 @@ def vertex_record(v: GVertex) -> dict:
     return {"side": v.side.value, "u": str(v.point.u), "v": str(v.point.v)}
 
 
+if TYPE_CHECKING:
+    # What the component walker sees of a graph: the key of a vertex,
+    # adjacency lists of (far key, generator labels) sorted by far point,
+    # and the vertex each key stands for.  Type-checking only: typing's
+    # subscription caches would keep every fresh import of this module alive.
+    KeyOf = Callable[[GVertex], Optional[Hashable]]
+    Adjacent = Callable[[Hashable], list[tuple[Hashable, frozenset[Generator]]]]
+    VertexOf = Callable[[Hashable], GVertex]
+
+
 class IntervalGraph:
     """Lazy view of the graph for one validated alpha."""
 
@@ -129,7 +140,6 @@ class IntervalGraph:
         self.sample_denominator = sample_denominator
         self.i_lo, self.i_hi = ZERO, ONE
         self.j_lo, self.j_hi = ALPHA, ONE + ALPHA
-        self._neighbor_cache: dict[GVertex, list[GEdge]] = {}
 
     # ------------------------------------------------------------------
     # vertices and adjacency
@@ -147,37 +157,28 @@ class IntervalGraph:
         self.check_vertex(v)
         return v
 
+    def _adjacency(self, v: GVertex) -> tuple[KeyOf, Adjacent, VertexOf]:
+        """The walker's hook: coordinates for the component of v.
+
+        Returns key_of (vertex to key, None for a vertex outside these
+        coordinates), adjacency on keys, and vertex_of (key to vertex).
+        Every generator map has integer coefficients, so every vertex of
+        v's component is (U + V*alpha)/den over the common denominator den
+        of v's point, with key (side, U, V).
+        """
+        den = lcm(v.point.u.denominator, v.point.v.denominator)
+        return (
+            partial(_key_of, den),
+            partial(_integer_step, self.ctx.sign_scaled, den),
+            partial(_vertex_of, den),
+        )
+
     def neighbors(self, v: GVertex) -> list[GEdge]:
         """Edges at v, deduplicated by far point, sorted by far point."""
-        cached = self._neighbor_cache.get(v)
-        if cached is not None:
-            return list(cached)
         self.check_vertex(v)
-        ctx = self.ctx
-        buckets: dict[tuple, tuple[AlgebraicPoint, set[Generator]]] = {}
-        if v.side is Side.I:
-            for gen, el in GENERATOR_ELEMENTS.items():
-                z = apply(el, v.point)
-                if ctx.in_interval(z, self.j_lo, self.j_hi, closed=True):
-                    buckets.setdefault(canonical_key(z), (z, set()))[1].add(gen)
-            edges = [
-                GEdge(v.point, z, frozenset(gens)) for z, gens in buckets.values()
-            ]
-        else:
-            for gen, el in GENERATOR_ELEMENTS.items():
-                y = apply(inverse(el), v.point)
-                if ctx.in_interval(y, self.i_lo, self.i_hi, closed=True):
-                    buckets.setdefault(canonical_key(y), (y, set()))[1].add(gen)
-            edges = [
-                GEdge(y, v.point, frozenset(gens)) for y, gens in buckets.values()
-            ]
-
-        def far(e: GEdge) -> AlgebraicPoint:
-            return e.j_point if v.side is Side.I else e.i_point
-
-        edges.sort(key=cmp_to_key(lambda e1, e2: ctx.compare(far(e1), far(e2))))
-        self._neighbor_cache[v] = edges
-        return list(edges)
+        key_of, adjacent, vertex_of = self._adjacency(v)
+        edges = adjacent(key_of(v))
+        return [_edge(v, vertex_of(far), labels) for far, labels in edges]
 
     def degree(self, v: GVertex) -> int:
         return len(self.neighbors(v))
@@ -197,17 +198,18 @@ class IntervalGraph:
             raise ValueError(f"budget must be positive, got {budget}")
         if u == v:
             return 0
-        seen = {u}
-        queue: deque[tuple[GVertex, int]] = deque([(u, 0)])
+        key_of, adjacent, _ = self._adjacency(u)
+        start, goal = key_of(u), key_of(v)  # goal is None off u's component
+        seen = {start}
+        queue: deque[tuple[Hashable, int]] = deque([(start, 0)])
         expanded = 0
         while queue:
             if expanded >= budget:
                 return None
             cur, dist = queue.popleft()
             expanded += 1
-            for e in self.neighbors(cur):
-                w = e.other(cur)
-                if w == v:
+            for w, _labels in adjacent(cur):
+                if w == goal:
                     return dist + 1
                 if w not in seen:
                     seen.add(w)
@@ -220,95 +222,12 @@ class IntervalGraph:
         Degrees are 1 or 2, so components are paths or cycles and a walk
         suffices.  A finite path with an even edge count is raised as a
         Finding rather than returned: it would contradict the structure
-        this graph is built to exhibit.
+        this graph is built to exhibit.  The walk runs on the keys of
+        _adjacency; points are built only for the returned view.
         """
         self.check_vertex(v)
-        chain: deque[GVertex] = deque([v])
-        chain_edges: deque[GEdge] = deque()
-        frontier: list[GVertex] = []
-        seen: set[GVertex] = {v}
-        state = {"expanded": 0, "cycle": False}
-        if budget <= 0:
-            return ComponentView("partial", (v,), (), 0, (v,), 0)
-        origin_edges = self.neighbors(v)
-        state["expanded"] = 1
-        if len(origin_edges) > 2:
-            raise EquigraphError(f"vertex of degree {len(origin_edges)} at {v}")
-
-        def walk(first_edge: GEdge, append: bool, limit: int) -> None:
-            prev, via = v, first_edge
-            cur = first_edge.other(v)
-            while True:
-                if cur in seen:
-                    # met the explored region again: the closing edge of a
-                    # cycle (2-regularity leaves no other way back); it
-                    # joins the two chain ends, so it always goes last
-                    chain_edges.append(via)
-                    state["cycle"] = True
-                    return
-                seen.add(cur)
-                if append:
-                    chain.append(cur)
-                    chain_edges.append(via)
-                else:
-                    chain.appendleft(cur)
-                    chain_edges.appendleft(via)
-                if state["expanded"] >= limit:
-                    frontier.append(cur)
-                    return
-                edges = self.neighbors(cur)
-                state["expanded"] += 1
-                onward = [e for e in edges if e.other(cur) != prev]
-                if len(onward) > 1:
-                    raise EquigraphError(f"vertex of degree >2 at {cur}")
-                if not onward:
-                    return  # degree-one endpoint
-                via = onward[0]
-                prev, cur = cur, via.other(cur)
-
-        # give the first direction half the budget so the view is centered
-        # on the origin; the second direction takes whatever remains
-        two_way = len(origin_edges) == 2
-        walk(origin_edges[0], append=True, limit=(budget + 1) // 2 if two_way else budget)
-        if not state["cycle"] and two_way:
-            walk(origin_edges[1], append=False, limit=budget)
-
-        origin_index = list(chain).index(v)
-        visited = tuple(chain)
-        edges = tuple(chain_edges)
-        if state["cycle"]:
-            length = len(edges)
-            if length % 2 != 0:
-                raise EquigraphError(f"odd cycle of length {length} at {v}")
-            return ComponentView(
-                "even_cycle", visited, edges, origin_index, (), state["expanded"]
-            )
-        if frontier:
-            return ComponentView(
-                "partial",
-                visited,
-                edges,
-                origin_index,
-                tuple(frontier),
-                state["expanded"],
-            )
-        edge_count = len(edges)
-        if edge_count % 2 == 0:
-            raise Finding(
-                EVEN_PATH_COMPONENT,
-                f"finite component with even edge count {edge_count}",
-                witness={
-                    "origin": vertex_record(v),
-                    "edge_count": edge_count,
-                    "endpoints": [
-                        vertex_record(visited[0]),
-                        vertex_record(visited[-1]),
-                    ],
-                },
-            )
-        return ComponentView(
-            "finite_path", visited, edges, origin_index, (), state["expanded"]
-        )
+        key_of, adjacent, vertex_of = self._adjacency(v)
+        return walk_component(key_of(v), adjacent, vertex_of, budget)
 
     # ------------------------------------------------------------------
     # sampling
@@ -350,6 +269,177 @@ class IntervalGraph:
             GVertex(Side.J, self.j_lo),
             GVertex(Side.J, self.j_hi),
         ]
+
+
+# ----------------------------------------------------------------------
+# the component walker
+
+
+def walk_component(
+    origin: Hashable, adjacent: Adjacent, vertex_of: VertexOf, budget: int
+) -> ComponentView:
+    """Walk and classify the component of origin, whatever its keys are.
+
+    adjacent(key) lists (far key, labels) sorted by far point; the first
+    direction walked is the first edge at origin.  vertex_of turns a key
+    into its vertex, for the returned view and for error witnesses.
+    """
+    if budget <= 0:
+        v = vertex_of(origin)
+        return ComponentView("partial", (v,), (), 0, (v,), 0)
+    chain: deque[Hashable] = deque([origin])
+    chain_labels: deque[frozenset[Generator]] = deque()
+    frontier: list[Hashable] = []
+    seen = {origin}
+    cycle = False
+    origin_edges = adjacent(origin)
+    expanded = 1
+    if len(origin_edges) > 2:
+        raise EquigraphError(
+            f"vertex of degree {len(origin_edges)} at {vertex_of(origin)}"
+        )
+    # give the first direction half the budget so the view is centered on
+    # the origin; the second direction takes whatever remains
+    limits = ((budget + 1) // 2 if len(origin_edges) == 2 else budget, budget)
+    for direction, (cur, via) in enumerate(origin_edges):
+        if cycle:
+            break
+        prev = origin
+        while True:
+            if cur in seen:
+                # met the explored region again: the closing edge of a
+                # cycle (2-regularity leaves no other way back); it joins
+                # the two chain ends, so it always goes last
+                chain_labels.append(via)
+                cycle = True
+                break
+            seen.add(cur)
+            if direction == 0:
+                chain.append(cur)
+                chain_labels.append(via)
+            else:
+                chain.appendleft(cur)
+                chain_labels.appendleft(via)
+            if expanded >= limits[direction]:
+                frontier.append(cur)
+                break
+            edges = adjacent(cur)
+            expanded += 1
+            onward = [e for e in edges if e[0] != prev]
+            if len(onward) > 1:
+                raise EquigraphError(f"vertex of degree >2 at {vertex_of(cur)}")
+            if not onward:
+                break  # degree-one endpoint
+            prev = cur
+            cur, via = onward[0]
+
+    edge_count = len(chain_labels)
+    if cycle:
+        kind = "even_cycle"
+        if edge_count % 2 != 0:
+            raise EquigraphError(
+                f"odd cycle of length {edge_count} at {vertex_of(origin)}"
+            )
+    elif frontier:
+        kind = "partial"
+    else:
+        kind = "finite_path"
+    visited = tuple(map(vertex_of, chain))
+    if kind == "finite_path" and edge_count % 2 == 0:
+        raise Finding(
+            EVEN_PATH_COMPONENT,
+            f"finite component with even edge count {edge_count}",
+            witness={
+                "origin": vertex_record(vertex_of(origin)),
+                "edge_count": edge_count,
+                "endpoints": [vertex_record(visited[0]), vertex_record(visited[-1])],
+            },
+        )
+    # edges[k] joins visited[k] to visited[k+1]; a cycle's last edge wraps
+    n = len(visited)
+    edges = tuple(
+        _edge(visited[k], visited[(k + 1) % n], labels)
+        for k, labels in enumerate(chain_labels)
+    )
+    tips = tuple(map(vertex_of, frontier)) if kind == "partial" else ()
+    return ComponentView(kind, visited, edges, chain.index(origin), tips, expanded)
+
+
+def _edge(a: GVertex, b: GVertex, labels: frozenset[Generator]) -> GEdge:
+    if a.side is Side.I:
+        return GEdge(a.point, b.point, labels)
+    return GEdge(b.point, a.point, labels)
+
+
+# ----------------------------------------------------------------------
+# adjacency in integer coordinates
+
+_SIDES = (Side.I, Side.J)
+_SIDE_INDEX = {side: k for k, side in enumerate(_SIDES)}
+# _LABELS[mask] holds the generators whose bits are set in mask
+_LABELS = tuple(
+    frozenset(gen for k, gen in enumerate(GENERATOR_ELEMENTS) if mask >> k & 1)
+    for mask in range(1 << len(GENERATOR_ELEMENTS))
+)
+
+
+# per side: (bit, a, 2c, 2b) of each generator map for I, of its inverse for J
+_MAPS = (
+    tuple(
+        (1 << k, g.a, 2 * g.c, 2 * g.b)
+        for k, g in enumerate(GENERATOR_ELEMENTS.values())
+    ),
+    tuple(
+        (1 << k, g.a, -2 * g.a * g.c, -2 * g.a * g.b)
+        for k, g in enumerate(GENERATOR_ELEMENTS.values())
+    ),
+)
+
+
+def _key_of(den: int, v: GVertex) -> Optional[tuple[int, int, int]]:
+    u, w = v.point.u, v.point.v
+    if den % u.denominator or den % w.denominator:
+        return None
+    return (
+        _SIDE_INDEX[v.side],
+        u.numerator * (den // u.denominator),
+        w.numerator * (den // w.denominator),
+    )
+
+
+def _vertex_of(den: int, key: tuple[int, int, int]) -> GVertex:
+    side, u, v = key
+    return GVertex(_SIDES[side], AlgebraicPoint(Fraction(u, den), Fraction(v, den)))
+
+
+def _integer_step(
+    sign: Callable[[int, int], int], den: int, key: tuple[int, int, int]
+) -> list[tuple[tuple[int, int, int], frozenset[Generator]]]:
+    """Adjacency on keys (side, U, V), side 0 for I and 1 for J.
+
+    An I-vertex steps by each generator x -> a*x + 2b*alpha + 2c, a
+    J-vertex by its inverse; an image is kept when it lies in the far
+    interval, all in units of 1/den, and coinciding images merge into one
+    edge carrying every generator that realizes them.  sign(U, V) is the
+    exact sign of U + V*alpha.
+    """
+    side, u, v = key
+    # the far interval is [s*alpha, 1 + s*alpha]: s = 1 for J, 0 for I
+    shift = den if side == 0 else 0
+    found: dict[tuple[int, int], int] = {}
+    for bit, a, c2, b2 in _MAPS[side]:
+        x, y = a * u + c2 * den, a * v + b2 * den
+        if sign(x, y - shift) >= 0 and sign(den - x, shift - y) >= 0:
+            found[x, y] = found.get((x, y), 0) | bit
+    far = 1 - side
+    out = [((far, x, y), _LABELS[mask]) for (x, y), mask in found.items()]
+    if len(out) > 1:
+
+        def order(e1: tuple, e2: tuple) -> int:
+            return sign(e1[0][1] - e2[0][1], e1[0][2] - e2[0][2])
+
+        out.sort(key=cmp_to_key(order))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .algebra import AlgebraicPoint
 from .errors import BallTooLargeError
@@ -152,8 +152,3 @@ def normal_form_from_images(
     if shift_u.numerator % 2 or shift_v.numerator % 2:
         raise ValueError("shift is not even")
     return GroupElement(int(a), shift_v.numerator // 2, shift_u.numerator // 2)
-
-
-def sort_elements(elements: Iterable[GroupElement]) -> list[GroupElement]:
-    """Deterministic (a, b, c) ordering for reports."""
-    return sorted(elements)

@@ -123,40 +123,50 @@ def _connector(
 def build_path(
     graph: IntervalGraph, g: GroupElement, y: AlgebraicPoint
 ) -> CertifiedPath:
-    """Certificate that (I, y) and (I, g(y)) are within distance 2|b|."""
+    """Certificate that (I, y) and (I, g(y)) are within distance 2|b|.
+
+    Reduces g one step of |b| at a time down to b = 0, then closes each
+    step's gap with a connector, innermost first, so the path grows from
+    (I, y) outwards; nothing here depends on the recursion limit.
+    """
     ctx = graph.ctx
     if not ctx.in_interval(y, ZERO, ONE):
         raise PreconditionViolatedError(f"anchor {y} outside [0, 1]")
+    steps: list[tuple[GroupElement, AlgebraicPoint, AlgebraicPoint]] = []
+    element = g
     gy = apply(g, y)
-    if not ctx.in_interval(gy, ZERO, ONE):
-        raise PreconditionViolatedError(f"image {gy} outside [0, 1]")
-
-    if g.b == 0:
-        # With both y and g(y) in [0, 1] and no alpha shift, the element
-        # fixes y: the identity, or a reflection anchored at y in {0, 1}.
-        if gy != y:  # pragma: no cover - impossible under the precondition
-            raise PreconditionViolatedError(f"b=0 element moved {y} to {gy}")
-        return CertifiedPath((GVertex(Side.I, y),), g, y)
-
-    z, reduced = _reduced_step(graph, g, gy)
-    if abs(reduced.b) != abs(g.b) - 1 or apply(reduced, y) != z:
-        raise PreconditionViolatedError(
-            f"reduction of {g} produced inconsistent step {reduced}"
-        )  # pragma: no cover - construction is checked by tests
-    sub = build_path(graph, reduced, y)
-    tail = _connector(graph, z, gy)
-    if tail is None:
-        raise Finding(
-            CONNECTOR_MISSING,
-            f"no <=2-edge connection from {z} to {gy}",
-            witness={
-                "element": [g.a, g.b, g.c],
-                "anchor": str(y),
-                "z": str(z),
-                "image": str(gy),
-            },
-        )
-    return CertifiedPath(sub.vertices + tuple(tail), g, y)
+    while True:
+        if not ctx.in_interval(gy, ZERO, ONE):
+            raise PreconditionViolatedError(f"image {gy} outside [0, 1]")
+        if element.b == 0:
+            break
+        z, reduced = _reduced_step(graph, element, gy)
+        if abs(reduced.b) != abs(element.b) - 1 or apply(reduced, y) != z:
+            raise PreconditionViolatedError(
+                f"reduction of {element} produced inconsistent step {reduced}"
+            )  # pragma: no cover - construction is checked by tests
+        steps.append((element, z, gy))
+        element, gy = reduced, z
+    # With both y and g(y) in [0, 1] and no alpha shift, the element fixes
+    # y: the identity, or a reflection anchored at y in {0, 1}.
+    if gy != y:  # pragma: no cover - impossible under the precondition
+        raise PreconditionViolatedError(f"b=0 element moved {y} to {gy}")
+    vertices = [GVertex(Side.I, y)]
+    for element, z, gy in reversed(steps):
+        tail = _connector(graph, z, gy)
+        if tail is None:
+            raise Finding(
+                CONNECTOR_MISSING,
+                f"no <=2-edge connection from {z} to {gy}",
+                witness={
+                    "element": [element.a, element.b, element.c],
+                    "anchor": str(y),
+                    "z": str(z),
+                    "image": str(gy),
+                },
+            )
+        vertices.extend(tail)
+    return CertifiedPath(tuple(vertices), g, y)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ Nothing here imports the package's group or algebra logic: group elements
 are fingerprinted by their images of two rational points under hand-written
 per-generator rules, interval membership is decided with 60-digit Decimal
 arithmetic (exact equality detected on the rational/irrational parts first),
-and the facing-pair set is recomputed by a literal all-pairs ray walk.
+signs are also decided in plain Fraction arithmetic, and the facing-pair
+set is recomputed by a literal all-pairs ray walk.
 """
 
 from __future__ import annotations
@@ -83,6 +84,23 @@ def point_decimal(alpha: Decimal, u: Fraction, v: Fraction) -> Decimal:
         Decimal(u.numerator) / Decimal(u.denominator)
         + Decimal(v.numerator) / Decimal(v.denominator) * alpha
     )
+
+
+def sign_fraction(p: int, q: int, d: int, r: int, u: Fraction, v: Fraction) -> int:
+    """Exact sign of u + v*alpha, alpha = (p + q*sqrt(d)) / r, in rationals.
+
+    u + v*alpha = s + t*sqrt(d) with s = u + v*p/r and t = v*q/r; when s
+    and t differ in sign, s*s against t*t*d decides (d is not a square).
+    """
+    s = u + v * Fraction(p, r)
+    t = v * Fraction(q, r)
+    if t == 0:
+        return (s > 0) - (s < 0)
+    if s == 0 or (s > 0) == (t > 0):
+        return 1 if t > 0 else -1
+    if s * s > t * t * d:
+        return 1 if s > 0 else -1
+    return -1 if s > 0 else 1
 
 
 def in_closed(alpha: Decimal, pt: Point, lo: Point, hi: Point) -> bool:

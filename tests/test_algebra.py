@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,8 @@ from equigraph.algebra import (
 )
 from equigraph.errors import EmptyIntervalError, OutOfRangeError, RationalAlphaError
 
-from conftest import ALL_ALPHAS
-from oracles import alpha_decimal, point_decimal
+from conftest import ALL_ALPHAS, KERNEL_ALPHAS
+from oracles import alpha_decimal, point_decimal, sign_fraction
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=100
@@ -29,7 +30,7 @@ points = st.builds(AlgebraicPoint, rationals, rationals)
 
 
 def test_named_alphas_validate():
-    for spec in ALL_ALPHAS:
+    for spec in KERNEL_ALPHAS:
         ctx = make_alpha(spec)
         assert ctx.sign(ALPHA) == GREATER
         assert ctx.lt(ALPHA, ONE)
@@ -151,3 +152,39 @@ def test_arithmetic_matches_float(x, y):
     assert ctx.to_float(x - y) == pytest.approx(
         ctx.to_float(x) - ctx.to_float(y), abs=1e-9
     )
+
+
+def _reference_sign(spec: AlphaSpec, u: Fraction, v: Fraction) -> int:
+    return sign_fraction(spec.p, spec.q, spec.d, spec.r, u, v)
+
+
+@settings(max_examples=300)
+@given(points, points)
+def test_integer_sign_and_compare_match_fraction_reference(x, y):
+    for spec in KERNEL_ALPHAS:
+        ctx = make_alpha(spec)
+        assert ctx.sign(x) == _reference_sign(spec, x.u, x.v)
+        assert ctx.compare(x, y) == _reference_sign(spec, x.u - y.u, x.v - y.v)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=-8, max_value=8),
+    st.integers(min_value=-8, max_value=8),
+    st.integers(min_value=-50, max_value=50),
+    st.sampled_from(KERNEL_ALPHAS),
+)
+def test_integer_sign_on_near_ties(k, m, nudge, spec):
+    # a rational within 1e-12 of k*alpha + m, compared with that point
+    ctx = make_alpha(spec)
+    alpha = alpha_decimal(spec.p, spec.q, spec.d, spec.r)
+    near = Fraction(k * alpha + m).limit_denominator(10**13) + Fraction(nudge, 10**14)
+    target = point(m, k)
+    diff_u, diff_v = near - m, Fraction(-k)
+    assert abs(point_decimal(alpha, diff_u, diff_v)) < Decimal("1e-12")
+    want = _reference_sign(spec, diff_u, diff_v)
+    assert ctx.compare(point(near), target) == want
+    assert ctx.compare(target, point(near)) == -want
+    assert ctx.sign(AlgebraicPoint(diff_u, diff_v)) == want
+    if want != 0:
+        assert want == (1 if point_decimal(alpha, diff_u, diff_v) > 0 else -1)

@@ -22,8 +22,13 @@ from equigraph.graph import (
 )
 from equigraph.group import Generator, IDENTITY, apply, inverse
 
-from conftest import ALL_ALPHAS
-from oracles import alpha_decimal, bfs_distance as oracle_bfs, neighbors as oracle_neighbors
+from conftest import ALL_ALPHAS, KERNEL_ALPHAS
+from oracles import (
+    alpha_decimal,
+    bfs_distance as oracle_bfs,
+    neighbors as oracle_neighbors,
+    point_decimal,
+)
 
 TWO_ALPHA = ALPHA.scale(2)
 
@@ -118,6 +123,40 @@ def test_bfs_against_decimal_oracle(graph):
             12,
         )
         assert got == want == expected
+
+
+def _oracle_walk(alpha, start, first, steps):
+    """Follow the oracle adjacency from start through first, never turning back."""
+    out, prev, cur = [], start, first
+    for _ in range(steps):
+        out.append(cur)
+        onward = [w for w in oracle_neighbors(alpha, *cur) if w != prev]
+        assert len(onward) == 1  # interior vertices have degree two
+        prev, cur = cur, onward[0]
+    return out
+
+
+@pytest.mark.parametrize("spec", KERNEL_ALPHAS)
+def test_integer_walk_matches_decimal_oracle_step_by_step(spec):
+    g = IntervalGraph(make_alpha(spec))
+    alpha = alpha_decimal(spec.p, spec.q, spec.d, spec.r)
+    rng = random.Random(17)
+    for side in (Side.I, Side.J):
+        y = Fraction(rng.randint(1, 10**6 - 1), 10**6)
+        pt = point(y) if side is Side.I else point(y) + ALPHA
+        view = g.explore_component(g.vertex(side, pt), 500)
+        assert view.kind == "partial" and len(view.visited) - 1 >= 400
+        walked = [(w.side.value, (w.point.u, w.point.v)) for w in view.visited]
+        o = view.origin_index
+        start = walked[o]
+        # the first direction leaves by the far point of lowest value
+        firsts = sorted(
+            oracle_neighbors(alpha, *start), key=lambda w: point_decimal(alpha, *w[1])
+        )
+        assert [walked[o + 1], walked[o - 1]] == firsts
+        right, left = walked[o + 1 :], walked[o - 1 :: -1]
+        assert _oracle_walk(alpha, start, firsts[0], len(right)) == right
+        assert _oracle_walk(alpha, start, firsts[1], len(left)) == left
 
 
 def test_vertex_range_checked(graph):
@@ -248,8 +287,11 @@ class _FakeGraph(IntervalGraph):
     def check_vertex(self, v):
         return None
 
-    def neighbors(self, v):
-        return list(self._adj.get(v, ()))
+    def _adjacency(self, v):
+        def adjacent(w):
+            return [(e.other(w), e.labels) for e in self._adj.get(w, ())]
+
+        return (lambda w: w), adjacent, (lambda w: w)
 
 
 def _make_edge(a: GVertex, b: GVertex) -> GEdge:
@@ -320,6 +362,7 @@ def test_fake_even_cycle_stitched_from_both_directions(ctx):
     view = g.explore_component(vertices[0], 8)
     assert view.kind == "even_cycle"
     assert view.cycle_length == 8
+    assert view.frontier == ()  # the first direction's tip closed the cycle
     assert len(set(view.visited)) == 8
     n = len(view.visited)
     for k, e in enumerate(view.edges):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,18 @@ def test_negative_shift_certificate(graph):
         GVertex(Side.I, y), GVertex(Side.I, apply(g, y)), 500
     )
     assert dist == 4
+
+
+def test_deep_certificate_needs_no_recursion(graph):
+    # |b| = 1500 reduction steps, beyond Python's default recursion limit
+    b = 1500
+    y = point(Fraction(1, 3))
+    c = -math.floor(graph.ctx.to_float(apply(GroupElement(1, b, 0), y)) / 2)
+    g = GroupElement(1, b, c)
+    assert graph.ctx.in_interval(apply(g, y), ZERO, ONE)
+    cert = build_path(graph, g, y)
+    assert cert.validate(graph) == []
+    assert cert.length <= 2 * b
 
 
 def test_wide_alpha_fallback_cases(golden_graph):
