@@ -11,13 +11,11 @@ Submodules:
 
 from .algebra import (
     ALPHA,
-    DEFAULT_ALPHA,
     ONE,
     ZERO,
     AlgebraicPoint,
     AlphaContext,
     AlphaSpec,
-    make_alpha,
     point,
 )
 from .errors import EquigraphError, Finding
@@ -50,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA",
-    "DEFAULT_ALPHA",
     "GENERATOR_ELEMENTS",
     "IDENTITY",
     "ONE",
@@ -79,7 +76,6 @@ __all__ = [
     "inverse",
     "is_member",
     "kmatching_from_assignment",
-    "make_alpha",
     "point",
     "random_kmatching",
     "run_dynamics",

@@ -12,13 +12,9 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
-from .errors import EmptyIntervalError, OutOfRangeError, RationalAlphaError
+from .errors import EquigraphError
 
 RationalLike = Union[int, str, Fraction]
-
-LESS = -1
-EQUAL = 0
-GREATER = 1
 
 
 @dataclass(frozen=True)
@@ -93,28 +89,23 @@ ONE = point(1)
 ALPHA = point(0, 1)
 
 
-def canonical_key(x: AlgebraicPoint) -> tuple[int, int, int, int]:
-    """Hashable key; equal keys iff compare(...) == EQUAL."""
-    return (x.u.numerator, x.u.denominator, x.v.numerator, x.v.denominator)
-
-
 class AlphaContext:
     """Comparison context for a validated alpha.
 
-    Use make_alpha() to construct; the constructor checks irrationality
-    and the open-interval bound 0 < alpha < 1 exactly.
+    The constructor checks irrationality and the open-interval bound
+    0 < alpha < 1 exactly, raising EquigraphError on a bad spec.
     """
 
     def __init__(self, spec: AlphaSpec):
         if spec.r <= 0:
-            raise OutOfRangeError(f"r must be positive, got {spec.r}")
+            raise EquigraphError(f"r must be positive, got {spec.r}")
         if spec.d <= 0 or isqrt(spec.d) ** 2 == spec.d:
-            raise RationalAlphaError(f"d must be a positive non-square, got {spec.d}")
+            raise EquigraphError(f"d must be a positive non-square, got {spec.d}")
         if spec.q == 0:
-            raise RationalAlphaError("q = 0 makes alpha rational")
+            raise EquigraphError("q = 0 makes alpha rational")
         self.spec = spec
         if self.sign(ALPHA) <= 0 or self.sign(ALPHA - ONE) >= 0:
-            raise OutOfRangeError(
+            raise EquigraphError(
                 f"alpha = ({spec.p}+{spec.q}*sqrt({spec.d}))/{spec.r} is not in (0, 1)"
             )
 
@@ -142,7 +133,7 @@ class AlphaContext:
         )
 
     def compare(self, x: AlgebraicPoint, y: AlgebraicPoint) -> int:
-        """LESS, EQUAL, or GREATER; total order, exact."""
+        """Sign of x - y: -1, 0 or 1; total order, exact."""
         xu, xv, yu, yv = x.u, x.v, y.u, y.v
         du = xu.denominator * yu.denominator
         dv = xv.denominator * yv.denominator
@@ -151,26 +142,11 @@ class AlphaContext:
         nv = xv.numerator * yv.denominator - yv.numerator * xv.denominator
         return self.sign_scaled(nu * dv, nv * du)
 
-    def lt(self, x: AlgebraicPoint, y: AlgebraicPoint) -> bool:
-        return self.compare(x, y) == LESS
-
-    def le(self, x: AlgebraicPoint, y: AlgebraicPoint) -> bool:
-        return self.compare(x, y) != GREATER
-
     def in_interval(
-        self,
-        x: AlgebraicPoint,
-        lo: AlgebraicPoint,
-        hi: AlgebraicPoint,
-        closed: bool = True,
+        self, x: AlgebraicPoint, lo: AlgebraicPoint, hi: AlgebraicPoint
     ) -> bool:
-        """Exact membership of x in [lo, hi] (closed) or (lo, hi) (open)."""
-        c = self.compare(lo, hi)
-        if c == GREATER:
-            raise EmptyIntervalError(f"interval bounds reversed: {lo} > {hi}")
-        if closed:
-            return self.le(lo, x) and self.le(x, hi)
-        return self.lt(lo, x) and self.lt(x, hi)
+        """Exact membership of x in [lo, hi]; empty when lo > hi."""
+        return self.compare(lo, x) <= 0 and self.compare(x, hi) <= 0
 
     def to_float(self, x: AlgebraicPoint) -> float:
         """Approximate value, for display and sanity cross-checks only."""
@@ -181,12 +157,3 @@ class AlphaContext:
     def __repr__(self) -> str:
         s = self.spec
         return f"AlphaContext(({s.p}+{s.q}*sqrt({s.d}))/{s.r})"
-
-
-def make_alpha(spec: AlphaSpec) -> AlphaContext:
-    """Validate a spec and return its comparison context."""
-    return AlphaContext(spec)
-
-
-# alpha = sqrt(2) - 1, the default used throughout the command line tools.
-DEFAULT_ALPHA = AlphaSpec(p=-1, q=1, d=2, r=1)

@@ -14,41 +14,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .algebra import canonical_key
-from .errors import (
-    CLAIM1_VIOLATION,
-    EmptySError,
-    Finding,
-    InvalidKError,
-    IterationCapError,
-    NotAMatchingError,
-    PreconditionViolatedError,
-    SNotEmptyError,
-)
+from .errors import CLAIM1_VIOLATION, EquigraphError, Finding
 from .graph import ComponentView, Side, chain_element
 from .group import GroupElement, apply
 
 Vertex = tuple[int, int]  # (path_id, coord)
-
-
-@dataclass(frozen=True)
-class PathSystem:
-    """A finite family of bi-infinite integer paths."""
-
-    path_ids: frozenset[int]
-
-
-@dataclass(frozen=True)
-class Ray:
-    """The half-path from start through its matched partner."""
-
-    start: Vertex
-    direction: int
-
-    def contains(self, coord: int) -> bool:
-        return (coord - self.start[1]) * self.direction >= 0
 
 
 class KMatching:
@@ -66,7 +38,7 @@ class KMatching:
         deviations: Mapping[int, Mapping[int, int]],
     ):
         if k <= 0 or k % 2 == 0:
-            raise InvalidKError(f"K must be an odd positive integer, got {k}")
+            raise EquigraphError(f"K must be an odd positive integer, got {k}")
         if set(windows) != set(deviations):
             raise ValueError("windows and deviations must cover the same paths")
         self.k = k
@@ -84,15 +56,8 @@ class KMatching:
     # ------------------------------------------------------------------
 
     @property
-    def system(self) -> PathSystem:
-        return PathSystem(frozenset(self.windows))
-
-    @property
     def path_ids(self) -> list[int]:
         return sorted(self.windows)
-
-    def window(self, pid: int) -> tuple[int, int]:
-        return self.windows[pid]
 
     def partner(self, pid: int, coord: int) -> int:
         """Matched coordinate; standard outside the stored deviations."""
@@ -152,11 +117,6 @@ def _even_ceil(x: int) -> int:
     return x if x % 2 == 0 else x + 1
 
 
-def standard_matching(k: int, path_ids: Iterable[int] = (0,)) -> KMatching:
-    ids = list(path_ids)
-    return KMatching(k, {pid: (0, -1) for pid in ids}, {pid: {} for pid in ids})
-
-
 def _canonical_window(
     dev: Mapping[int, int], fallback: tuple[int, int]
 ) -> tuple[int, int]:
@@ -168,41 +128,14 @@ def _canonical_window(
 
 
 # ----------------------------------------------------------------------
-# rays, facing pairs, improvement
-
-
-def cost(m: KMatching) -> int:
-    """Total excess displacement: sum of (|a - M(a)| - 1) over A."""
-    return m.cost()
-
-
-def ray(m: KMatching, x: Vertex) -> Ray:
-    pid, coord = x
-    return Ray(x, m.direction(pid, coord))
-
-
-def phi(m: KMatching, x: Vertex, y: Vertex) -> bool:
-    """Whether x and y are A-vertices at distance 2 whose rays face.
-
-    Facing means each vertex lies on the other's ray; for each x there is
-    at most one such y, so facing pairs are disjoint.
-    """
-    if x[0] != y[0]:
-        raise PreconditionViolatedError(f"{x} and {y} lie on different paths")
-    if x[1] % 2 or y[1] % 2:
-        raise PreconditionViolatedError(f"{x}, {y} must both be A-vertices")
-    pid, cx = x
-    cy = y[1]
-    if abs(cx - cy) != 2:
-        return False
-    toward_y = 1 if cy > cx else -1
-    return m.direction(pid, cx) == toward_y and m.direction(pid, cy) == -toward_y
+# facing pairs, improvement
 
 
 def phi_pairs(m: KMatching) -> list[tuple[Vertex, Vertex]]:
     """All facing pairs, as (left, right), deterministically ordered.
 
-    A facing pair (a, a+2) needs direction(a+2) = -1, which forces a+2 to
+    Two A-vertices at distance 2 face when each lies on the other's ray,
+    the half-path from a vertex through its partner.  A facing pair (a, a+2) needs direction(a+2) = -1, which forces a+2 to
     deviate from standard, so scanning the stored deviations is complete.
     """
     out: list[tuple[Vertex, Vertex]] = []
@@ -231,7 +164,7 @@ def improve(m: KMatching) -> KMatching:
     """
     pairs = phi_pairs(m)
     if not pairs:
-        raise EmptySError("no facing pairs to rewire")
+        raise EquigraphError("no facing pairs to rewire")
     new_dev = {pid: dict(dev) for pid, dev in m.deviations.items()}
     for (pid, x), (_, y) in pairs:
         dev = new_dev[pid]
@@ -314,7 +247,7 @@ def run_dynamics(
         if not pairs:
             break
         if n >= cap:
-            raise IterationCapError(f"dynamics exceeded {cap} iterations")
+            raise EquigraphError(f"dynamics exceeded {cap} iterations")
         before = m.cost()
         m = improve(m)
         n += 1
@@ -344,7 +277,7 @@ def extract_matching(m: KMatching) -> KMatching:
     standard matching, returned as a K=1 matching.
     """
     if phi_pairs(m):
-        raise SNotEmptyError("facing pairs remain; run the dynamics first")
+        raise EquigraphError("facing pairs remain; run the dynamics first")
     new_dev: dict[int, dict[int, int]] = {}
     for pid, dev in m.deviations.items():
         entries = {
@@ -363,30 +296,25 @@ def extract_matching(m: KMatching) -> KMatching:
 # instance construction
 
 
-def random_kmatching(
-    window: int, k: int, seed: int, swaps: Optional[int] = None
-) -> KMatching:
+def random_kmatching(window: int, k: int, seed: int) -> KMatching:
     """Seeded K-preserving shuffle of the standard matching.
 
     window counts the A-vertices allowed to deviate (coords 0..2*window-1).
-    Starting from standard, applies `swaps` partner transpositions (default
-    one per A-vertex), keeping only those that respect the K bound; with
-    swaps=0 the result is the standard matching.
+    Starting from standard, tries one partner transposition per A-vertex,
+    keeping only those that respect the K bound.
     """
     if k <= 0 or k % 2 == 0:
-        raise InvalidKError(f"K must be an odd positive integer, got {k}")
+        raise EquigraphError(f"K must be an odd positive integer, got {k}")
     if window < k:
         raise ValueError(f"window {window} smaller than K={k}")
     rng = random.Random(seed)
-    if swaps is None:
-        swaps = window
     top = 2 * (window - 1)
     cur: dict[int, int] = {}
 
     def partner_of(a: int) -> int:
         return cur.get(a, a + 1)
 
-    for _ in range(swaps):
+    for _ in range(window):
         a1 = 2 * rng.randrange(window)
         delta = 2 * rng.randint(1, (k + 1) // 2)
         a2 = a1 + (delta if rng.randrange(2) else -delta)
@@ -419,12 +347,11 @@ def bridge_k_bound(max_abs_b: int) -> int:
 def kmatching_from_assignment(
     view: ComponentView,
     assignment: Sequence[tuple[int, int, GroupElement]],
-    path_id: int = 0,
 ) -> KMatching:
     """Turn isometry piece assignments on an explored component into a matching.
 
-    The view's visited chain provides coordinates with the origin at 0, so
-    I-vertices sit at even coordinates.  Each assignment entry (lo, hi, g)
+    The view's visited chain provides coordinates on path 0 with the origin
+    at 0, so I-vertices sit at even coordinates.  Each assignment entry (lo, hi, g)
     matches every I-vertex y at an even coordinate in [lo, hi] to the
     J-vertex holding g(y); uncovered coordinates stay standard.  The
     result's K is bridge_k_bound(max |b| over the pieces).
@@ -434,7 +361,7 @@ def kmatching_from_assignment(
     origin = view.origin_index
     point_at = {idx - origin: v.point for idx, v in enumerate(view.visited)}
     j_coord = {
-        canonical_key(v.point): idx - origin
+        v.point: idx - origin
         for idx, v in enumerate(view.visited)
         if (idx - origin) % 2 != 0
     }
@@ -443,30 +370,28 @@ def kmatching_from_assignment(
     for lo, hi, el in assignment:
         for a in range(_even_ceil(lo), hi + 1, 2):
             if a in targets:
-                raise NotAMatchingError(f"pieces overlap at coordinate {a}")
+                raise EquigraphError(f"pieces overlap at coordinate {a}")
             y = point_at.get(a)
             if y is None:
-                raise NotAMatchingError(f"coordinate {a} outside the explored window")
-            t = j_coord.get(canonical_key(apply(el, y)))
+                raise EquigraphError(f"coordinate {a} outside the explored window")
+            t = j_coord.get(apply(el, y))
             if t is None:
-                raise NotAMatchingError(
+                raise EquigraphError(
                     f"image of coordinate {a} is not a J-vertex of the window"
                 )
             if abs(t - a) > k:
-                raise NotAMatchingError(
+                raise EquigraphError(
                     f"displacement {t - a} at coordinate {a} exceeds K={k}"
                 )
             targets[a] = t
     if len(set(targets.values())) != len(targets):
-        raise NotAMatchingError("two pieces share a target J-vertex")
+        raise EquigraphError("two pieces share a target J-vertex")
     dev = {a: t for a, t in targets.items() if t != a + 1}
-    matching = KMatching(
-        k, {path_id: _canonical_window(dev, (0, -1))}, {path_id: dev}
-    )
+    matching = KMatching(k, {0: _canonical_window(dev, (0, -1))}, {0: dev})
     try:
         matching.validate()
     except ValueError as exc:
-        raise NotAMatchingError(str(exc)) from exc
+        raise EquigraphError(str(exc)) from exc
     return matching
 
 

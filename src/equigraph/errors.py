@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all equigraph modules."""
+"""The package's three error types; the command line exits 2 on a
+ConfigError and 3 on a Finding."""
 
 from __future__ import annotations
 
@@ -6,51 +7,7 @@ from typing import Any
 
 
 class EquigraphError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class RationalAlphaError(EquigraphError):
-    """The configured alpha is rational (q = 0, or d is a perfect square)."""
-
-
-class OutOfRangeError(EquigraphError):
-    """The configured alpha lies outside the open interval (0, 1)."""
-
-
-class EmptyIntervalError(EquigraphError):
-    """Interval bounds were given in the wrong order."""
-
-
-class BallTooLargeError(EquigraphError):
-    """Requested word-ball radius exceeds the configured maximum."""
-
-
-class VertexOutOfRangeError(EquigraphError):
-    """A vertex point lies outside its side's interval."""
-
-
-class PreconditionViolatedError(EquigraphError):
-    """An operation was called outside its stated precondition."""
-
-
-class InvalidKError(EquigraphError):
-    """K must be an odd positive integer."""
-
-
-class NotAMatchingError(EquigraphError):
-    """A piece assignment does not induce a valid matching."""
-
-
-class EmptySError(EquigraphError):
-    """improve() requires at least one facing pair to rewire."""
-
-
-class SNotEmptyError(EquigraphError):
-    """extract_matching() requires the facing-pair set to be empty."""
-
-
-class IterationCapError(EquigraphError):
-    """The dynamics exceeded the caller-supplied iteration cap."""
+    """A call outside its precondition or range; base of the other two."""
 
 
 class ConfigError(EquigraphError):

@@ -19,21 +19,8 @@ from functools import cmp_to_key, partial
 from math import lcm
 from typing import TYPE_CHECKING, Callable, Hashable, Optional
 
-from .algebra import (
-    ALPHA,
-    ONE,
-    ZERO,
-    AlgebraicPoint,
-    AlphaContext,
-    canonical_key,
-    point,
-)
-from .errors import (
-    EVEN_PATH_COMPONENT,
-    EquigraphError,
-    Finding,
-    VertexOutOfRangeError,
-)
+from .algebra import ALPHA, ONE, ZERO, AlgebraicPoint, AlphaContext
+from .errors import EVEN_PATH_COMPONENT, EquigraphError, Finding
 from .group import (
     GENERATOR_ELEMENTS,
     IDENTITY,
@@ -41,11 +28,10 @@ from .group import (
     GroupElement,
     apply,
     compose,
-    element_of,
     inverse,
 )
 
-DEFAULT_SAMPLE_DENOMINATOR = 10**6
+SAMPLE_DENOMINATOR = 10**6
 
 _GEN_ORDER = {gen: i for i, gen in enumerate(Generator)}
 
@@ -133,11 +119,8 @@ if TYPE_CHECKING:
 class IntervalGraph:
     """Lazy view of the graph for one validated alpha."""
 
-    def __init__(
-        self, ctx: AlphaContext, sample_denominator: int = DEFAULT_SAMPLE_DENOMINATOR
-    ):
+    def __init__(self, ctx: AlphaContext):
         self.ctx = ctx
-        self.sample_denominator = sample_denominator
         self.i_lo, self.i_hi = ZERO, ONE
         self.j_lo, self.j_hi = ALPHA, ONE + ALPHA
 
@@ -149,8 +132,8 @@ class IntervalGraph:
 
     def check_vertex(self, v: GVertex) -> None:
         lo, hi = self.side_interval(v.side)
-        if not self.ctx.in_interval(v.point, lo, hi, closed=True):
-            raise VertexOutOfRangeError(f"{v.point} outside {v.side.value} interval")
+        if not self.ctx.in_interval(v.point, lo, hi):
+            raise EquigraphError(f"{v.point} outside {v.side.value} interval")
 
     def vertex(self, side: Side, pt: AlgebraicPoint) -> GVertex:
         v = GVertex(side, pt)
@@ -233,33 +216,9 @@ class IntervalGraph:
     # sampling
 
     def sample_unit_rational(self, rng: random.Random) -> Fraction:
-        den = rng.randint(1, self.sample_denominator)
+        den = rng.randint(1, SAMPLE_DENOMINATOR)
         num = rng.randint(0, den)
         return Fraction(num, den)
-
-    def classify_sample(self, n: int, budget: int, seed: int) -> dict:
-        """Degree and component-kind tabulation over n seeded I-samples."""
-        rng = random.Random(seed)
-        degrees: dict[int, int] = {}
-        kinds: dict[str, int] = {}
-        degree_one: list[dict] = []
-        for _ in range(n):
-            y = point(self.sample_unit_rational(rng))
-            vtx = GVertex(Side.I, y)
-            d = self.degree(vtx)
-            degrees[d] = degrees.get(d, 0) + 1
-            if d == 1:
-                degree_one.append(vertex_record(vtx))
-            view = self.explore_component(vtx, budget)
-            kinds[view.kind] = kinds.get(view.kind, 0) + 1
-        return {
-            "samples": n,
-            "seed": seed,
-            "budget": budget,
-            "degrees": {str(k): degrees[k] for k in sorted(degrees)},
-            "kinds": {k: kinds[k] for k in sorted(kinds)},
-            "degree_one_hits": degree_one,
-        }
 
     def extreme_vertices(self) -> list[GVertex]:
         """The four vertices of degree one, one per side endpoint."""
@@ -461,7 +420,7 @@ def chain_element(view: ComponentView, i: int, j: int) -> GroupElement:
     while pos != j:
         nxt = pos + step
         edge = view.edges[min(pos, nxt)]
-        el = element_of(edge.canonical_label())
+        el = GENERATOR_ELEMENTS[edge.canonical_label()]
         src = view.visited[pos]
         if src.side is Side.I:
             acc = compose(el, acc)  # I -> J applies the label
@@ -486,11 +445,11 @@ def generator_domain(
         lo, hi = j_lo - shift, j_hi - shift
     else:
         lo, hi = shift - j_hi, shift - j_lo
-    if ctx.lt(lo, ZERO):
+    if ctx.compare(lo, ZERO) < 0:
         lo = ZERO
-    if ctx.lt(ONE, hi):
+    if ctx.compare(ONE, hi) < 0:
         hi = ONE
-    if ctx.lt(hi, lo):
+    if ctx.compare(hi, lo) < 0:
         raise EquigraphError(f"{gen.value} has empty domain")  # pragma: no cover
     return lo, hi
 
@@ -511,17 +470,11 @@ def edge_polygon(ctx: AlphaContext) -> list[Corner]:
         lo, hi = generator_domain(ctx, gen)
         segments.append(((lo, apply(el, lo)), (hi, apply(el, hi))))
 
-    def corner_key(c: Corner) -> tuple:
-        return canonical_key(c[0]) + canonical_key(c[1])
-
-    ends: dict[tuple, list[tuple[int, int]]] = {}
-    corners_by_key: dict[tuple, Corner] = {}
+    ends: dict[Corner, list[tuple[int, int]]] = {}
     for si, seg in enumerate(segments):
         for ei in (0, 1):
-            k = corner_key(seg[ei])
-            ends.setdefault(k, []).append((si, ei))
-            corners_by_key[k] = seg[ei]
-    bad = [k for k, v in ends.items() if len(v) != 2]
+            ends.setdefault(seg[ei], []).append((si, ei))
+    bad = [c for c, v in ends.items() if len(v) != 2]
     if bad:
         raise EquigraphError(f"segments do not chain into a loop: {bad}")
 
@@ -529,19 +482,16 @@ def edge_polygon(ctx: AlphaContext) -> list[Corner]:
         first = ctx.compare(c1[0], c2[0])
         return first if first != 0 else ctx.compare(c1[1], c2[1])
 
-    start_key = corner_key(
-        min(corners_by_key.values(), key=cmp_to_key(exact_order))
-    )
+    start = min(ends, key=cmp_to_key(exact_order))
     loop: list[Corner] = []
-    key = start_key
-    si, ei = ends[key][0]
+    corner = start
+    si, ei = ends[corner][0]
     while True:
-        loop.append(corners_by_key[key])
-        other_end = segments[si][1 - ei]
-        key = corner_key(other_end)
-        if key == start_key:
+        loop.append(corner)
+        corner = segments[si][1 - ei]
+        if corner == start:
             break
-        a, b = ends[key]
+        a, b = ends[corner]
         si, ei = b if a == (si, 1 - ei) else a
     if len(loop) != len(segments):
         raise EquigraphError("polygon chaining did not visit every segment")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import AlgebraicPoint
-from .errors import BallTooLargeError
+from .errors import EquigraphError
 
 MAX_BALL_RADIUS = 10
 
@@ -51,10 +51,6 @@ GENERATOR_ELEMENTS: dict[Generator, GroupElement] = {
 }
 
 
-def element_of(gen: Generator) -> GroupElement:
-    return GENERATOR_ELEMENTS[gen]
-
-
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """g after h: apply(compose(g, h), x) == apply(g, apply(h, x))."""
     return GroupElement(g.a * h.a, g.a * h.b + g.b, g.a * h.c + g.c)
@@ -77,11 +73,11 @@ def word_to_element(word: Sequence[Generator]) -> GroupElement:
     """
     acc = IDENTITY
     for gen in word:
-        acc = compose(element_of(gen), acc)
+        acc = compose(GENERATOR_ELEMENTS[gen], acc)
     return acc
 
 
-def enumerate_ball(radius: int, max_radius: int = MAX_BALL_RADIUS) -> set[GroupElement]:
+def enumerate_ball(radius: int) -> set[GroupElement]:
     """All elements expressible as words of length <= radius.
 
     Breadth-first over words with normal-form dedup, so membership is
@@ -90,8 +86,8 @@ def enumerate_ball(radius: int, max_radius: int = MAX_BALL_RADIUS) -> set[GroupE
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    if radius > max_radius:
-        raise BallTooLargeError(f"radius {radius} exceeds maximum {max_radius}")
+    if radius > MAX_BALL_RADIUS:
+        raise EquigraphError(f"radius {radius} exceeds maximum {MAX_BALL_RADIUS}")
     seen: set[GroupElement] = {IDENTITY}
     frontier: set[GroupElement] = {IDENTITY}
     for _ in range(radius):
@@ -123,32 +119,3 @@ def is_member(a: int, u: Fraction, v: Fraction) -> bool:
         and u.numerator % 2 == 0
         and v.numerator % 2 == 0
     )
-
-
-def normal_form_from_images(
-    x0: AlgebraicPoint, fx0: AlgebraicPoint, x1: AlgebraicPoint, fx1: AlgebraicPoint
-) -> GroupElement:
-    """Recover (a, b, c) from the images of two distinct points.
-
-    Used by tests to confirm normal-form uniqueness against evaluation.
-    """
-    du = fx1.u - fx0.u
-    dv = fx1.v - fx0.v
-    span_u = x1.u - x0.u
-    span_v = x1.v - x0.v
-    if (span_u, span_v) == (0, 0):
-        raise ValueError("sample points must be distinct")
-    # a is the ratio of differences; both coordinates must agree.
-    if span_u != 0:
-        a = du / span_u
-    else:
-        a = dv / span_v
-    if du != a * span_u or dv != a * span_v or a not in (1, -1):
-        raise ValueError("images are not consistent with any group element")
-    shift_u = fx0.u - a * x0.u
-    shift_v = fx0.v - a * x0.v
-    if shift_u.denominator != 1 or shift_v.denominator != 1:
-        raise ValueError("shift is not integral")
-    if shift_u.numerator % 2 or shift_v.numerator % 2:
-        raise ValueError("shift is not even")
-    return GroupElement(int(a), shift_v.numerator // 2, shift_u.numerator // 2)

@@ -17,11 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import ALPHA, ONE, ZERO, AlgebraicPoint, point
-from .errors import (
-    CONNECTOR_MISSING,
-    Finding,
-    PreconditionViolatedError,
-)
+from .errors import CONNECTOR_MISSING, EquigraphError, Finding
 from .graph import GVertex, IntervalGraph, Side
 from .group import GroupElement, apply, enumerate_ball, inverse
 
@@ -81,7 +77,7 @@ def _reduced_step(
     ctx = graph.ctx
     a, b, c = g.a, g.b, g.c
     if b < 0:
-        if ctx.le(gy, ONE_MINUS_TWO_ALPHA):
+        if ctx.compare(gy, ONE_MINUS_TWO_ALPHA) <= 0:
             z = gy + TWO_ALPHA
             reduced = GroupElement(a, b + 1, c)
         else:
@@ -91,7 +87,7 @@ def _reduced_step(
                 z = gy + TWO_ALPHA - TWO
                 reduced = GroupElement(a, b + 1, c - 1)
     else:
-        if ctx.lt(TWO_ALPHA, gy):
+        if ctx.compare(TWO_ALPHA, gy) < 0:
             z = gy - TWO_ALPHA
             reduced = GroupElement(a, b - 1, c)
         else:
@@ -113,7 +109,7 @@ def _connector(
     z_edges = {e.j_point: e for e in graph.neighbors(GVertex(Side.I, z))}
     for e in graph.neighbors(GVertex(Side.I, gy)):
         if e.j_point in z_edges:
-            if shared is None or graph.ctx.lt(e.j_point, shared):
+            if shared is None or graph.ctx.compare(e.j_point, shared) < 0:
                 shared = e.j_point
     if shared is None:
         return None
@@ -131,18 +127,18 @@ def build_path(
     """
     ctx = graph.ctx
     if not ctx.in_interval(y, ZERO, ONE):
-        raise PreconditionViolatedError(f"anchor {y} outside [0, 1]")
+        raise EquigraphError(f"anchor {y} outside [0, 1]")
     steps: list[tuple[GroupElement, AlgebraicPoint, AlgebraicPoint]] = []
     element = g
     gy = apply(g, y)
     while True:
         if not ctx.in_interval(gy, ZERO, ONE):
-            raise PreconditionViolatedError(f"image {gy} outside [0, 1]")
+            raise EquigraphError(f"image {gy} outside [0, 1]")
         if element.b == 0:
             break
         z, reduced = _reduced_step(graph, element, gy)
         if abs(reduced.b) != abs(element.b) - 1 or apply(reduced, y) != z:
-            raise PreconditionViolatedError(
+            raise EquigraphError(
                 f"reduction of {element} produced inconsistent step {reduced}"
             )  # pragma: no cover - construction is checked by tests
         steps.append((element, z, gy))
@@ -150,7 +146,7 @@ def build_path(
     # With both y and g(y) in [0, 1] and no alpha shift, the element fixes
     # y: the identity, or a reflection anchored at y in {0, 1}.
     if gy != y:  # pragma: no cover - impossible under the precondition
-        raise PreconditionViolatedError(f"b=0 element moved {y} to {gy}")
+        raise EquigraphError(f"b=0 element moved {y} to {gy}")
     vertices = [GVertex(Side.I, y)]
     for element, z, gy in reversed(steps):
         tail = _connector(graph, z, gy)

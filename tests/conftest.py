@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from equigraph.algebra import AlphaSpec, make_alpha
+from equigraph.algebra import AlphaContext, AlphaSpec
 from equigraph.graph import IntervalGraph
 
 SQRT2_MINUS_1 = AlphaSpec(-1, 1, 2, 1)
@@ -21,7 +21,7 @@ KERNEL_ALPHAS = ALL_ALPHAS + (SEVEN_MINUS_TWO_SQRT5_OVER_3,)
 
 @pytest.fixture(scope="session")
 def ctx():
-    return make_alpha(SQRT2_MINUS_1)
+    return AlphaContext(SQRT2_MINUS_1)
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +31,7 @@ def graph(ctx):
 
 @pytest.fixture(scope="session")
 def golden_ctx():
-    return make_alpha(GOLDEN_CONJUGATE)
+    return AlphaContext(GOLDEN_CONJUGATE)
 
 
 @pytest.fixture(scope="session")

@@ -169,7 +169,7 @@ def facing_pairs_bruteforce(m) -> set[tuple[int, int]]:
     """
     members: set[tuple[int, int]] = set()
     for pid in m.path_ids:
-        lo, hi = m.window(pid)
+        lo, hi = m.windows[pid]
         if lo > hi:
             continue
         span = hi - lo + 8

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from equigraph.algebra import ALPHA, ONE, ZERO, make_alpha, point
+from equigraph.algebra import ALPHA, ONE, ZERO, AlphaContext, point
 from equigraph.cli import main, render_figure
 from equigraph.dynamics import (
     check_nested_rays,
@@ -69,7 +69,7 @@ def test_criterion_1_degree_one_set(capsys):
     t0 = time.monotonic()
     ok = True
     for spec in ALL_ALPHAS:
-        g = IntervalGraph(make_alpha(spec))
+        g = IntervalGraph(AlphaContext(spec))
         extremes = g.extreme_vertices()
         ok &= [(v.side, v.point) for v in extremes] == [
             (Side.I, ZERO),
@@ -244,7 +244,7 @@ def test_criterion_8_edge_polygon_figure(capsys):
     ]
     ok = True
     for spec in ALL_ALPHAS:
-        ctx = make_alpha(spec)
+        ctx = AlphaContext(spec)
         corners = edge_polygon(ctx)
         ok &= corners == expected_corners
         loop = corners + [corners[0]]

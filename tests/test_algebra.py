@@ -7,21 +7,17 @@ from hypothesis import strategies as st
 
 from equigraph.algebra import (
     ALPHA,
-    EQUAL,
-    GREATER,
-    LESS,
     ONE,
     ZERO,
     AlgebraicPoint,
+    AlphaContext,
     AlphaSpec,
-    canonical_key,
-    make_alpha,
     point,
 )
-from equigraph.errors import EmptyIntervalError, OutOfRangeError, RationalAlphaError
+from equigraph.errors import EquigraphError
 
 from conftest import ALL_ALPHAS, KERNEL_ALPHAS
-from oracles import alpha_decimal, point_decimal, sign_fraction
+from oracles import alpha_decimal, in_closed, point_decimal, sign_fraction
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=100
@@ -31,22 +27,22 @@ points = st.builds(AlgebraicPoint, rationals, rationals)
 
 def test_named_alphas_validate():
     for spec in KERNEL_ALPHAS:
-        ctx = make_alpha(spec)
-        assert ctx.sign(ALPHA) == GREATER
-        assert ctx.lt(ALPHA, ONE)
+        ctx = AlphaContext(spec)
+        assert ctx.sign(ALPHA) == 1
+        assert ctx.compare(ALPHA, ONE) < 0
 
 
 def test_bad_specs_rejected():
-    with pytest.raises(RationalAlphaError):
-        make_alpha(AlphaSpec(-1, 1, 4, 1))  # d square
-    with pytest.raises(RationalAlphaError):
-        make_alpha(AlphaSpec(-1, 0, 2, 1))  # q = 0
-    with pytest.raises(OutOfRangeError):
-        make_alpha(AlphaSpec(-1, 1, 2, 0))  # r = 0
-    with pytest.raises(OutOfRangeError):
-        make_alpha(AlphaSpec(1, 1, 2, 1))  # 1 + sqrt(2) > 1
-    with pytest.raises(OutOfRangeError):
-        make_alpha(AlphaSpec(1, -1, 2, 1))  # 1 - sqrt(2) < 0
+    with pytest.raises(EquigraphError, match="non-square"):
+        AlphaContext(AlphaSpec(-1, 1, 4, 1))  # d square
+    with pytest.raises(EquigraphError, match="rational"):
+        AlphaContext(AlphaSpec(-1, 0, 2, 1))  # q = 0
+    with pytest.raises(EquigraphError, match="r must be positive"):
+        AlphaContext(AlphaSpec(-1, 1, 2, 0))  # r = 0
+    with pytest.raises(EquigraphError, match=r"not in \(0, 1\)"):
+        AlphaContext(AlphaSpec(1, 1, 2, 1))  # 1 + sqrt(2) > 1
+    with pytest.raises(EquigraphError, match=r"not in \(0, 1\)"):
+        AlphaContext(AlphaSpec(1, -1, 2, 1))  # 1 - sqrt(2) < 0
 
 
 def test_point_arithmetic():
@@ -71,12 +67,12 @@ def test_str_forms():
 
 def test_known_comparisons(ctx):
     two_alpha = ALPHA.scale(2)
-    assert ctx.lt(two_alpha, ONE)  # 2(sqrt(2)-1) < 1
-    assert ctx.lt(ONE - two_alpha, ALPHA)
-    assert ctx.compare(ALPHA, ALPHA) == EQUAL
-    assert ctx.sign(ALPHA - ONE) == LESS
-    golden = make_alpha(AlphaSpec(-1, 1, 5, 2))
-    assert golden.lt(ONE, ALPHA.scale(2))  # 2a > 1 for a above 1/2
+    assert ctx.compare(two_alpha, ONE) < 0  # 2(sqrt(2)-1) < 1
+    assert ctx.compare(ONE - two_alpha, ALPHA) < 0
+    assert ctx.compare(ALPHA, ALPHA) == 0
+    assert ctx.sign(ALPHA - ONE) == -1
+    golden = AlphaContext(AlphaSpec(-1, 1, 5, 2))
+    assert golden.compare(ONE, ALPHA.scale(2)) < 0  # 2a > 1 for a above 1/2
 
 
 def test_pell_convergent_needs_exact_sign(ctx):
@@ -86,53 +82,83 @@ def test_pell_convergent_needs_exact_sign(ctx):
     p, q = 665857, 470832
     assert p * p - 2 * q * q == 1
     near = point(Fraction(p, q) - 1)  # approximates alpha = sqrt(2)-1
-    assert ctx.compare(near, ALPHA) == GREATER
-    assert ctx.compare(point(-Fraction(p, q) + 1), -ALPHA) == LESS
+    assert ctx.compare(near, ALPHA) == 1
+    assert ctx.compare(point(-Fraction(p, q) + 1), -ALPHA) == -1
     assert abs(ctx.to_float(near - ALPHA)) < 1e-11
 
 
 def test_in_interval_endpoints(ctx):
-    assert ctx.in_interval(ZERO, ZERO, ONE, closed=True)
-    assert ctx.in_interval(ONE, ZERO, ONE, closed=True)
-    assert not ctx.in_interval(ZERO, ZERO, ONE, closed=False)
+    assert ctx.in_interval(ZERO, ZERO, ONE)
+    assert ctx.in_interval(ONE, ZERO, ONE)
+    assert ctx.in_interval(ALPHA, ZERO, ONE)
     assert not ctx.in_interval(point(2), ZERO, ONE)
-    assert ctx.in_interval(ALPHA, ZERO, ONE, closed=False)
-    with pytest.raises(EmptyIntervalError):
-        ctx.in_interval(ZERO, ONE, ZERO)
+    assert not ctx.in_interval(-ALPHA, ZERO, ONE)
+    assert ctx.in_interval(ALPHA, ALPHA, ONE + ALPHA)
+    assert ctx.in_interval(ONE + ALPHA, ALPHA, ONE + ALPHA)
+    assert not ctx.in_interval(ZERO, ALPHA, ONE + ALPHA)
+    # reversed bounds hold nothing, not even the bounds themselves
+    assert not ctx.in_interval(ZERO, ONE, ZERO)
+    assert not ctx.in_interval(ONE, ONE, ZERO)
 
 
-def test_canonical_key_matches_equality():
+@settings(max_examples=200)
+@given(
+    points,
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-50, max_value=50),
+)
+def test_in_interval_matches_closed_oracle(x, v, nudge):
+    # both side intervals for every alpha, each probed at a random point,
+    # at its exact endpoints, and at points u + v*alpha within 1e-12 of them
+    for spec in KERNEL_ALPHAS:
+        ctx = AlphaContext(spec)
+        alpha = alpha_decimal(spec.p, spec.q, spec.d, spec.r)
+        for shift in (0, 1):
+            lo, hi = point(0, shift), point(1, shift)
+            probes = [x]
+            for end in (0, 1):
+                u = Fraction(end + (shift - v) * alpha).limit_denominator(10**13)
+                near = point(u + Fraction(nudge, 10**14), v)
+                gap = point_decimal(alpha, near.u, near.v) - (end + shift * alpha)
+                assert abs(gap) < Decimal("1e-12")
+                probes += [point(end, shift), near]
+            for y in probes:
+                want = in_closed(alpha, (y.u, y.v), (lo.u, lo.v), (hi.u, hi.v))
+                assert ctx.in_interval(y, lo, hi) == want
+
+
+def test_point_hash_matches_equality():
     a = point(Fraction(2, 4), Fraction(3, 9))
     b = point(Fraction(1, 2), Fraction(1, 3))
-    assert a == b
-    assert canonical_key(a) == canonical_key(b) == (1, 2, 1, 3)
-    assert canonical_key(a) != canonical_key(point(Fraction(1, 2), Fraction(1, 4)))
+    assert a == b and hash(a) == hash(b)
+    assert {a: "a"}[b] == "a"
+    assert a != point(Fraction(1, 2), Fraction(1, 4))
 
 
 @settings(max_examples=200)
 @given(points, points)
 def test_compare_antisymmetric(x, y):
-    ctx = make_alpha(AlphaSpec(-1, 1, 2, 1))
+    ctx = AlphaContext(AlphaSpec(-1, 1, 2, 1))
     assert ctx.compare(x, y) == -ctx.compare(y, x)
     if x == y:
-        assert ctx.compare(x, y) == EQUAL
+        assert ctx.compare(x, y) == 0
     else:
-        assert ctx.compare(x, y) != EQUAL  # alpha irrational: no other ties
+        assert ctx.compare(x, y) != 0  # alpha irrational: no other ties
 
 
 @settings(max_examples=200)
 @given(points, points, points)
 def test_compare_transitive(x, y, z):
-    ctx = make_alpha(AlphaSpec(-1, 1, 2, 1))
-    if ctx.le(x, y) and ctx.le(y, z):
-        assert ctx.le(x, z)
+    ctx = AlphaContext(AlphaSpec(-1, 1, 2, 1))
+    if ctx.compare(x, y) <= 0 and ctx.compare(y, z) <= 0:
+        assert ctx.compare(x, z) <= 0
 
 
 @settings(max_examples=200)
 @given(points, points)
 def test_sign_agrees_with_decimal_oracle(x, y):
     for spec in ALL_ALPHAS:
-        ctx = make_alpha(spec)
+        ctx = AlphaContext(spec)
         diff = x - y
         alpha = alpha_decimal(spec.p, spec.q, spec.d, spec.r)
         oracle_val = point_decimal(alpha, diff.u, diff.v)
@@ -145,7 +171,7 @@ def test_sign_agrees_with_decimal_oracle(x, y):
 @settings(max_examples=100)
 @given(points, points)
 def test_arithmetic_matches_float(x, y):
-    ctx = make_alpha(AlphaSpec(-1, 1, 2, 1))
+    ctx = AlphaContext(AlphaSpec(-1, 1, 2, 1))
     assert ctx.to_float(x + y) == pytest.approx(
         ctx.to_float(x) + ctx.to_float(y), abs=1e-9
     )
@@ -162,7 +188,7 @@ def _reference_sign(spec: AlphaSpec, u: Fraction, v: Fraction) -> int:
 @given(points, points)
 def test_integer_sign_and_compare_match_fraction_reference(x, y):
     for spec in KERNEL_ALPHAS:
-        ctx = make_alpha(spec)
+        ctx = AlphaContext(spec)
         assert ctx.sign(x) == _reference_sign(spec, x.u, x.v)
         assert ctx.compare(x, y) == _reference_sign(spec, x.u - y.u, x.v - y.v)
 
@@ -176,7 +202,7 @@ def test_integer_sign_and_compare_match_fraction_reference(x, y):
 )
 def test_integer_sign_on_near_ties(k, m, nudge, spec):
     # a rational within 1e-12 of k*alpha + m, compared with that point
-    ctx = make_alpha(spec)
+    ctx = AlphaContext(spec)
     alpha = alpha_decimal(spec.p, spec.q, spec.d, spec.r)
     near = Fraction(k * alpha + m).limit_denominator(10**13) + Fraction(nudge, 10**14)
     target = point(m, k)

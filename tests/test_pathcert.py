@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from equigraph.algebra import ALPHA, ONE, ZERO, point
-from equigraph.errors import PreconditionViolatedError
+from equigraph.errors import EquigraphError
 from equigraph.graph import GVertex, Side
-from equigraph.group import GroupElement, IDENTITY, element_of, Generator, apply
+from equigraph.group import GENERATOR_ELEMENTS, GroupElement, IDENTITY, Generator, apply
 from equigraph.pathcert import CertifiedPath, build_path, verify_lemma
 
 TWO_ALPHA = ALPHA.scale(2)
-T = element_of(Generator.T)
+T = GENERATOR_ELEMENTS[Generator.T]
 
 
 def test_single_shift_certificate(graph):
@@ -36,7 +36,7 @@ def test_reflection_with_no_shift_fixes_its_anchor(graph):
     refl = GroupElement(-1, 0, 1)  # x -> 2 - x, in range only at x = 1
     cert = build_path(graph, refl, ONE)
     assert cert.length == 0
-    with pytest.raises(PreconditionViolatedError):
+    with pytest.raises(EquigraphError, match=r"image 3/2 outside \[0, 1\]"):
         build_path(graph, refl, point(Fraction(1, 2)))
 
 
@@ -89,9 +89,9 @@ def test_wide_alpha_fallback_cases(golden_graph):
 
 
 def test_anchor_preconditions(graph):
-    with pytest.raises(PreconditionViolatedError):
+    with pytest.raises(EquigraphError, match=r"anchor 2 outside \[0, 1\]"):
         build_path(graph, T, point(2))
-    with pytest.raises(PreconditionViolatedError):
+    with pytest.raises(EquigraphError, match=r"image .* outside \[0, 1\]"):
         build_path(graph, GroupElement(1, 3, 0), point(Fraction(1, 2)))
 
 

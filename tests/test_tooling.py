@@ -1,0 +1,63 @@
+"""The names that the benchmark's tracer and README rely on still exist.
+
+A deleted or renamed function would otherwise blank a per-layer metric
+(the tracer reports it only as `not_traced`) or leave README's example
+and the package's `__all__` pointing at nothing.
+"""
+
+import importlib
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def fresh_equigraph():
+    """A fresh import of the package; the suite's own import is restored after."""
+
+    def ours(name):
+        return name.split(".")[0] == "equigraph"
+
+    saved = {name: mod for name, mod in sys.modules.items() if ours(name)}
+    for name in saved:
+        del sys.modules[name]
+    try:
+        yield importlib.import_module("equigraph")
+    finally:
+        for name in [name for name in sys.modules if ours(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def test_tracer_targets_and_exports_resolve(fresh_equigraph):
+    tracing = _load_tracing()
+    for module_name, _, _ in tracing.SPANS + tracing.COUNTS:
+        importlib.import_module(module_name)
+    tracer = tracing.Tracer()
+    tracer.install()  # patches the fresh modules, which the fixture drops
+    assert tracer.missing == set()
+    for name in fresh_equigraph.__all__:
+        assert hasattr(fresh_equigraph, name), name
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    # pad with blank lines so that a traceback names the README's own line
+    code = "\n" * readme[: readme.index(code)].count("\n") + code
+    exec(compile(code, "README.md", "exec"), {})
