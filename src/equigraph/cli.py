@@ -502,7 +502,6 @@ def cmd_report(cfg: RunConfig) -> int:
         raise ConfigError(f"missing inputs in {out}: {', '.join(missing)}")
     echo = config_echo(cfg)
     merged = {"version": __version__, "config": echo}
-    # figure.svg records no params, so only the JSON inputs are checked
     for section in ("explore", "verify_lemma", "dynamics"):
         data = json.loads((out / needed[section]).read_text())
         params = data.get("params", {})
@@ -514,6 +513,12 @@ def cmd_report(cfg: RunConfig) -> int:
                 )
         merged[section] = data
     svg_bytes = (out / needed["figure"]).read_bytes()
+    # figure.svg records no params, but it is a function of alpha alone
+    if svg_bytes != render_figure(AlphaContext(cfg.alpha)).encode("utf-8"):
+        raise ConfigError(
+            f"{needed['figure']} was not drawn for this run's alpha "
+            f"{echo['alpha']!r}"
+        )
     merged["figure"] = {
         "file": needed["figure"],
         "bytes": len(svg_bytes),

@@ -40,7 +40,7 @@ class KMatching:
         if k <= 0 or k % 2 == 0:
             raise EquigraphError(f"K must be an odd positive integer, got {k}")
         if set(windows) != set(deviations):
-            raise ValueError("windows and deviations must cover the same paths")
+            raise EquigraphError("windows and deviations must cover the same paths")
         self.k = k
         self.windows: dict[int, tuple[int, int]] = {
             pid: (int(w[0]), int(w[1])) for pid, w in windows.items()
@@ -79,29 +79,31 @@ class KMatching:
         return all(not dev for dev in self.deviations.values())
 
     def validate(self) -> None:
-        """Raise ValueError on any structural defect."""
+        """Raise EquigraphError on any structural defect."""
         for pid, dev in self.deviations.items():
             lo, hi = self.windows[pid]
             if dev and not (lo % 2 == 0 and hi % 2 == 1 and lo < hi):
-                raise ValueError(f"path {pid}: window ({lo}, {hi}) not canonical")
+                raise EquigraphError(
+                    f"path {pid}: window ({lo}, {hi}) not canonical"
+                )
             for a, t in dev.items():
                 if a % 2 != 0 or t % 2 != 1:
-                    raise ValueError(f"path {pid}: pair {a}->{t} breaks parity")
+                    raise EquigraphError(f"path {pid}: pair {a}->{t} breaks parity")
                 if t == a + 1:
-                    raise ValueError(f"path {pid}: standard pair {a} stored")
+                    raise EquigraphError(f"path {pid}: standard pair {a} stored")
                 if not (lo <= a <= hi and lo <= t <= hi):
-                    raise ValueError(f"path {pid}: pair {a}->{t} leaves window")
+                    raise EquigraphError(f"path {pid}: pair {a}->{t} leaves window")
                 if abs(a - t) > self.k:
-                    raise ValueError(
+                    raise EquigraphError(
                         f"path {pid}: pair {a}->{t} exceeds K={self.k}"
                     )
             targets = set(dev.values())
             if len(targets) != len(dev):
-                raise ValueError(f"path {pid}: matching is not injective")
+                raise EquigraphError(f"path {pid}: matching is not injective")
             # The displaced standard partners must be exactly the targets,
             # otherwise some window B-vertex is unmatched or doubly matched.
             if targets != {a + 1 for a in dev}:
-                raise ValueError(f"path {pid}: window bijection broken")
+                raise EquigraphError(f"path {pid}: window bijection broken")
 
     def cost(self) -> int:
         return sum(
@@ -131,17 +133,29 @@ def _canonical_window(
 # facing pairs, improvement
 
 
+def _faces(dev: Mapping[int, int], a: int) -> bool:
+    """Whether the A-vertices a - 2 and a face, given one path's deviations.
+
+    They face when each lies on the other's ray: a points left, which
+    needs a stored pair, and a - 2 points right.
+    """
+    t = dev.get(a)
+    return t is not None and t < a and dev.get(a - 2, a - 1) > a - 2
+
+
 def phi_pairs(m: KMatching) -> list[tuple[Vertex, Vertex]]:
     """All facing pairs, as (left, right), deterministically ordered.
 
     Two A-vertices at distance 2 face when each lies on the other's ray,
-    the half-path from a vertex through its partner.  A facing pair (a, a+2) needs direction(a+2) = -1, which forces a+2 to
-    deviate from standard, so scanning the stored deviations is complete.
+    the half-path from a vertex through its partner.  A facing pair
+    (a, a+2) needs direction(a+2) = -1, which forces a+2 to deviate from
+    standard, so scanning the stored deviations is complete.
     """
     out: list[tuple[Vertex, Vertex]] = []
     for pid in sorted(m.deviations):
-        for a, t in m.deviations[pid].items():
-            if t < a and m.direction(pid, a - 2) == 1:
+        dev = m.deviations[pid]
+        for a in dev:
+            if _faces(dev, a):
                 out.append(((pid, a - 2), (pid, a)))
     return out
 
@@ -155,6 +169,62 @@ def compute_S(m: KMatching) -> set[Vertex]:
     return members
 
 
+def _rewire(
+    devs: dict[int, dict[int, int]],
+    invs: dict[int, dict[int, int]],
+    k: int,
+    pairs: Sequence[tuple[Vertex, Vertex]],
+) -> int:
+    """Swap the partners of every facing pair of one round, in place.
+
+    devs holds each path's deviations and invs their inverses (target ->
+    A-vertex).  Returns the round's cost drop.  Each rewired pair must
+    lower its combined displacement by at least 2 and stay within K; a
+    failure is raised as a Finding.  Each written entry is then checked
+    for parity and injectivity as validate() would; it is stored only
+    when it is not standard, and its K bound is the Finding's.
+    """
+    drop = 0
+    for (pid, x), (_, y) in pairs:
+        dev, inv = devs[pid], invs[pid]
+        mx = dev.get(x, x + 1)
+        my = dev.get(y, y + 1)
+        ndx, ndy = abs(x - my), abs(y - mx)
+        odx, ody = abs(x - mx), abs(y - my)
+        if ndx > k or ndy > k:
+            raise Finding(
+                CLAIM1_VIOLATION,
+                f"rewired pair ({x}, {y}) leaves the K={k} bound",
+                witness={"pair": [x, y], "new_dists": [ndx, ndy]},
+            )
+        if ndx + ndy > odx + ody - 2:
+            raise Finding(
+                CLAIM1_VIOLATION,
+                f"rewiring ({x}, {y}) dropped cost by less than 2",
+                witness={"pair": [x, y], "old": [odx, ody], "new": [ndx, ndy]},
+            )
+        inv.pop(mx, None)
+        inv.pop(my, None)
+        if my == x + 1:
+            dev.pop(x, None)
+        else:
+            inv[my] = x
+            dev[x] = my
+        if mx == y + 1:
+            dev.pop(y, None)
+        else:
+            inv[mx] = y
+            dev[y] = mx
+        if x % 2 or y % 2 or not (mx % 2 and my % 2):
+            raise EquigraphError(
+                f"path {pid}: pair {x}->{my} or {y}->{mx} breaks parity"
+            )
+        if inv.get(my, my - 1) != x or inv.get(mx, mx - 1) != y:
+            raise EquigraphError(f"path {pid}: matching is not injective")
+        drop += odx + ody - ndx - ndy
+    return drop
+
+
 def improve(m: KMatching) -> KMatching:
     """Rewire every facing pair simultaneously.
 
@@ -166,32 +236,8 @@ def improve(m: KMatching) -> KMatching:
     if not pairs:
         raise EquigraphError("no facing pairs to rewire")
     new_dev = {pid: dict(dev) for pid, dev in m.deviations.items()}
-    for (pid, x), (_, y) in pairs:
-        dev = new_dev[pid]
-        mx = dev.get(x, x + 1)
-        my = dev.get(y, y + 1)
-        ndx, ndy = abs(x - my), abs(y - mx)
-        odx, ody = abs(x - mx), abs(y - my)
-        if ndx > m.k or ndy > m.k:
-            raise Finding(
-                CLAIM1_VIOLATION,
-                f"rewired pair ({x}, {y}) leaves the K={m.k} bound",
-                witness={"pair": [x, y], "new_dists": [ndx, ndy]},
-            )
-        if ndx + ndy > odx + ody - 2:
-            raise Finding(
-                CLAIM1_VIOLATION,
-                f"rewiring ({x}, {y}) dropped cost by less than 2",
-                witness={"pair": [x, y], "old": [odx, ody], "new": [ndx, ndy]},
-            )
-        if my == x + 1:
-            dev.pop(x, None)
-        else:
-            dev[x] = my
-        if mx == y + 1:
-            dev.pop(y, None)
-        else:
-            dev[y] = mx
+    new_inv = {pid: dict(inv) for pid, inv in m._inverse.items()}
+    _rewire(new_dev, new_inv, m.k, pairs)
     windows = {
         pid: _canonical_window(new_dev[pid], m.windows[pid]) for pid in new_dev
     }
@@ -237,25 +283,71 @@ def run_dynamics(
 
     Terminates within cost(M) iterations; max_iters (default: cost(M))
     only fires below that theoretical bound.
+
+    The rounds run on one mutable copy of the deviations, so a round
+    costs O(|S|): only coordinates a and a + 2 of a rewired a can start
+    facing (a pair whose entries did not change cannot), the cost moves
+    by the exact per-pair drops, and only the written entries are
+    checked.  The result is built and fully validated once, and equals
+    that of replaying improve(), windows and trace included.
     """
     initial = m.cost()
     cap = initial if max_iters is None else max_iters
     trace = DynamicsTrace(initial_cost=initial)
-    n = 0
-    while True:
-        pairs = phi_pairs(m)
-        if not pairs:
-            break
+    dev = {pid: dict(d) for pid, d in m.deviations.items()}
+    inv = {pid: dict(i) for pid, i in m._inverse.items()}
+    windows = dict(m.windows)
+    cost = initial
+    pairs = phi_pairs(m)
+    while pairs:
+        n = len(trace.records)
         if n >= cap:
             raise EquigraphError(f"dynamics exceeded {cap} iterations")
-        before = m.cost()
-        m = improve(m)
-        n += 1
-        trace.records.append(
-            IterationRecord(n=n, s_size=2 * len(pairs), cost=before, rewired=tuple(pairs))
+        before = cost
+        cost -= _rewire(dev, inv, m.k, pairs)
+        s_size = 2 * len(pairs)
+        if cost > before - s_size:
+            raise Finding(
+                CLAIM1_VIOLATION,
+                "improvement round dropped cost by less than |S|",
+                witness={"before": before, "after": cost, "s": s_size},
+            )
+        trace.records.append(IterationRecord(n + 1, s_size, before, tuple(pairs)))
+        # Pairs come sorted by (pid, a) and lie at least 4 apart, so the
+        # re-tested coordinates x, x + 2, x + 4 come sorted as well, with
+        # x repeating the previous pair's x + 4 at most.
+        nxt: list[tuple[Vertex, Vertex]] = []
+        done = None
+        for (pid, x), _ in pairs:
+            d = dev[pid]
+            for c in (x, x + 2, x + 4) if done != (pid, x) else (x + 2, x + 4):
+                if _faces(d, c):
+                    nxt.append(((pid, c - 2), (pid, c)))
+            done = (pid, x + 4)
+        # A path this round empties keeps, under improve(), the window of
+        # its previous state: the input window after round 1, else the
+        # canonical window of that state.  Every entry of that state was
+        # rewired to standard, so it held x -> x + 3 and x + 2 -> x + 1
+        # for each of the path's pairs (x, x + 2).
+        if n:
+            for pid in {pid for (pid, _), _ in pairs}:
+                if not dev[pid]:
+                    last = {}
+                    for (p, x), _ in pairs:
+                        if p == pid:
+                            last[x], last[x + 2] = x + 3, x + 1
+                    windows[pid] = _canonical_window(last, windows[pid])
+        pairs = nxt
+    final = KMatching(m.k, windows, dev)
+    final.validate()
+    if final.cost() != cost:
+        raise Finding(
+            CLAIM1_VIOLATION,
+            "tracked cost differs from the final matching's cost",
+            witness={"tracked": cost, "final": final.cost()},
         )
-    trace.final_cost = m.cost()
-    return m, trace
+    trace.final_cost = cost
+    return final, trace
 
 
 def check_nested_rays(m: KMatching) -> bool:
@@ -306,21 +398,28 @@ def random_kmatching(window: int, k: int, seed: int) -> KMatching:
     if k <= 0 or k % 2 == 0:
         raise EquigraphError(f"K must be an odd positive integer, got {k}")
     if window < k:
-        raise ValueError(f"window {window} smaller than K={k}")
-    rng = random.Random(seed)
+        raise EquigraphError(f"window {window} smaller than K={k}")
+    getrandbits = random.Random(seed).getrandbits
+
+    def below(n: int) -> int:
+        # Random.randrange(n) without its argument checks, so the stream
+        # is the same: n.bit_length() random bits, redrawn while >= n.
+        bits = n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        return r
+
     top = 2 * (window - 1)
+    half = (k + 1) // 2
     cur: dict[int, int] = {}
-
-    def partner_of(a: int) -> int:
-        return cur.get(a, a + 1)
-
     for _ in range(window):
-        a1 = 2 * rng.randrange(window)
-        delta = 2 * rng.randint(1, (k + 1) // 2)
-        a2 = a1 + (delta if rng.randrange(2) else -delta)
+        a1 = 2 * below(window)
+        delta = 2 * (1 + below(half))  # rng.randint(1, half)
+        a2 = a1 + (delta if below(2) else -delta)
         if a2 < 0 or a2 > top or a2 == a1:
             continue
-        p1, p2 = partner_of(a1), partner_of(a2)
+        p1, p2 = cur.get(a1, a1 + 1), cur.get(a2, a2 + 1)
         if abs(a1 - p2) > k or abs(a2 - p1) > k:
             continue
         for a, t in ((a1, p2), (a2, p1)):
@@ -340,7 +439,7 @@ def bridge_k_bound(max_abs_b: int) -> int:
     J side.
     """
     if max_abs_b < 0:
-        raise ValueError(f"|b| bound must be nonnegative, got {max_abs_b}")
+        raise EquigraphError(f"|b| bound must be nonnegative, got {max_abs_b}")
     return 2 * max_abs_b + 1
 
 
@@ -357,7 +456,7 @@ def kmatching_from_assignment(
     result's K is bridge_k_bound(max |b| over the pieces).
     """
     if view.visited[view.origin_index].side is not Side.I:
-        raise ValueError("assignment views must originate at an I-vertex")
+        raise EquigraphError("assignment views must originate at an I-vertex")
     origin = view.origin_index
     point_at = {idx - origin: v.point for idx, v in enumerate(view.visited)}
     j_coord = {
@@ -388,10 +487,7 @@ def kmatching_from_assignment(
         raise EquigraphError("two pieces share a target J-vertex")
     dev = {a: t for a, t in targets.items() if t != a + 1}
     matching = KMatching(k, {0: _canonical_window(dev, (0, -1))}, {0: dev})
-    try:
-        matching.validate()
-    except ValueError as exc:
-        raise EquigraphError(str(exc)) from exc
+    matching.validate()
     return matching
 
 

@@ -178,7 +178,7 @@ class IntervalGraph:
         self.check_vertex(u)
         self.check_vertex(v)
         if budget <= 0:
-            raise ValueError(f"budget must be positive, got {budget}")
+            raise EquigraphError(f"budget must be positive, got {budget}")
         if u == v:
             return 0
         key_of, adjacent, _ = self._adjacency(u)

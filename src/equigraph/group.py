@@ -38,7 +38,7 @@ class GroupElement:
 
     def __post_init__(self) -> None:
         if self.a not in (1, -1):
-            raise ValueError(f"a must be +1 or -1, got {self.a}")
+            raise EquigraphError(f"a must be +1 or -1, got {self.a}")
 
 
 IDENTITY = GroupElement(1, 0, 0)
@@ -85,7 +85,7 @@ def enumerate_ball(radius: int) -> set[GroupElement]:
     element satisfies |b| <= radius and |c| <= radius.
     """
     if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+        raise EquigraphError(f"radius must be nonnegative, got {radius}")
     if radius > MAX_BALL_RADIUS:
         raise EquigraphError(f"radius {radius} exceeds maximum {MAX_BALL_RADIUS}")
     seen: set[GroupElement] = {IDENTITY}
@@ -110,7 +110,7 @@ def is_member(a: int, u: Fraction, v: Fraction) -> bool:
     is excluded.
     """
     if a not in (1, -1):
-        raise ValueError(f"a must be +1 or -1, got {a}")
+        raise EquigraphError(f"a must be +1 or -1, got {a}")
     u = Fraction(u)
     v = Fraction(v)
     return (

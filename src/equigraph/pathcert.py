@@ -203,6 +203,8 @@ def verify_lemma(
     base: list[AlgebraicPoint] = [ZERO, ONE]
     while len(base) < max(n_samples, 2):
         base.append(point(graph.sample_unit_rational(rng)))
+    # 0, 1 and the samples lie in [0, 1] already; test them once, not per element
+    base = [y for y in base if ctx.in_interval(y, ZERO, ONE)]
 
     checks = 0
     elements_checked = 0
@@ -210,12 +212,14 @@ def verify_lemma(
     max_len_by_b: dict[int, int] = {}
     violations: list[dict] = []
     for g in elements:
-        anchors = base + _threshold_anchors(graph, g, Fraction(1, 1000))
+        anchors = base + [
+            y
+            for y in _threshold_anchors(graph, g, Fraction(1, 1000))
+            if ctx.in_interval(y, ZERO, ONE)
+        ]
         bound = 2 * abs(g.b)
         hit = False
         for y in anchors:
-            if not ctx.in_interval(y, ZERO, ONE):
-                continue
             gy = apply(g, y)
             if not ctx.in_interval(gy, ZERO, ONE):
                 continue

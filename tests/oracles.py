@@ -4,12 +4,14 @@ Nothing here imports the package's group or algebra logic: group elements
 are fingerprinted by their images of two rational points under hand-written
 per-generator rules, interval membership is decided with 60-digit Decimal
 arithmetic (exact equality detected on the rational/irrational parts first),
-signs are also decided in plain Fraction arithmetic, and the facing-pair
-set is recomputed by a literal all-pairs ray walk.
+signs are also decided in plain Fraction arithmetic, the facing-pair
+set is recomputed by a literal all-pairs ray walk, and random matchings
+are drawn through Random.randrange and Random.randint.
 """
 
 from __future__ import annotations
 
+import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -192,3 +194,37 @@ def facing_pairs_bruteforce(m) -> set[tuple[int, int]]:
                     members.add((pid, x))
                     members.add((pid, y))
     return members
+
+
+# ----------------------------------------------------------------------
+# random matching oracle
+
+
+def random_deviations(window: int, k: int, seed: int) -> dict[int, int]:
+    """The deviations of random_kmatching(window, k, seed) on path 0.
+
+    The package's earlier generator, drawing through Random.randrange and
+    Random.randint; only its KMatching wrapping is left out.
+    """
+    rng = random.Random(seed)
+    top = 2 * (window - 1)
+    cur: dict[int, int] = {}
+
+    def partner_of(a: int) -> int:
+        return cur.get(a, a + 1)
+
+    for _ in range(window):
+        a1 = 2 * rng.randrange(window)
+        delta = 2 * rng.randint(1, (k + 1) // 2)
+        a2 = a1 + (delta if rng.randrange(2) else -delta)
+        if a2 < 0 or a2 > top or a2 == a1:
+            continue
+        p1, p2 = partner_of(a1), partner_of(a2)
+        if abs(a1 - p2) > k or abs(a2 - p1) > k:
+            continue
+        for a, t in ((a1, p2), (a2, p1)):
+            if t == a + 1:
+                cur.pop(a, None)
+            else:
+                cur[a] = t
+    return dict(sorted(cur.items()))

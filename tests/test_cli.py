@@ -346,6 +346,19 @@ def test_report_refuses_inputs_from_another_config(tmp_path, capsys):
     assert main(base + ["report"]) == 0
 
 
+def test_report_refuses_figure_for_another_alpha(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path)
+    _run_pipeline(out, cfg_path)
+    base = ["--out", str(out), "--config", cfg_path]
+    assert main(base + ["--alpha=-1,1,3,1", "figure"]) == 0
+    capsys.readouterr()
+    assert main(base + ["report"]) == 2
+    assert "figure.svg" in capsys.readouterr().err
+    assert main(base + ["figure"]) == 0
+    assert main(base + ["report"]) == 0
+
+
 def test_seed_changes_dynamics_output(tmp_path):
     cfg_path = _write_config(tmp_path)
     base = ["--config", cfg_path]

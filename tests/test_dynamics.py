@@ -20,7 +20,7 @@ from equigraph.errors import EquigraphError
 from equigraph.graph import Side
 from equigraph.group import GroupElement, IDENTITY
 
-from oracles import facing_pairs_bruteforce
+from oracles import facing_pairs_bruteforce, random_deviations
 
 
 def standard_matching(k, path_ids=(0,)):
@@ -48,7 +48,7 @@ def test_k_must_be_odd_positive():
 
 
 def test_windows_and_deviations_must_cover_same_paths():
-    with pytest.raises(ValueError):
+    with pytest.raises(EquigraphError, match="must cover the same paths"):
         KMatching(3, {0: (0, -1)}, {0: {}, 1: {}})
 
 
@@ -64,7 +64,7 @@ def test_validate_rejects_structural_defects():
     ]
     for k, windows, deviations, fragment in cases:
         m = KMatching(k, windows, deviations)
-        with pytest.raises(ValueError, match=fragment):
+        with pytest.raises(EquigraphError, match=fragment):
             m.validate()
 
 
@@ -190,6 +190,70 @@ def test_three_deviation_example_takes_two_rounds():
     assert trace.records[0].cost == 4 and trace.records[1].cost == 2
 
 
+def _replay(m):
+    """run_dynamics spelled out as improve() rounds, for comparison."""
+    initial = m.cost()
+    records = []
+    while True:
+        pairs = phi_pairs(m)
+        if not pairs:
+            break
+        records.append((len(records) + 1, 2 * len(pairs), m.cost(), tuple(pairs)))
+        m = improve(m)
+    return m, initial, records
+
+
+def _assert_matches_replay(m):
+    final, trace = run_dynamics(m)
+    expected, initial, records = _replay(m)
+    assert trace.initial_cost == initial
+    assert [(r.n, r.s_size, r.cost, r.rewired) for r in trace.records] == records
+    assert final.deviations == expected.deviations
+    assert final.windows == expected.windows
+    assert trace.final_cost == expected.cost() == final.cost()
+    return trace
+
+
+def test_run_dynamics_equals_improve_replay_on_random_instances():
+    rounds = set()
+    for window in (15, 40, 101, 400):
+        for k in (3, 5, 7, 9):
+            for seed in range(6):
+                trace = _assert_matches_replay(random_kmatching(window, k, seed))
+                rounds.add(trace.iterations)
+    assert max(rounds) >= 4  # the comparison covers long runs, not just one round
+
+
+def test_run_dynamics_equals_improve_replay_on_two_paths():
+    # path 5 converges in round 2 from a window wider than its deviations,
+    # path 2 in round 1; path 2 must come first in every round's pairs
+    m = KMatching(
+        5,
+        {5: (0, 9), 2: (10, 15), 7: (0, -1)},
+        {5: {0: 5, 2: 1, 4: 3}, 2: {10: 13, 12: 11}, 7: {}},
+    )
+    m.validate()
+    trace = _assert_matches_replay(m)
+    assert trace.iterations == 2
+    assert trace.records[0].rewired == (((2, 10), (2, 12)), ((5, 0), (5, 2)))
+    final, _ = run_dynamics(m)
+    assert final.windows == {5: (2, 5), 2: (10, 15), 7: (0, -1)}
+
+
+def test_run_dynamics_equals_improve_replay_on_bridge(graph):
+    v = graph.vertex(Side.I, point(Fraction(1, 2)))
+    view = graph.explore_component(v, 64)
+    pieces = assignment_from_targets(view, {-4: -1, -2: -3, 0: 3, 2: 1})
+    _assert_matches_replay(kmatching_from_assignment(view, pieces))
+
+
+def test_run_dynamics_checks_the_entries_it_writes():
+    # A-vertices at odd coordinates: the one facing pair rewires 3 -> 6
+    m = KMatching(5, {0: (1, 6)}, {0: {1: 6, 3: 2}})
+    with pytest.raises(EquigraphError, match="breaks parity"):
+        run_dynamics(m)
+
+
 def test_run_dynamics_on_standard_is_a_noop():
     final, trace = run_dynamics(standard_matching(3))
     assert final.is_standard
@@ -264,11 +328,19 @@ def test_random_kmatching_is_valid_and_deterministic():
     assert c.deviations != a.deviations
 
 
+def test_random_kmatching_draws_as_randrange_did():
+    for window in (15, 16, 17, 63, 64, 65, 1000):
+        for k in (1, 3, 5, 7, 9):
+            for seed in range(20):
+                m = random_kmatching(window, k, seed)
+                assert m.deviations == {0: random_deviations(window, k, seed)}
+
+
 def test_random_kmatching_edge_cases():
     assert random_kmatching(20, 1, 0).cost() == 0  # K=1 admits no swap
     with pytest.raises(EquigraphError, match="odd positive integer"):
         random_kmatching(20, 4, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(EquigraphError, match="window 3 smaller than K=5"):
         random_kmatching(3, 5, 0)
 
 
@@ -288,7 +360,7 @@ def test_bridge_k_bound_values():
     assert bridge_k_bound(0) == 1
     assert bridge_k_bound(1) == 3
     assert bridge_k_bound(4) == 9
-    with pytest.raises(ValueError):
+    with pytest.raises(EquigraphError, match="must be nonnegative"):
         bridge_k_bound(-1)
 
 
@@ -354,5 +426,5 @@ def test_kmatching_from_assignment_rejects_bad_pieces(graph):
 def test_kmatching_from_assignment_needs_i_origin(graph):
     j = graph.vertex(Side.J, point(Fraction(1, 2)))
     view = graph.explore_component(j, 8)
-    with pytest.raises(ValueError, match="I-vertex"):
+    with pytest.raises(EquigraphError, match="I-vertex"):
         kmatching_from_assignment(view, [])

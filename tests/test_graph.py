@@ -96,7 +96,7 @@ def test_bfs_distances(graph):
     # a point outside the origin's orbit is never reached
     other = graph.vertex(Side.I, point(Fraction(1, 3)))
     assert graph.bfs_distance(origin, other, 30) is None
-    with pytest.raises(ValueError):
+    with pytest.raises(EquigraphError, match="budget must be positive"):
         graph.bfs_distance(origin, other, 0)
 
 

@@ -126,6 +126,15 @@ def test_ball_not_inverse_closed_but_eventually():
     )
 
 
+def test_preconditions_raise_equigraph_error():
+    with pytest.raises(EquigraphError, match="a must be \\+1 or -1, got 2"):
+        GroupElement(2, 0, 0)
+    with pytest.raises(EquigraphError, match="radius must be nonnegative, got -1"):
+        enumerate_ball(-1)
+    with pytest.raises(EquigraphError, match="a must be \\+1 or -1, got 0"):
+        is_member(0, Fraction(0), Fraction(0))
+
+
 def test_ball_radius_cap():
     with pytest.raises(EquigraphError, match="radius 11 exceeds maximum 10"):
         enumerate_ball(11)
