@@ -211,7 +211,7 @@ def _assert_matches_replay(m):
     assert final.deviations == expected.deviations
     assert final.windows == expected.windows
     assert trace.final_cost == expected.cost() == final.cost()
-    return trace
+    return final, trace
 
 
 def test_run_dynamics_equals_improve_replay_on_random_instances():
@@ -219,24 +219,24 @@ def test_run_dynamics_equals_improve_replay_on_random_instances():
     for window in (15, 40, 101, 400):
         for k in (3, 5, 7, 9):
             for seed in range(6):
-                trace = _assert_matches_replay(random_kmatching(window, k, seed))
+                _, trace = _assert_matches_replay(random_kmatching(window, k, seed))
                 rounds.add(trace.iterations)
     assert max(rounds) >= 4  # the comparison covers long runs, not just one round
 
 
-def test_run_dynamics_equals_improve_replay_on_two_paths():
+def test_run_dynamics_equals_improve_replay_on_paths_converging_apart():
     # path 5 converges in round 2 from a window wider than its deviations,
-    # path 2 in round 1; path 2 must come first in every round's pairs
+    # path 2 in round 1 and keeps its input window, path 7 is standard
+    # throughout; path 2 must come first in the round's pairs
     m = KMatching(
         5,
         {5: (0, 9), 2: (10, 15), 7: (0, -1)},
         {5: {0: 5, 2: 1, 4: 3}, 2: {10: 13, 12: 11}, 7: {}},
     )
     m.validate()
-    trace = _assert_matches_replay(m)
+    final, trace = _assert_matches_replay(m)
     assert trace.iterations == 2
     assert trace.records[0].rewired == (((2, 10), (2, 12)), ((5, 0), (5, 2)))
-    final, _ = run_dynamics(m)
     assert final.windows == {5: (2, 5), 2: (10, 15), 7: (0, -1)}
 
 
