@@ -413,7 +413,7 @@ def chain_element(view: ComponentView, i: int, j: int) -> GroupElement:
     """
     n = len(view.visited)
     if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"indices ({i}, {j}) outside view of size {n}")
+        raise EquigraphError(f"indices ({i}, {j}) outside view of size {n}")
     step = 1 if j >= i else -1
     acc = IDENTITY
     pos = i

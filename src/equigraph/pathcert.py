@@ -7,6 +7,8 @@ that a reduced element (with |b| smaller by one) sends y to, then close
 the gap from z to g(y) with a connector of at most two edges.  The
 connector is discovered by bounded search, never hard-coded, so a
 missing connector is a loud Finding rather than a silent wrong path.
+The construction runs on the integer keys of IntervalGraph._adjacency:
+a point is a pair (u, v) of ints for (u + v*alpha)/den, den fixed by y.
 """
 
 from __future__ import annotations
@@ -14,16 +16,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import lcm
+from typing import Callable, Optional
 
-from .algebra import ALPHA, ONE, ZERO, AlgebraicPoint, point
+from .algebra import ONE, ZERO, AlgebraicPoint, point
 from .errors import CONNECTOR_MISSING, EquigraphError, Finding
 from .graph import GVertex, IntervalGraph, Side
 from .group import GroupElement, apply, enumerate_ball, inverse
 
-TWO_ALPHA = ALPHA + ALPHA
-ONE_MINUS_TWO_ALPHA = ONE - TWO_ALPHA
-TWO = point(2)
+THRESHOLDS = (point(0, 2), point(1, -2))  # 2*alpha, 1 - 2*alpha: the case splits
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,10 @@ class CertifiedPath:
                 problems.append(f"vertex {k} breaks I/J alternation")
         for k in range(self.length):
             v, w = self.vertices[k], self.vertices[k + 1]
-            if w not in [e.other(v) for e in graph.neighbors(v)]:
+            graph.check_vertex(v)  # raises for v outside its side interval
+            key_of, adjacent, _ = graph._adjacency(v)
+            # a w off v's denominator has key None, which no edge carries
+            if key_of(w) not in [far for far, _labels in adjacent(key_of(v))]:
                 problems.append(f"vertices {k} and {k + 1} are not adjacent")
         if self.length > 2 * abs(self.element.b):
             problems.append(
@@ -65,55 +69,47 @@ class CertifiedPath:
         return problems
 
 
+def _cleared(y: AlgebraicPoint) -> tuple[AlgebraicPoint, int, int, int]:
+    """(y, den, u, v) with den the lcm of y's denominators, as in _adjacency."""
+    ud, vd = y.u.denominator, y.v.denominator
+    den = lcm(ud, vd)
+    return y, den, y.u.numerator * den // ud, y.v.numerator * den // vd
+
+
+def _image(g: GroupElement, den: int, u: int, v: int) -> tuple[int, int]:
+    """apply(g, .) on (u, v): a*x + 2c + 2b*alpha."""
+    return g.a * u + 2 * g.c * den, g.a * v + 2 * g.b * den
+
+
+def _in_unit(sign: Callable[[int, int], int], den: int, u: int, v: int) -> bool:
+    """Whether (u, v) lies in [0, 1]; sign(u, v) is the exact sign of u + v*alpha."""
+    return sign(u, v) >= 0 and sign(den - u, -v) >= 0
+
+
 def _reduced_step(
-    graph: IntervalGraph, g: GroupElement, gy: AlgebraicPoint
-) -> tuple[AlgebraicPoint, GroupElement]:
-    """Pick the intermediate z and the element sending y to z.
+    sign: Callable[[int, int], int], den: int, g: GroupElement, u: int, v: int
+) -> tuple[tuple[int, int], GroupElement]:
+    """Pick the intermediate z and the element sending y to z; g(y) is (u, v).
 
     The inequality splits follow the inductive construction verbatim.
     For alpha > 1/2 the prescribed z can leave [0, 1]; the complementary
     translate two units away is then forced, and still lowers |b|.
     """
-    ctx = graph.ctx
     a, b, c = g.a, g.b, g.c
+    two = 2 * den
     if b < 0:
-        if ctx.compare(gy, ONE_MINUS_TWO_ALPHA) <= 0:
-            z = gy + TWO_ALPHA
-            reduced = GroupElement(a, b + 1, c)
-        else:
-            z = TWO - gy - TWO_ALPHA
-            reduced = GroupElement(-a, -(b + 1), 1 - c)
-            if not ctx.in_interval(z, ZERO, ONE):
-                z = gy + TWO_ALPHA - TWO
-                reduced = GroupElement(a, b + 1, c - 1)
-    else:
-        if ctx.compare(TWO_ALPHA, gy) < 0:
-            z = gy - TWO_ALPHA
-            reduced = GroupElement(a, b - 1, c)
-        else:
-            z = TWO_ALPHA - gy
-            reduced = GroupElement(-a, 1 - b, -c)
-            if not ctx.in_interval(z, ZERO, ONE):
-                z = gy + TWO - TWO_ALPHA
-                reduced = GroupElement(a, b - 1, c + 1)
-    return z, reduced
-
-
-def _connector(
-    graph: IntervalGraph, z: AlgebraicPoint, gy: AlgebraicPoint
-) -> Optional[list[GVertex]]:
-    """Vertices appended after (I, z) to reach (I, gy) in <= 2 edges."""
-    if z == gy:
-        return []
-    shared = None
-    z_edges = {e.j_point: e for e in graph.neighbors(GVertex(Side.I, z))}
-    for e in graph.neighbors(GVertex(Side.I, gy)):
-        if e.j_point in z_edges:
-            if shared is None or graph.ctx.compare(e.j_point, shared) < 0:
-                shared = e.j_point
-    if shared is None:
-        return None
-    return [GVertex(Side.J, shared), GVertex(Side.I, gy)]
+        if sign(u - den, v + two) <= 0:  # g(y) <= 1 - 2*alpha
+            return (u, v + two), GroupElement(a, b + 1, c)
+        z = (two - u, -v - two)  # 2 - g(y) - 2*alpha
+        if _in_unit(sign, den, *z):
+            return z, GroupElement(-a, -(b + 1), 1 - c)
+        return (u - two, v + two), GroupElement(a, b + 1, c - 1)
+    if sign(-u, two - v) < 0:  # 2*alpha < g(y)
+        return (u, v - two), GroupElement(a, b - 1, c)
+    z = (-u, two - v)  # 2*alpha - g(y)
+    if _in_unit(sign, den, *z):
+        return z, GroupElement(-a, 1 - b, -c)
+    return (u + two, v - two), GroupElement(a, b - 1, c + 1)
 
 
 def build_path(
@@ -124,20 +120,22 @@ def build_path(
     Reduces g one step of |b| at a time down to b = 0, then closes each
     step's gap with a connector, innermost first, so the path grows from
     (I, y) outwards; nothing here depends on the recursion limit.
+    Points are built only for the returned certificate and for errors.
     """
-    ctx = graph.ctx
-    if not ctx.in_interval(y, ZERO, ONE):
+    if not graph.ctx.in_interval(y, ZERO, ONE):
         raise EquigraphError(f"anchor {y} outside [0, 1]")
-    steps: list[tuple[GroupElement, AlgebraicPoint, AlgebraicPoint]] = []
-    element = g
-    gy = apply(g, y)
+    sign = graph.ctx.sign_scaled
+    _, adjacent, vertex_of = graph._adjacency(GVertex(Side.I, y))
+    _, den, yu, yv = _cleared(y)
+    steps: list[tuple[GroupElement, tuple[int, int], tuple[int, int]]] = []
+    element, gy = g, _image(g, den, yu, yv)
     while True:
-        if not ctx.in_interval(gy, ZERO, ONE):
-            raise EquigraphError(f"image {gy} outside [0, 1]")
+        if not _in_unit(sign, den, *gy):
+            raise EquigraphError(f"image {vertex_of((0, *gy)).point} outside [0, 1]")
         if element.b == 0:
             break
-        z, reduced = _reduced_step(graph, element, gy)
-        if abs(reduced.b) != abs(element.b) - 1 or apply(reduced, y) != z:
+        z, reduced = _reduced_step(sign, den, element, *gy)
+        if abs(reduced.b) != abs(element.b) - 1 or _image(reduced, den, yu, yv) != z:
             raise EquigraphError(
                 f"reduction of {element} produced inconsistent step {reduced}"
             )  # pragma: no cover - construction is checked by tests
@@ -145,40 +143,44 @@ def build_path(
         element, gy = reduced, z
     # With both y and g(y) in [0, 1] and no alpha shift, the element fixes
     # y: the identity, or a reflection anchored at y in {0, 1}.
-    if gy != y:  # pragma: no cover - impossible under the precondition
-        raise EquigraphError(f"b=0 element moved {y} to {gy}")
-    vertices = [GVertex(Side.I, y)]
+    if gy != (yu, yv):  # pragma: no cover - impossible under the precondition
+        raise EquigraphError(f"b=0 element moved {y} to {vertex_of((0, *gy)).point}")
+    keys = [(0, yu, yv)]
     for element, z, gy in reversed(steps):
-        tail = _connector(graph, z, gy)
-        if tail is None:
+        if z == gy:
+            continue
+        # far keys come sorted by far point, so the first one at (I, g(y))
+        # that (I, z) shares is the lowest J-vertex joining them
+        z_far = {far for far, _labels in adjacent((0, *z))}
+        shared = next((far for far, _ in adjacent((0, *gy)) if far in z_far), None)
+        if shared is None:
+            zp, gp = vertex_of((0, *z)).point, vertex_of((0, *gy)).point
             raise Finding(
                 CONNECTOR_MISSING,
-                f"no <=2-edge connection from {z} to {gy}",
+                f"no <=2-edge connection from {zp} to {gp}",
                 witness={
                     "element": [element.a, element.b, element.c],
                     "anchor": str(y),
-                    "z": str(z),
-                    "image": str(gy),
+                    "z": str(zp),
+                    "image": str(gp),
                 },
             )
-        vertices.extend(tail)
-    return CertifiedPath(tuple(vertices), g, y)
+        keys += [shared, (0, *gy)]
+    return CertifiedPath(tuple(map(vertex_of, keys)), g, y)
 
 
 # ----------------------------------------------------------------------
 # sweep verification
 
 
-def _threshold_anchors(
-    graph: IntervalGraph, g: GroupElement, wiggle: Fraction
-) -> list[AlgebraicPoint]:
+def _threshold_anchors(g: GroupElement, wiggle: Fraction) -> list[AlgebraicPoint]:
     """Anchors whose images straddle the case-split thresholds."""
-    out = []
     ginv = inverse(g)
-    for threshold in (TWO_ALPHA, ONE_MINUS_TWO_ALPHA):
-        for eps in (-wiggle, Fraction(0), wiggle):
-            out.append(apply(ginv, threshold + point(eps)))
-    return out
+    return [
+        apply(ginv, threshold + point(eps))
+        for threshold in THRESHOLDS
+        for eps in (-wiggle, Fraction(0), wiggle)
+    ]
 
 
 def verify_lemma(
@@ -195,7 +197,7 @@ def verify_lemma(
     the 2|b| bound.  Violations are collected with full witnesses rather
     than raised, so one failure does not hide the rest of the sweep.
     """
-    ctx = graph.ctx
+    sign = graph.ctx.sign_scaled
     elements = sorted(enumerate_ball(ball_radius))
     if bfs_budget is None:
         bfs_budget = 16 * ball_radius + 64
@@ -204,7 +206,7 @@ def verify_lemma(
     while len(base) < max(n_samples, 2):
         base.append(point(graph.sample_unit_rational(rng)))
     # 0, 1 and the samples lie in [0, 1] already; test them once, not per element
-    base = [y for y in base if ctx.in_interval(y, ZERO, ONE)]
+    base_anchors = [t for t in map(_cleared, base) if _in_unit(sign, *t[1:])]
 
     checks = 0
     elements_checked = 0
@@ -212,17 +214,15 @@ def verify_lemma(
     max_len_by_b: dict[int, int] = {}
     violations: list[dict] = []
     for g in elements:
-        anchors = base + [
-            y
-            for y in _threshold_anchors(graph, g, Fraction(1, 1000))
-            if ctx.in_interval(y, ZERO, ONE)
-        ]
+        thresholds = map(_cleared, _threshold_anchors(g, Fraction(1, 1000)))
+        anchors = base_anchors + [t for t in thresholds if _in_unit(sign, *t[1:])]
         bound = 2 * abs(g.b)
         hit = False
-        for y in anchors:
-            gy = apply(g, y)
-            if not ctx.in_interval(gy, ZERO, ONE):
-                continue
+        for y, den, u, v in anchors:
+            gu, gv = _image(g, den, u, v)
+            if not _in_unit(sign, den, gu, gv):
+                continue  # screened on ints; the point g(y) is built past here
+            gy = AlgebraicPoint(Fraction(gu, den), Fraction(gv, den))
             hit = True
             checks += 1
             witness = {"element": [g.a, g.b, g.c], "anchor": str(y), "bound": bound}

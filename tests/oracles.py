@@ -7,6 +7,10 @@ arithmetic (exact equality detected on the rational/irrational parts first),
 signs are also decided in plain Fraction arithmetic, the facing-pair
 set is recomputed by a literal all-pairs ray walk, and random matchings
 are drawn through Random.randrange and Random.randint.
+
+The one exception is build_path_points, the package's earlier distance
+certificate construction on exact points (apply, compare, in_interval and
+neighbors), kept verbatim as the reference for the integer construction.
 """
 
 from __future__ import annotations
@@ -14,6 +18,13 @@ from __future__ import annotations
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from typing import Optional
+
+from equigraph.algebra import ALPHA, ONE, ZERO, AlgebraicPoint, point
+from equigraph.errors import CONNECTOR_MISSING, EquigraphError, Finding
+from equigraph.graph import GVertex, IntervalGraph, Side
+from equigraph.group import GroupElement, apply
+from equigraph.pathcert import CertifiedPath
 
 getcontext().prec = 60
 
@@ -228,3 +239,111 @@ def random_deviations(window: int, k: int, seed: int) -> dict[int, int]:
             else:
                 cur[a] = t
     return dict(sorted(cur.items()))
+
+
+# ----------------------------------------------------------------------
+# point-based distance certificates
+
+TWO_ALPHA = ALPHA + ALPHA
+ONE_MINUS_TWO_ALPHA = ONE - TWO_ALPHA
+TWO = point(2)
+
+
+def _reduced_step(
+    graph: IntervalGraph, g: GroupElement, gy: AlgebraicPoint
+) -> tuple[AlgebraicPoint, GroupElement]:
+    """Pick the intermediate z and the element sending y to z.
+
+    The inequality splits follow the inductive construction verbatim.
+    For alpha > 1/2 the prescribed z can leave [0, 1]; the complementary
+    translate two units away is then forced, and still lowers |b|.
+    """
+    ctx = graph.ctx
+    a, b, c = g.a, g.b, g.c
+    if b < 0:
+        if ctx.compare(gy, ONE_MINUS_TWO_ALPHA) <= 0:
+            z = gy + TWO_ALPHA
+            reduced = GroupElement(a, b + 1, c)
+        else:
+            z = TWO - gy - TWO_ALPHA
+            reduced = GroupElement(-a, -(b + 1), 1 - c)
+            if not ctx.in_interval(z, ZERO, ONE):
+                z = gy + TWO_ALPHA - TWO
+                reduced = GroupElement(a, b + 1, c - 1)
+    else:
+        if ctx.compare(TWO_ALPHA, gy) < 0:
+            z = gy - TWO_ALPHA
+            reduced = GroupElement(a, b - 1, c)
+        else:
+            z = TWO_ALPHA - gy
+            reduced = GroupElement(-a, 1 - b, -c)
+            if not ctx.in_interval(z, ZERO, ONE):
+                z = gy + TWO - TWO_ALPHA
+                reduced = GroupElement(a, b - 1, c + 1)
+    return z, reduced
+
+
+def _connector(
+    graph: IntervalGraph, z: AlgebraicPoint, gy: AlgebraicPoint
+) -> Optional[list[GVertex]]:
+    """Vertices appended after (I, z) to reach (I, gy) in <= 2 edges."""
+    if z == gy:
+        return []
+    shared = None
+    z_edges = {e.j_point: e for e in graph.neighbors(GVertex(Side.I, z))}
+    for e in graph.neighbors(GVertex(Side.I, gy)):
+        if e.j_point in z_edges:
+            if shared is None or graph.ctx.compare(e.j_point, shared) < 0:
+                shared = e.j_point
+    if shared is None:
+        return None
+    return [GVertex(Side.J, shared), GVertex(Side.I, gy)]
+
+
+def build_path_points(
+    graph: IntervalGraph, g: GroupElement, y: AlgebraicPoint
+) -> CertifiedPath:
+    """Certificate that (I, y) and (I, g(y)) are within distance 2|b|.
+
+    Reduces g one step of |b| at a time down to b = 0, then closes each
+    step's gap with a connector, innermost first, so the path grows from
+    (I, y) outwards; nothing here depends on the recursion limit.
+    """
+    ctx = graph.ctx
+    if not ctx.in_interval(y, ZERO, ONE):
+        raise EquigraphError(f"anchor {y} outside [0, 1]")
+    steps: list[tuple[GroupElement, AlgebraicPoint, AlgebraicPoint]] = []
+    element = g
+    gy = apply(g, y)
+    while True:
+        if not ctx.in_interval(gy, ZERO, ONE):
+            raise EquigraphError(f"image {gy} outside [0, 1]")
+        if element.b == 0:
+            break
+        z, reduced = _reduced_step(graph, element, gy)
+        if abs(reduced.b) != abs(element.b) - 1 or apply(reduced, y) != z:
+            raise EquigraphError(
+                f"reduction of {element} produced inconsistent step {reduced}"
+            )  # pragma: no cover - construction is checked by tests
+        steps.append((element, z, gy))
+        element, gy = reduced, z
+    # With both y and g(y) in [0, 1] and no alpha shift, the element fixes
+    # y: the identity, or a reflection anchored at y in {0, 1}.
+    if gy != y:  # pragma: no cover - impossible under the precondition
+        raise EquigraphError(f"b=0 element moved {y} to {gy}")
+    vertices = [GVertex(Side.I, y)]
+    for element, z, gy in reversed(steps):
+        tail = _connector(graph, z, gy)
+        if tail is None:
+            raise Finding(
+                CONNECTOR_MISSING,
+                f"no <=2-edge connection from {z} to {gy}",
+                witness={
+                    "element": [element.a, element.b, element.c],
+                    "anchor": str(y),
+                    "z": str(z),
+                    "image": str(gy),
+                },
+            )
+        vertices.extend(tail)
+    return CertifiedPath(tuple(vertices), g, y)

@@ -206,7 +206,7 @@ def test_chain_element_maps_points(graph):
         assert apply(el, v.point) == view.visited[o + offset].point
         assert chain_element(view, o + offset, o) == inverse(el)
     assert chain_element(view, o, o) == IDENTITY
-    with pytest.raises(IndexError):
+    with pytest.raises(EquigraphError, match="outside view"):
         chain_element(view, 0, len(view.visited))
 
 

@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,33 @@ def test_readme_library_example_runs():
     # pad with blank lines so that a traceback names the README's own line
     code = "\n" * readme[: readme.index(code)].count("\n") + code
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_verify_lemma_runs_each_traced_step_once_per_check(monkeypatch, graph):
+    # bench/tracing.py times graph.bfs_distance, pathcert.build_path and
+    # pathcert.validate as spans: one call of each per check keeps their meaning
+    from equigraph import pathcert
+    from equigraph.graph import IntervalGraph
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, attr in [
+        (IntervalGraph, "bfs_distance"),
+        (pathcert, "build_path"),
+        (pathcert.CertifiedPath, "validate"),
+    ]:
+        monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+    report = pathcert.verify_lemma(graph, 4, 10, seed=0)
+    assert report["checks"] > 0
+    assert calls == {
+        "bfs_distance": report["checks"],
+        "build_path": report["checks"],
+        "validate": report["checks"],
+    }
