@@ -5,7 +5,7 @@ Submodules:
   group     a four-generator isometry group in (a, b, c) normal form
   graph     the bipartite graph between two unit intervals
   pathcert  short-path certificates between a point and its image
-  dynamics  matching-improvement rounds on integer path systems
+  dynamics  matching-improvement rounds on one integer path
   cli       command line entry points
 """
 
@@ -28,15 +28,12 @@ from .group import (
     compose,
     enumerate_ball,
     inverse,
-    is_member,
-    word_to_element,
 )
 from .graph import GEdge, GVertex, IntervalGraph, Side
 from .pathcert import CertifiedPath, build_path, verify_lemma
 from .dynamics import (
     KMatching,
     bridge_k_bound,
-    compute_S,
     extract_matching,
     improve,
     kmatching_from_assignment,
@@ -69,17 +66,14 @@ __all__ = [
     "bridge_k_bound",
     "build_path",
     "compose",
-    "compute_S",
     "enumerate_ball",
     "extract_matching",
     "improve",
     "inverse",
-    "is_member",
     "kmatching_from_assignment",
     "point",
     "random_kmatching",
     "run_dynamics",
     "verify_lemma",
-    "word_to_element",
     "__version__",
 ]

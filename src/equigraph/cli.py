@@ -25,7 +25,6 @@ from .algebra import ALPHA, AlgebraicPoint, AlphaContext, AlphaSpec, point
 from .dynamics import (
     DynamicsTrace,
     KMatching,
-    Vertex,
     assignment_from_targets,
     check_nested_rays,
     extract_matching,
@@ -214,13 +213,11 @@ def _write_csv(
 
 
 def _matching_record(m: KMatching) -> dict:
+    # outputs keep the path-id level, with the one path as "0"
     return {
         "k": m.k,
-        "windows": {str(pid): list(m.windows[pid]) for pid in m.path_ids},
-        "deviations": {
-            str(pid): {str(a): t for a, t in sorted(m.deviations[pid].items())}
-            for pid in m.path_ids
-        },
+        "windows": {"0": list(m.window)},
+        "deviations": {"0": {str(a): t for a, t in m.deviations.items()}},
     }
 
 
@@ -287,16 +284,16 @@ def cmd_verify_lemma(cfg: RunConfig) -> int:
     return EXIT_FINDING if n_violations else EXIT_OK
 
 
-def _pairs_cell(pairs: Sequence[tuple[Vertex, Vertex]]) -> str:
-    return ";".join(f"{x[0]}:{x[1]}:{y[1]}" for x, y in pairs)
+def _pairs_cell(pairs: Sequence[tuple[int, int]]) -> str:
+    return ";".join(f"0:{x}:{y}" for x, y in pairs)
 
 
 def _assert_converged(label: str, final: KMatching, trace: DynamicsTrace) -> KMatching:
     """Check the converged matching and its extraction; return the latter.
 
     The cost bounds on iterations and on the sum of |S| need no check
-    here: run_dynamics caps the rounds at the initial cost, and improve
-    raises a Finding on any round that drops the cost by less than |S|.
+    here: run_dynamics caps the rounds at the initial cost and raises a
+    Finding on any round that drops the cost by less than |S|.
     """
     witness = {
         "instance": label,

@@ -1,118 +1,85 @@
-"""Matching-improvement dynamics on integer-coordinate path systems.
+"""Matching-improvement dynamics on one integer-coordinate path.
 
 The discrete stand-in for a bi-infinite path component: vertices are
-(path_id, coord) with coord in Z, A-vertices at even coords, B-vertices
-at odd coords.  A KMatching matches each A-vertex to a B-vertex at odd
-distance at most K and is standard (a -> a+1) outside a finite window
-on each path.  One improvement round rewires every facing pair at once;
-each round lowers the total cost by at least the number of vertices
-involved, which bounds both the iteration count and the lifetime sum of
-rewired sets.
+the integers, A-vertices at even coords, B-vertices at odd coords.  A
+KMatching matches each A-vertex to a B-vertex at odd distance at most
+K and is standard (a -> a+1) outside a finite window.  One improvement
+round rewires every facing pair at once; each round lowers the total
+cost by at least the number of vertices involved, which bounds both the
+iteration count and the lifetime sum of rewired sets.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .errors import CLAIM1_VIOLATION, EquigraphError, Finding
 from .graph import ComponentView, Side, chain_element
 from .group import GroupElement, apply
 
-Vertex = tuple[int, int]  # (path_id, coord)
-
 
 class KMatching:
-    """Eventually-standard matching with displacement bound K.
+    """Eventually-standard matching on one path with displacement bound K.
 
-    Stored sparsely: per path, a window (lo, hi) with lo even and hi odd,
-    and only the pairs that differ from standard.  partner() answers for
-    every coordinate, implicit standard included.
+    Stored sparsely: a window (lo, hi) with lo even and hi odd, and only
+    the pairs that differ from standard.  partner() answers for every
+    coordinate, implicit standard included.
     """
 
-    def __init__(
-        self,
-        k: int,
-        windows: Mapping[int, tuple[int, int]],
-        deviations: Mapping[int, Mapping[int, int]],
-    ):
+    def __init__(self, k: int, window: tuple[int, int], deviations: Mapping[int, int]):
         if k <= 0 or k % 2 == 0:
             raise EquigraphError(f"K must be an odd positive integer, got {k}")
-        if set(windows) != set(deviations):
-            raise EquigraphError("windows and deviations must cover the same paths")
         self.k = k
-        self.windows: dict[int, tuple[int, int]] = {
-            pid: (int(w[0]), int(w[1])) for pid, w in windows.items()
-        }
-        self.deviations: dict[int, dict[int, int]] = {
-            pid: dict(sorted(dev.items())) for pid, dev in deviations.items()
-        }
-        self._inverse: dict[int, dict[int, int]] = {
-            pid: {t: a for a, t in dev.items()}
-            for pid, dev in self.deviations.items()
-        }
+        self.window = (int(window[0]), int(window[1]))
+        self.deviations: dict[int, int] = dict(sorted(deviations.items()))
+        self._inverse: dict[int, int] = {t: a for a, t in self.deviations.items()}
 
     # ------------------------------------------------------------------
 
-    @property
-    def path_ids(self) -> list[int]:
-        return sorted(self.windows)
-
-    def partner(self, pid: int, coord: int) -> int:
+    def partner(self, coord: int) -> int:
         """Matched coordinate; standard outside the stored deviations."""
         if coord % 2 == 0:
-            return self.deviations[pid].get(coord, coord + 1)
-        return self._inverse[pid].get(coord, coord - 1)
+            return self.deviations.get(coord, coord + 1)
+        return self._inverse.get(coord, coord - 1)
 
-    def direction(self, pid: int, coord: int) -> int:
+    def direction(self, coord: int) -> int:
         """Ray direction at coord: sign of (partner - coord), never 0."""
-        return 1 if self.partner(pid, coord) > coord else -1
-
-    def pairs(self, pid: int) -> dict[int, int]:
-        """The full A -> B map over the window, standard pairs included."""
-        lo, hi = self.windows[pid]
-        return {a: self.partner(pid, a) for a in range(_even_ceil(lo), hi, 2)}
+        return 1 if self.partner(coord) > coord else -1
 
     @property
     def is_standard(self) -> bool:
-        return all(not dev for dev in self.deviations.values())
+        return not self.deviations
 
     def validate(self) -> None:
         """Raise EquigraphError on any structural defect."""
-        for pid, dev in self.deviations.items():
-            lo, hi = self.windows[pid]
-            if dev and not (lo % 2 == 0 and hi % 2 == 1 and lo < hi):
-                raise EquigraphError(
-                    f"path {pid}: window ({lo}, {hi}) not canonical"
-                )
-            for a, t in dev.items():
-                if a % 2 != 0 or t % 2 != 1:
-                    raise EquigraphError(f"path {pid}: pair {a}->{t} breaks parity")
-                if t == a + 1:
-                    raise EquigraphError(f"path {pid}: standard pair {a} stored")
-                if not (lo <= a <= hi and lo <= t <= hi):
-                    raise EquigraphError(f"path {pid}: pair {a}->{t} leaves window")
-                if abs(a - t) > self.k:
-                    raise EquigraphError(
-                        f"path {pid}: pair {a}->{t} exceeds K={self.k}"
-                    )
-            targets = set(dev.values())
-            if len(targets) != len(dev):
-                raise EquigraphError(f"path {pid}: matching is not injective")
-            # The displaced standard partners must be exactly the targets,
-            # otherwise some window B-vertex is unmatched or doubly matched.
-            if targets != {a + 1 for a in dev}:
-                raise EquigraphError(f"path {pid}: window bijection broken")
+        dev = self.deviations
+        lo, hi = self.window
+        if dev and not (lo % 2 == 0 and hi % 2 == 1 and lo < hi):
+            raise EquigraphError(f"window ({lo}, {hi}) not canonical")
+        for a, t in dev.items():
+            if a % 2 != 0 or t % 2 != 1:
+                raise EquigraphError(f"pair {a}->{t} breaks parity")
+            if t == a + 1:
+                raise EquigraphError(f"standard pair {a} stored")
+            if not (lo <= a <= hi and lo <= t <= hi):
+                raise EquigraphError(f"pair {a}->{t} leaves window")
+            if abs(a - t) > self.k:
+                raise EquigraphError(f"pair {a}->{t} exceeds K={self.k}")
+        targets = set(dev.values())
+        if len(targets) != len(dev):
+            raise EquigraphError("matching is not injective")
+        # The displaced standard partners must be exactly the targets,
+        # otherwise some window B-vertex is unmatched or doubly matched.
+        if targets != {a + 1 for a in dev}:
+            raise EquigraphError("window bijection broken")
 
     def cost(self) -> int:
-        return sum(
-            abs(a - t) - 1 for dev in self.deviations.values() for a, t in dev.items()
-        )
+        return sum(abs(a - t) - 1 for a, t in self.deviations.items())
 
     def __repr__(self) -> str:
-        dev = {pid: d for pid, d in self.deviations.items() if d}
-        return f"KMatching(k={self.k}, deviations={dev})"
+        return f"KMatching(k={self.k}, deviations={self.deviations})"
 
 
 def _even_ceil(x: int) -> int:
@@ -134,7 +101,7 @@ def _canonical_window(
 
 
 def _faces(dev: Mapping[int, int], a: int) -> bool:
-    """Whether the A-vertices a - 2 and a face, given one path's deviations.
+    """Whether the A-vertices a - 2 and a face, given the deviations.
 
     They face when each lies on the other's ray: a points left, which
     needs a stored pair, and a - 2 points right.
@@ -143,50 +110,34 @@ def _faces(dev: Mapping[int, int], a: int) -> bool:
     return t is not None and t < a and dev.get(a - 2, a - 1) > a - 2
 
 
-def phi_pairs(m: KMatching) -> list[tuple[Vertex, Vertex]]:
-    """All facing pairs, as (left, right), deterministically ordered.
+def phi_pairs(m: KMatching) -> list[tuple[int, int]]:
+    """All facing pairs, as (left, right), in increasing order.
 
     Two A-vertices at distance 2 face when each lies on the other's ray,
     the half-path from a vertex through its partner.  A facing pair
     (a, a+2) needs direction(a+2) = -1, which forces a+2 to deviate from
     standard, so scanning the stored deviations is complete.
     """
-    out: list[tuple[Vertex, Vertex]] = []
-    for pid in sorted(m.deviations):
-        dev = m.deviations[pid]
-        for a in dev:
-            if _faces(dev, a):
-                out.append(((pid, a - 2), (pid, a)))
-    return out
-
-
-def compute_S(m: KMatching) -> set[Vertex]:
-    """Every A-vertex that currently belongs to a facing pair."""
-    members: set[Vertex] = set()
-    for x, y in phi_pairs(m):
-        members.add(x)
-        members.add(y)
-    return members
+    return [(a - 2, a) for a in m.deviations if _faces(m.deviations, a)]
 
 
 def _rewire(
-    devs: dict[int, dict[int, int]],
-    invs: dict[int, dict[int, int]],
+    dev: dict[int, int],
+    inv: dict[int, int],
     k: int,
-    pairs: Sequence[tuple[Vertex, Vertex]],
+    pairs: Sequence[tuple[int, int]],
 ) -> int:
     """Swap the partners of every facing pair of one round, in place.
 
-    devs holds each path's deviations and invs their inverses (target ->
-    A-vertex).  Returns the round's cost drop.  Each rewired pair must
-    lower its combined displacement by at least 2 and stay within K; a
-    failure is raised as a Finding.  Each written entry is then checked
-    for parity and injectivity as validate() would; it is stored only
-    when it is not standard, and its K bound is the Finding's.
+    dev holds the deviations and inv their inverse (target -> A-vertex).
+    Returns the round's cost drop.  Each rewired pair must lower its
+    combined displacement by at least 2 and stay within K; a failure is
+    raised as a Finding.  Each written entry is then checked for parity
+    and injectivity as validate() would; it is stored only when it is
+    not standard, and its K bound is the Finding's.
     """
     drop = 0
-    for (pid, x), (_, y) in pairs:
-        dev, inv = devs[pid], invs[pid]
+    for x, y in pairs:
         mx = dev.get(x, x + 1)
         my = dev.get(y, y + 1)
         ndx, ndy = abs(x - my), abs(y - mx)
@@ -216,11 +167,9 @@ def _rewire(
             inv[mx] = y
             dev[y] = mx
         if x % 2 or y % 2 or not (mx % 2 and my % 2):
-            raise EquigraphError(
-                f"path {pid}: pair {x}->{my} or {y}->{mx} breaks parity"
-            )
+            raise EquigraphError(f"pair {x}->{my} or {y}->{mx} breaks parity")
         if inv.get(my, my - 1) != x or inv.get(mx, mx - 1) != y:
-            raise EquigraphError(f"path {pid}: matching is not injective")
+            raise EquigraphError("matching is not injective")
         drop += odx + ody - ndx - ndy
     return drop
 
@@ -235,13 +184,9 @@ def improve(m: KMatching) -> KMatching:
     pairs = phi_pairs(m)
     if not pairs:
         raise EquigraphError("no facing pairs to rewire")
-    new_dev = {pid: dict(dev) for pid, dev in m.deviations.items()}
-    new_inv = {pid: dict(inv) for pid, inv in m._inverse.items()}
-    _rewire(new_dev, new_inv, m.k, pairs)
-    windows = {
-        pid: _canonical_window(new_dev[pid], m.windows[pid]) for pid in new_dev
-    }
-    result = KMatching(m.k, windows, new_dev)
+    dev, inv = dict(m.deviations), dict(m._inverse)
+    _rewire(dev, inv, m.k, pairs)
+    result = KMatching(m.k, _canonical_window(dev, m.window), dev)
     result.validate()
     drop_needed = 2 * len(pairs)
     if result.cost() > m.cost() - drop_needed:
@@ -258,7 +203,7 @@ class IterationRecord:
     n: int
     s_size: int
     cost: int
-    rewired: tuple[tuple[Vertex, Vertex], ...]
+    rewired: tuple[tuple[int, int], ...]
 
 
 @dataclass
@@ -276,33 +221,29 @@ class DynamicsTrace:
         return sum(r.s_size for r in self.records)
 
 
-def run_dynamics(
-    m: KMatching, max_iters: Optional[int] = None
-) -> tuple[KMatching, DynamicsTrace]:
+def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
     """Iterate improve() until no facing pairs remain.
 
-    Terminates within cost(M) iterations; max_iters (default: cost(M))
-    only fires below that theoretical bound.
+    Terminates within cost(M) rounds; a run that reaches that bound with
+    facing pairs left raises EquigraphError.
 
     The rounds run on one mutable copy of the deviations, so a round
     costs O(|S|): only coordinates a and a + 2 of a rewired a can start
     facing (a pair whose entries did not change cannot), the cost moves
     by the exact per-pair drops, and only the written entries are
     checked.  The result is built and fully validated once, and equals
-    that of replaying improve(), windows and trace included.
+    that of replaying improve(), window and trace included.
     """
     initial = m.cost()
-    cap = initial if max_iters is None else max_iters
     trace = DynamicsTrace(initial_cost=initial)
-    dev = {pid: dict(d) for pid, d in m.deviations.items()}
-    inv = {pid: dict(i) for pid, i in m._inverse.items()}
-    windows = dict(m.windows)
+    dev, inv = dict(m.deviations), dict(m._inverse)
+    window = m.window
     cost = initial
     pairs = phi_pairs(m)
     while pairs:
         n = len(trace.records)
-        if n >= cap:
-            raise EquigraphError(f"dynamics exceeded {cap} iterations")
+        if n >= initial:
+            raise EquigraphError(f"dynamics exceeded {initial} iterations")
         before = cost
         cost -= _rewire(dev, inv, m.k, pairs)
         s_size = 2 * len(pairs)
@@ -313,32 +254,28 @@ def run_dynamics(
                 witness={"before": before, "after": cost, "s": s_size},
             )
         trace.records.append(IterationRecord(n + 1, s_size, before, tuple(pairs)))
-        # Pairs come sorted by (pid, a) and lie at least 4 apart, so the
-        # re-tested coordinates x, x + 2, x + 4 come sorted as well, with
-        # x repeating the previous pair's x + 4 at most.
-        nxt: list[tuple[Vertex, Vertex]] = []
+        # Pairs come sorted and lie at least 4 apart, so the re-tested
+        # coordinates x, x + 2, x + 4 come sorted as well, with x
+        # repeating the previous pair's x + 4 at most.
+        nxt: list[tuple[int, int]] = []
         done = None
-        for (pid, x), _ in pairs:
-            d = dev[pid]
-            for c in (x, x + 2, x + 4) if done != (pid, x) else (x + 2, x + 4):
-                if _faces(d, c):
-                    nxt.append(((pid, c - 2), (pid, c)))
-            done = (pid, x + 4)
-        # A path this round empties keeps, under improve(), the window of
-        # its previous state: the input window after round 1, else the
+        for x, _ in pairs:
+            for c in (x, x + 2, x + 4) if done != x else (x + 2, x + 4):
+                if _faces(dev, c):
+                    nxt.append((c - 2, c))
+            done = x + 4
+        # A round that empties the path keeps, under improve(), the window
+        # of its previous state: the input window after round 1, else the
         # canonical window of that state.  Every entry of that state was
         # rewired to standard, so it held x -> x + 3 and x + 2 -> x + 1
-        # for each of the path's pairs (x, x + 2).
-        if n:
-            for pid in {pid for (pid, _), _ in pairs}:
-                if not dev[pid]:
-                    last = {}
-                    for (p, x), _ in pairs:
-                        if p == pid:
-                            last[x], last[x + 2] = x + 3, x + 1
-                    windows[pid] = _canonical_window(last, windows[pid])
+        # for each pair (x, x + 2).
+        if n and not dev:
+            last = {}
+            for x, _ in pairs:
+                last[x], last[x + 2] = x + 3, x + 1
+            window = _canonical_window(last, window)
         pairs = nxt
-    final = KMatching(m.k, windows, dev)
+    final = KMatching(m.k, window, dev)
     final.validate()
     if final.cost() != cost:
         raise Finding(
@@ -351,14 +288,12 @@ def run_dynamics(
 
 
 def check_nested_rays(m: KMatching) -> bool:
-    """Whether every A-ray on every path points the same way.
+    """Whether every A-ray points the same way.
 
-    Outside each window all rays point +1, so on a bi-infinite path the
+    Outside the window all rays point +1, so on a bi-infinite path the
     directions are uniform iff no stored pair points left.
     """
-    return all(
-        t > a for dev in m.deviations.values() for a, t in dev.items()
-    )
+    return all(t > a for a, t in m.deviations.items())
 
 
 def extract_matching(m: KMatching) -> KMatching:
@@ -370,16 +305,8 @@ def extract_matching(m: KMatching) -> KMatching:
     """
     if phi_pairs(m):
         raise EquigraphError("facing pairs remain; run the dynamics first")
-    new_dev: dict[int, dict[int, int]] = {}
-    for pid, dev in m.deviations.items():
-        entries = {
-            a: a - 1 for a in dev if m.direction(pid, a) == -1
-        }
-        new_dev[pid] = entries
-    windows = {
-        pid: _canonical_window(new_dev[pid], m.windows[pid]) for pid in new_dev
-    }
-    result = KMatching(1, windows, new_dev)
+    dev = {a: a - 1 for a in m.deviations if m.direction(a) == -1}
+    result = KMatching(1, _canonical_window(dev, m.window), dev)
     result.validate()
     return result
 
@@ -427,7 +354,7 @@ def random_kmatching(window: int, k: int, seed: int) -> KMatching:
                 cur.pop(a, None)
             else:
                 cur[a] = t
-    result = KMatching(k, {0: _canonical_window(cur, (0, -1))}, {0: cur})
+    result = KMatching(k, _canonical_window(cur, (0, -1)), cur)
     result.validate()
     return result
 
@@ -449,11 +376,11 @@ def kmatching_from_assignment(
 ) -> KMatching:
     """Turn isometry piece assignments on an explored component into a matching.
 
-    The view's visited chain provides coordinates on path 0 with the origin
-    at 0, so I-vertices sit at even coordinates.  Each assignment entry (lo, hi, g)
-    matches every I-vertex y at an even coordinate in [lo, hi] to the
-    J-vertex holding g(y); uncovered coordinates stay standard.  The
-    result's K is bridge_k_bound(max |b| over the pieces).
+    The view's visited chain provides coordinates on the path with the
+    origin at 0, so I-vertices sit at even coordinates.  Each assignment
+    entry (lo, hi, g) matches every I-vertex y at an even coordinate in
+    [lo, hi] to the J-vertex holding g(y); uncovered coordinates stay
+    standard.  The result's K is bridge_k_bound(max |b| over the pieces).
     """
     if view.visited[view.origin_index].side is not Side.I:
         raise EquigraphError("assignment views must originate at an I-vertex")
@@ -486,7 +413,7 @@ def kmatching_from_assignment(
     if len(set(targets.values())) != len(targets):
         raise EquigraphError("two pieces share a target J-vertex")
     dev = {a: t for a, t in targets.items() if t != a + 1}
-    matching = KMatching(k, {0: _canonical_window(dev, (0, -1))}, {0: dev})
+    matching = KMatching(k, _canonical_window(dev, (0, -1)), dev)
     matching.validate()
     return matching
 

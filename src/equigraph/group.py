@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Sequence
 
 from .algebra import AlgebraicPoint
 from .errors import EquigraphError
@@ -65,18 +63,6 @@ def apply(g: GroupElement, x: AlgebraicPoint) -> AlgebraicPoint:
     return AlgebraicPoint(g.a * x.u + 2 * g.c, g.a * x.v + 2 * g.b)
 
 
-def word_to_element(word: Sequence[Generator]) -> GroupElement:
-    """Collapse a word, first generator applied first.
-
-    apply(word_to_element(w), x) equals applying w's generators to x in
-    sequence, so word_to_element([T, R2]) is compose(R2's map, T's map).
-    """
-    acc = IDENTITY
-    for gen in word:
-        acc = compose(GENERATOR_ELEMENTS[gen], acc)
-    return acc
-
-
 def enumerate_ball(radius: int) -> set[GroupElement]:
     """All elements expressible as words of length <= radius.
 
@@ -100,22 +86,3 @@ def enumerate_ball(radius: int) -> set[GroupElement]:
                     nxt.add(h)
         frontier = nxt
     return seen
-
-
-def is_member(a: int, u: Fraction, v: Fraction) -> bool:
-    """Whether x -> a*x + u + v*alpha belongs to the generated group.
-
-    True iff u and v are both even integers; the element is then
-    (a, v/2, u/2).  In particular translation by alpha itself (u=0, v=1)
-    is excluded.
-    """
-    if a not in (1, -1):
-        raise EquigraphError(f"a must be +1 or -1, got {a}")
-    u = Fraction(u)
-    v = Fraction(v)
-    return (
-        u.denominator == 1
-        and v.denominator == 1
-        and u.numerator % 2 == 0
-        and v.numerator % 2 == 0
-    )

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional
+from typing import Callable
 
 from .algebra import ONE, ZERO, AlgebraicPoint, point
 from .errors import CONNECTOR_MISSING, EquigraphError, Finding
@@ -188,7 +188,7 @@ def verify_lemma(
     ball_radius: int,
     n_samples: int,
     seed: int,
-    bfs_budget: Optional[int] = None,
+    bfs_budget: int,
 ) -> dict:
     """Sweep every ball element against sampled anchors; report violations.
 
@@ -199,8 +199,6 @@ def verify_lemma(
     """
     sign = graph.ctx.sign_scaled
     elements = sorted(enumerate_ball(ball_radius))
-    if bfs_budget is None:
-        bfs_budget = 16 * ball_radius + 64
     rng = random.Random(seed)
     base: list[AlgebraicPoint] = [ZERO, ONE]
     while len(base) < max(n_samples, 2):

@@ -172,38 +172,37 @@ def bfs_distance(
 # facing-pair oracle
 
 
-def facing_pairs_bruteforce(m) -> set[tuple[int, int]]:
+def facing_pairs_bruteforce(m) -> set[int]:
     """All members of facing pairs by a literal all-pairs ray walk.
 
-    m is a package KMatching; only its partner() accessor is used.  For
-    every ordered pair of even coordinates in (a margin around) the
+    m is a package KMatching; only its window and partner() are used.
+    For every ordered pair of even coordinates in (a margin around) the
     window, the two rays are walked step by step and mutual containment
     is tested literally.
     """
-    members: set[tuple[int, int]] = set()
-    for pid in m.path_ids:
-        lo, hi = m.windows[pid]
-        if lo > hi:
-            continue
-        span = hi - lo + 8
-        evens = [c for c in range(lo - 4, hi + 5) if c % 2 == 0]
+    lo, hi = m.window
+    if lo > hi:
+        return set()
+    span = hi - lo + 8
+    evens = [c for c in range(lo - 4, hi + 5) if c % 2 == 0]
 
-        def ray_contains(start: int, target: int) -> bool:
-            direction = 1 if m.partner(pid, start) > start else -1
-            coord = start
-            for _ in range(span + 4):
-                if coord == target:
-                    return True
-                coord += direction
-            return False
+    def ray_contains(start: int, target: int) -> bool:
+        direction = 1 if m.partner(start) > start else -1
+        coord = start
+        for _ in range(span + 4):
+            if coord == target:
+                return True
+            coord += direction
+        return False
 
-        for x in evens:
-            for y in evens:
-                if x == y or abs(x - y) != 2:
-                    continue
-                if ray_contains(x, y) and ray_contains(y, x):
-                    members.add((pid, x))
-                    members.add((pid, y))
+    members: set[int] = set()
+    for x in evens:
+        for y in evens:
+            if x == y or abs(x - y) != 2:
+                continue
+            if ray_contains(x, y) and ray_contains(y, x):
+                members.add(x)
+                members.add(y)
     return members
 
 
@@ -212,7 +211,7 @@ def facing_pairs_bruteforce(m) -> set[tuple[int, int]]:
 
 
 def random_deviations(window: int, k: int, seed: int) -> dict[int, int]:
-    """The deviations of random_kmatching(window, k, seed) on path 0.
+    """The deviations of random_kmatching(window, k, seed).
 
     The package's earlier generator, drawing through Random.randrange and
     Random.randint; only its KMatching wrapping is left out.

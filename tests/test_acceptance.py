@@ -19,7 +19,6 @@ from equigraph.algebra import ALPHA, ONE, ZERO, AlphaContext, point
 from equigraph.cli import main, render_figure
 from equigraph.dynamics import (
     check_nested_rays,
-    compute_S,
     extract_matching,
     improve,
     phi_pairs,
@@ -31,6 +30,7 @@ from equigraph.pathcert import verify_lemma
 
 from conftest import ALL_ALPHAS
 from oracles import facing_pairs_bruteforce
+from test_dynamics import compute_S
 
 K_VALUES = (3, 5, 7, 9)
 SUITE_WINDOW = 200
@@ -160,8 +160,8 @@ def test_criterion_5_convergence_and_extraction(capsys, suite):
         ok &= check_nested_rays(final)
         extracted = extract_matching(final)
         ok &= extracted.k == 1 and extracted.is_standard
-        for pid in extracted.path_ids:
-            ok &= all(t == a + 1 for a, t in extracted.pairs(pid).items())
+        lo, hi = extracted.window
+        ok &= all(extracted.partner(a) == a + 1 for a in range(lo + lo % 2, hi, 2))
     _verdict(
         capsys,
         5,

@@ -8,7 +8,6 @@ from equigraph.dynamics import (
     assignment_from_targets,
     bridge_k_bound,
     check_nested_rays,
-    compute_S,
     extract_matching,
     improve,
     kmatching_from_assignment,
@@ -23,16 +22,20 @@ from equigraph.group import GroupElement, IDENTITY
 from oracles import facing_pairs_bruteforce, random_deviations
 
 
-def standard_matching(k, path_ids=(0,)):
-    windows = {pid: (0, -1) for pid in path_ids}
-    return KMatching(k, windows, {pid: {} for pid in path_ids})
+def compute_S(m):
+    """Every A-vertex that currently belongs to a facing pair."""
+    return {a for pair in phi_pairs(m) for a in pair}
+
+
+def standard_matching(k):
+    return KMatching(k, (0, -1), {})
 
 
 def _swapped(k=3, dev=None):
     dev = {0: 3, 2: 1} if dev is None else dev
     lo = min(min(dev), min(dev.values()) - 1)
     hi = max(max(dev) + 1, max(dev.values()))
-    m = KMatching(k, {0: (lo, hi)}, {0: dev})
+    m = KMatching(k, (lo, hi), dev)
     m.validate()
     return m
 
@@ -44,50 +47,44 @@ def _swapped(k=3, dev=None):
 def test_k_must_be_odd_positive():
     for bad in (0, -3, 2, 4):
         with pytest.raises(EquigraphError, match="odd positive integer"):
-            KMatching(bad, {0: (0, -1)}, {0: {}})
-
-
-def test_windows_and_deviations_must_cover_same_paths():
-    with pytest.raises(EquigraphError, match="must cover the same paths"):
-        KMatching(3, {0: (0, -1)}, {0: {}, 1: {}})
+            KMatching(bad, (0, -1), {})
 
 
 def test_validate_rejects_structural_defects():
     cases = [
-        (7, {0: (1, 4)}, {0: {2: 5}}, "not canonical"),
-        (7, {0: (0, 3)}, {0: {1: 2}}, "parity"),
-        (7, {0: (0, 3)}, {0: {0: 1}}, "standard pair"),
-        (7, {0: (0, 3)}, {0: {0: 5}}, "leaves window"),
-        (3, {0: (0, 7)}, {0: {0: 7, 6: 1}}, "exceeds K"),
-        (7, {0: (0, 5)}, {0: {0: 3, 4: 3}}, "not injective"),
-        (7, {0: (0, 3)}, {0: {0: 3}}, "bijection"),
+        (7, (1, 4), {2: 5}, "not canonical"),
+        (7, (0, 3), {1: 2}, "parity"),
+        (7, (0, 3), {0: 1}, "standard pair"),
+        (7, (0, 3), {0: 5}, "leaves window"),
+        (3, (0, 7), {0: 7, 6: 1}, "exceeds K"),
+        (7, (0, 5), {0: 3, 4: 3}, "not injective"),
+        (7, (0, 3), {0: 3}, "bijection"),
     ]
-    for k, windows, deviations, fragment in cases:
-        m = KMatching(k, windows, deviations)
+    for k, window, deviations, fragment in cases:
+        m = KMatching(k, window, deviations)
         with pytest.raises(EquigraphError, match=fragment):
             m.validate()
 
 
 def test_partner_and_pairs_accessors():
     m = _swapped()
-    assert m.partner(0, 0) == 3
-    assert m.partner(0, 2) == 1
-    assert m.partner(0, 3) == 0
-    assert m.partner(0, 1) == 2
-    assert m.partner(0, 100) == 101  # standard beyond the window
-    assert m.partner(0, 101) == 100
-    assert m.pairs(0) == {0: 3, 2: 1}
-    assert m.windows[0] == (0, 3)
+    assert m.partner(0) == 3
+    assert m.partner(2) == 1
+    assert m.partner(3) == 0
+    assert m.partner(1) == 2
+    assert m.partner(100) == 101  # standard beyond the window
+    assert m.partner(101) == 100
+    assert m.deviations == {0: 3, 2: 1}
+    assert m.window == (0, 3)
     assert not m.is_standard
 
 
 def test_standard_matching_shape():
-    m = standard_matching(5, (0, 7))
+    m = standard_matching(5)
     m.validate()
     assert m.is_standard
     assert m.cost() == 0
-    assert m.path_ids == [0, 7]
-    assert m.partner(7, 42) == 43
+    assert m.partner(42) == 43
 
 
 # ----------------------------------------------------------------------
@@ -97,18 +94,18 @@ def test_standard_matching_shape():
 def test_ray_of_matching():
     # a ray leaves each vertex toward its partner, standard outside the window
     m = _swapped()
-    assert m.direction(0, 0) == 1
-    assert m.direction(0, 2) == -1
-    assert m.direction(0, 50) == 1
-    assert m.direction(0, 3) == -1
-    assert m.direction(0, 1) == 1
-    assert m.direction(0, -7) == -1
+    assert m.direction(0) == 1
+    assert m.direction(2) == -1
+    assert m.direction(50) == 1
+    assert m.direction(3) == -1
+    assert m.direction(1) == 1
+    assert m.direction(-7) == -1
 
 
 def test_phi_pairs_worked_example():
     m = _swapped()
-    assert phi_pairs(m) == [((0, 0), (0, 2))]
-    assert compute_S(m) == {(0, 0), (0, 2)}
+    assert phi_pairs(m) == [(0, 2)]
+    assert compute_S(m) == {0, 2}
     assert m.cost() == 2
 
 
@@ -121,14 +118,10 @@ def test_phi_pairs_match_bruteforce_oracle():
         assert compute_S(m) == facing_pairs_bruteforce(m)
 
 
-def test_phi_pairs_multi_path_deterministic():
-    m = KMatching(
-        3,
-        {0: (0, 3), 1: (4, 7)},
-        {0: {0: 3, 2: 1}, 1: {4: 7, 6: 5}},
-    )
+def test_phi_pairs_two_pairs_deterministic():
+    m = KMatching(3, (0, 7), {6: 5, 4: 7, 2: 1, 0: 3})
     m.validate()
-    assert phi_pairs(m) == [((0, 0), (0, 2)), ((1, 4), (1, 6))]
+    assert phi_pairs(m) == [(0, 2), (4, 6)]
 
 
 # ----------------------------------------------------------------------
@@ -147,12 +140,8 @@ def test_improve_requires_facing_pairs():
         improve(standard_matching(3))
 
 
-def test_improve_multi_path_in_one_round():
-    m = KMatching(
-        3,
-        {0: (0, 3), 1: (4, 7)},
-        {0: {0: 3, 2: 1}, 1: {4: 7, 6: 5}},
-    )
+def test_improve_two_pairs_in_one_round():
+    m = KMatching(3, (0, 7), {0: 3, 2: 1, 4: 7, 6: 5})
     m.validate()
     out = improve(m)
     assert out.is_standard and out.cost() == 0
@@ -168,16 +157,15 @@ def test_improve_invariants_on_random_instances():
             nxt = improve(m)
             nxt.validate()
             assert nxt.cost() <= m.cost() - 2 * len(pairs)
-            for pid in nxt.path_ids:
-                old_lo, old_hi = m.windows[pid]
-                lo, hi = nxt.windows[pid]
-                assert lo >= old_lo and hi <= old_hi  # windows never grow
+            old_lo, old_hi = m.window
+            lo, hi = nxt.window
+            assert lo >= old_lo and hi <= old_hi  # windows never grow
             m = nxt
         assert m.is_standard
 
 
 def test_three_deviation_example_takes_two_rounds():
-    m = KMatching(5, {0: (0, 5)}, {0: {0: 5, 2: 1, 4: 3}})
+    m = KMatching(5, (0, 5), {0: 5, 2: 1, 4: 3})
     m.validate()
     final, trace = run_dynamics(m)
     assert final.is_standard
@@ -185,8 +173,8 @@ def test_three_deviation_example_takes_two_rounds():
     assert trace.final_cost == 0
     assert trace.iterations == 2
     assert trace.sum_s == 4
-    assert trace.records[0].rewired == (((0, 0), (0, 2)),)
-    assert trace.records[1].rewired == (((0, 2), (0, 4)),)
+    assert trace.records[0].rewired == ((0, 2),)
+    assert trace.records[1].rewired == ((2, 4),)
     assert trace.records[0].cost == 4 and trace.records[1].cost == 2
 
 
@@ -209,7 +197,7 @@ def _assert_matches_replay(m):
     assert trace.initial_cost == initial
     assert [(r.n, r.s_size, r.cost, r.rewired) for r in trace.records] == records
     assert final.deviations == expected.deviations
-    assert final.windows == expected.windows
+    assert final.window == expected.window
     assert trace.final_cost == expected.cost() == final.cost()
     return final, trace
 
@@ -225,19 +213,21 @@ def test_run_dynamics_equals_improve_replay_on_random_instances():
 
 
 def test_run_dynamics_equals_improve_replay_on_paths_converging_apart():
-    # path 5 converges in round 2 from a window wider than its deviations,
-    # path 2 in round 1 and keeps its input window, path 7 is standard
-    # throughout; path 2 must come first in the round's pairs
-    m = KMatching(
-        5,
-        {5: (0, 9), 2: (10, 15), 7: (0, -1)},
-        {5: {0: 5, 2: 1, 4: 3}, 2: {10: 13, 12: 11}, 7: {}},
-    )
+    # a path that converges in round 1 keeps its input window
+    m = KMatching(5, (10, 15), {10: 13, 12: 11})
+    m.validate()
+    final, trace = _assert_matches_replay(m)
+    assert trace.iterations == 1
+    assert trace.records[0].rewired == ((10, 12),)
+    assert final.window == (10, 15)
+    # one that converges in round 2, from a window wider than its
+    # deviations, takes the canonical window of its previous state
+    m = KMatching(5, (0, 9), {0: 5, 2: 1, 4: 3})
     m.validate()
     final, trace = _assert_matches_replay(m)
     assert trace.iterations == 2
-    assert trace.records[0].rewired == (((2, 10), (2, 12)), ((5, 0), (5, 2)))
-    assert final.windows == {5: (2, 5), 2: (10, 15), 7: (0, -1)}
+    assert trace.records[0].rewired == ((0, 2),)
+    assert final.window == (2, 5)
 
 
 def test_run_dynamics_equals_improve_replay_on_bridge(graph):
@@ -249,7 +239,7 @@ def test_run_dynamics_equals_improve_replay_on_bridge(graph):
 
 def test_run_dynamics_checks_the_entries_it_writes():
     # A-vertices at odd coordinates: the one facing pair rewires 3 -> 6
-    m = KMatching(5, {0: (1, 6)}, {0: {1: 6, 3: 2}})
+    m = KMatching(5, (1, 6), {1: 6, 3: 2})
     with pytest.raises(EquigraphError, match="breaks parity"):
         run_dynamics(m)
 
@@ -262,9 +252,12 @@ def test_run_dynamics_on_standard_is_a_noop():
 
 
 def test_run_dynamics_iteration_cap():
-    m = _swapped()
+    # a malformed matching of cost 0 with a facing pair (0 -> 1, 2 -> 1)
+    # meets the cap at its initial cost before any round runs
+    m = KMatching(3, (0, 3), {0: 1, 2: 1})
+    assert m.cost() == 0 and phi_pairs(m) == [(0, 2)]
     with pytest.raises(EquigraphError, match="exceeded 0 iterations"):
-        run_dynamics(m, max_iters=0)
+        run_dynamics(m)
 
 
 def test_run_dynamics_golden_regressions():
@@ -309,9 +302,9 @@ def test_extract_matching_yields_unit_matching():
     assert out.k == 1
     assert out.is_standard
     assert out.cost() == 0
-    lo, hi = final.windows[0]
+    lo, hi = final.window
     for a in range(lo if lo % 2 == 0 else lo + 1, hi, 2):
-        assert out.partner(0, a) == a + 1
+        assert out.partner(a) == a + 1
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +326,7 @@ def test_random_kmatching_draws_as_randrange_did():
         for k in (1, 3, 5, 7, 9):
             for seed in range(20):
                 m = random_kmatching(window, k, seed)
-                assert m.deviations == {0: random_deviations(window, k, seed)}
+                assert m.deviations == random_deviations(window, k, seed)
 
 
 def test_random_kmatching_edge_cases():
@@ -346,9 +339,9 @@ def test_random_kmatching_edge_cases():
 
 def test_random_kmatching_respects_window_and_k():
     m = random_kmatching(30, 7, 11)
-    lo, hi = m.windows[0]
+    lo, hi = m.window
     assert lo >= 0 and hi <= 59
-    for a, t in m.deviations[0].items():
+    for a, t in m.deviations.items():
         assert abs(a - t) <= 7
 
 

@@ -15,11 +15,41 @@ from equigraph.group import (
     compose,
     enumerate_ball,
     inverse,
-    is_member,
-    word_to_element,
 )
 
 from oracles import ball_fingerprints, ball_sizes, element_fingerprint
+
+
+def word_to_element(word):
+    """Collapse a word, first generator applied first.
+
+    apply(word_to_element(w), x) equals applying w's generators to x in
+    sequence, so word_to_element([T, R2]) is compose(R2's map, T's map).
+    """
+    acc = IDENTITY
+    for gen in word:
+        acc = compose(GENERATOR_ELEMENTS[gen], acc)
+    return acc
+
+
+def is_member(a, u, v):
+    """Whether x -> a*x + u + v*alpha belongs to the generated group.
+
+    True iff u and v are both even integers; the element is then
+    (a, v/2, u/2).  In particular translation by alpha itself (u=0, v=1)
+    is excluded.
+    """
+    if a not in (1, -1):
+        raise EquigraphError(f"a must be +1 or -1, got {a}")
+    u = Fraction(u)
+    v = Fraction(v)
+    return (
+        u.denominator == 1
+        and v.denominator == 1
+        and u.numerator % 2 == 0
+        and v.numerator % 2 == 0
+    )
+
 
 # frozen from the word-enumeration oracle (two-point image fingerprints)
 BALL_SIZES_0_TO_8 = [1, 4, 11, 23, 39, 59, 83, 111, 143]

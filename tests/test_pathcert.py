@@ -224,7 +224,7 @@ def test_validate_flags_tampering(graph):
 
 
 def test_sweep_small_radius_frozen(graph):
-    rep = verify_lemma(graph, 3, 20, seed=0)
+    rep = verify_lemma(graph, 3, 20, seed=0, bfs_budget=16 * 3 + 64)
     assert rep["ball_size"] == 23
     assert rep["elements_checked"] == 11
     assert rep["checks"] == 134
@@ -237,7 +237,7 @@ def test_sweep_frozen_on_negative_q_alpha():
     # (7 - 2*sqrt(5))/3: r = 3 and q < 0 enter every cleared-integer sign;
     # the report was recorded with the earlier point-based sweep
     graph = IntervalGraph(AlphaContext(SEVEN_MINUS_TWO_SQRT5_OVER_3))
-    assert verify_lemma(graph, 4, 20, seed=3) == {
+    assert verify_lemma(graph, 4, 20, seed=3, bfs_budget=16 * 4 + 64) == {
         "ball_radius": 4,
         "ball_size": 39,
         "elements_checked": 11,
@@ -251,7 +251,7 @@ def test_sweep_frozen_on_negative_q_alpha():
 
 
 def test_sweep_bounds_hold_per_element(graph):
-    rep = verify_lemma(graph, 4, 30, seed=7)
+    rep = verify_lemma(graph, 4, 30, seed=7, bfs_budget=16 * 4 + 64)
     assert rep["violations"] == []
     for b_str, dist in rep["max_dist_by_b"].items():
         assert dist <= 2 * int(b_str)
@@ -260,14 +260,14 @@ def test_sweep_bounds_hold_per_element(graph):
 
 
 def test_sweep_wide_alpha(golden_graph):
-    rep = verify_lemma(golden_graph, 2, 10, seed=1)
+    rep = verify_lemma(golden_graph, 2, 10, seed=1, bfs_budget=16 * 2 + 64)
     assert rep["checks"] == 32
     assert rep["violations"] == []
     assert rep["max_dist_by_b"] == {"0": 0, "1": 2}
 
 
 def test_sweep_without_samples_still_checks_thresholds(graph):
-    rep = verify_lemma(graph, 1, 0, seed=0)
+    rep = verify_lemma(graph, 1, 0, seed=0, bfs_budget=16 * 1 + 64)
     assert rep["samples"] == 0
     assert rep["checks"] == 18
     assert rep["elements_checked"] == 4

@@ -85,7 +85,7 @@ def test_verify_lemma_runs_each_traced_step_once_per_check(monkeypatch, graph):
         (pathcert.CertifiedPath, "validate"),
     ]:
         monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
-    report = pathcert.verify_lemma(graph, 4, 10, seed=0)
+    report = pathcert.verify_lemma(graph, 4, 10, seed=0, bfs_budget=16 * 4 + 64)
     assert report["checks"] > 0
     assert calls == {
         "bfs_distance": report["checks"],
