@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key, partial
 from math import lcm
-from typing import TYPE_CHECKING, Callable, Hashable, Optional
+from typing import Callable, Hashable, Optional
 
 from .algebra import ALPHA, ONE, ZERO, AlgebraicPoint, AlphaContext
 from .errors import EVEN_PATH_COMPONENT, EquigraphError, Finding
@@ -54,11 +54,6 @@ class GEdge:
     i_point: AlgebraicPoint
     j_point: AlgebraicPoint
     labels: frozenset[Generator]
-
-    def other(self, v: GVertex) -> GVertex:
-        if v.side is Side.I:
-            return GVertex(Side.J, self.j_point)
-        return GVertex(Side.I, self.i_point)
 
     def canonical_label(self) -> Generator:
         return min(self.labels, key=_GEN_ORDER.__getitem__)
@@ -106,14 +101,45 @@ def vertex_record(v: GVertex) -> dict:
     return {"side": v.side.value, "u": str(v.point.u), "v": str(v.point.v)}
 
 
-if TYPE_CHECKING:
-    # What the component walker sees of a graph: the key of a vertex,
-    # adjacency lists of (far key, generator labels) sorted by far point,
-    # and the vertex each key stands for.  Type-checking only: typing's
-    # subscription caches would keep every fresh import of this module alive.
-    KeyOf = Callable[[GVertex], Optional[Hashable]]
-    Adjacent = Callable[[Hashable], list[tuple[Hashable, frozenset[Generator]]]]
-    VertexOf = Callable[[Hashable], GVertex]
+Key = tuple[int, int, int]
+
+
+class Frame:
+    """Keys (side, U, V) for (U + V*alpha)/den, side 0 for I and 1 for J.
+
+    The generator maps have integer coefficients, so the frame of a vertex
+    keys its whole component.  adjacent(key) lists (far key, generator
+    labels) sorted by far point; sign(U, V) is the exact sign of U + V*alpha.
+    """
+
+    def __init__(self, sign: Callable[[int, int], int], den: int):
+        self.sign, self.den = sign, den
+        # a bound partial: a method reading self.den and self.sign costs
+        # 4-5% more per call, and a walk makes one call per vertex
+        self.adjacent = partial(_integer_step, sign, den)
+
+    def key(self, v: GVertex) -> Optional[Key]:
+        """The key of v, or None for a vertex off this denominator."""
+        u, w = v.point.u, v.point.v
+        su, ru = divmod(self.den, u.denominator)
+        sw, rw = divmod(self.den, w.denominator)
+        if ru or rw:
+            return None
+        return _SIDE_INDEX[v.side], u.numerator * su, w.numerator * sw
+
+    def vertex(self, key: Key) -> GVertex:
+        side, u, v = key
+        pt = AlgebraicPoint(Fraction(u, self.den), Fraction(v, self.den))
+        return GVertex(_SIDES[side], pt)
+
+    def inside(self, side: int, u: int, v: int) -> bool:
+        """Whether (u, v) lies in side's interval [side*alpha, 1 + side*alpha]."""
+        sign, den, shift = self.sign, self.den, side * self.den
+        return sign(u, v - shift) >= 0 and sign(den - u, shift - v) >= 0
+
+    def image(self, g: GroupElement, u: int, v: int) -> tuple[int, int]:
+        """apply(g, .) on (u, v): a*x + 2c + 2b*alpha."""
+        return g.a * u + 2 * g.c * self.den, g.a * v + 2 * g.b * self.den
 
 
 class IntervalGraph:
@@ -127,11 +153,8 @@ class IntervalGraph:
     # ------------------------------------------------------------------
     # vertices and adjacency
 
-    def side_interval(self, side: Side) -> tuple[AlgebraicPoint, AlgebraicPoint]:
-        return (self.i_lo, self.i_hi) if side is Side.I else (self.j_lo, self.j_hi)
-
     def check_vertex(self, v: GVertex) -> None:
-        lo, hi = self.side_interval(v.side)
+        lo, hi = (self.i_lo, self.i_hi) if v.side is Side.I else (self.j_lo, self.j_hi)
         if not self.ctx.in_interval(v.point, lo, hi):
             raise EquigraphError(f"{v.point} outside {v.side.value} interval")
 
@@ -140,28 +163,17 @@ class IntervalGraph:
         self.check_vertex(v)
         return v
 
-    def _adjacency(self, v: GVertex) -> tuple[KeyOf, Adjacent, VertexOf]:
-        """The walker's hook: coordinates for the component of v.
-
-        Returns key_of (vertex to key, None for a vertex outside these
-        coordinates), adjacency on keys, and vertex_of (key to vertex).
-        Every generator map has integer coefficients, so every vertex of
-        v's component is (U + V*alpha)/den over the common denominator den
-        of v's point, with key (side, U, V).
-        """
-        den = lcm(v.point.u.denominator, v.point.v.denominator)
-        return (
-            partial(_key_of, den),
-            partial(_integer_step, self.ctx.sign_scaled, den),
-            partial(_vertex_of, den),
-        )
+    def frame(self, *vertices: GVertex) -> Frame:
+        """The integer frame over the lcm of the vertices' denominators."""
+        den = lcm(*(x.denominator for v in vertices for x in (v.point.u, v.point.v)))
+        return Frame(self.ctx.sign_scaled, den)
 
     def neighbors(self, v: GVertex) -> list[GEdge]:
         """Edges at v, deduplicated by far point, sorted by far point."""
         self.check_vertex(v)
-        key_of, adjacent, vertex_of = self._adjacency(v)
-        edges = adjacent(key_of(v))
-        return [_edge(v, vertex_of(far), labels) for far, labels in edges]
+        frame = self.frame(v)
+        edges = frame.adjacent(frame.key(v))
+        return [_edge(v, frame.vertex(far), labels) for far, labels in edges]
 
     def degree(self, v: GVertex) -> int:
         return len(self.neighbors(v))
@@ -181,17 +193,19 @@ class IntervalGraph:
             raise EquigraphError(f"budget must be positive, got {budget}")
         if u == v:
             return 0
-        key_of, adjacent, _ = self._adjacency(u)
-        start, goal = key_of(u), key_of(v)  # goal is None off u's component
+        frame = self.frame(u)
+        start, goal = frame.key(u), frame.key(v)
+        if goal is None:
+            return None  # off u's denominators, so off u's component
         seen = {start}
-        queue: deque[tuple[Hashable, int]] = deque([(start, 0)])
+        queue: deque[tuple[Key, int]] = deque([(start, 0)])
         expanded = 0
         while queue:
             if expanded >= budget:
                 return None
             cur, dist = queue.popleft()
             expanded += 1
-            for w, _labels in adjacent(cur):
+            for w, _labels in frame.adjacent(cur):
                 if w == goal:
                     return dist + 1
                 if w not in seen:
@@ -205,12 +219,12 @@ class IntervalGraph:
         Degrees are 1 or 2, so components are paths or cycles and a walk
         suffices.  A finite path with an even edge count is raised as a
         Finding rather than returned: it would contradict the structure
-        this graph is built to exhibit.  The walk runs on the keys of
-        _adjacency; points are built only for the returned view.
+        this graph is built to exhibit.  The walk runs on the keys of v's
+        frame; points are built only for the returned view.
         """
         self.check_vertex(v)
-        key_of, adjacent, vertex_of = self._adjacency(v)
-        return walk_component(key_of(v), adjacent, vertex_of, budget)
+        frame = self.frame(v)
+        return walk_component(frame, frame.key(v), budget)
 
     # ------------------------------------------------------------------
     # sampling
@@ -220,29 +234,19 @@ class IntervalGraph:
         num = rng.randint(0, den)
         return Fraction(num, den)
 
-    def extreme_vertices(self) -> list[GVertex]:
-        """The four vertices of degree one, one per side endpoint."""
-        return [
-            GVertex(Side.I, self.i_lo),
-            GVertex(Side.I, self.i_hi),
-            GVertex(Side.J, self.j_lo),
-            GVertex(Side.J, self.j_hi),
-        ]
-
 
 # ----------------------------------------------------------------------
 # the component walker
 
 
-def walk_component(
-    origin: Hashable, adjacent: Adjacent, vertex_of: VertexOf, budget: int
-) -> ComponentView:
+def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView:
     """Walk and classify the component of origin, whatever its keys are.
 
-    adjacent(key) lists (far key, labels) sorted by far point; the first
-    direction walked is the first edge at origin.  vertex_of turns a key
-    into its vertex, for the returned view and for error witnesses.
+    frame.adjacent(key) lists (far key, labels) sorted by far point; the
+    first direction walked is the first edge at origin.  frame.vertex turns
+    a key into its vertex, for the returned view and for error witnesses.
     """
+    adjacent, vertex_of = frame.adjacent, frame.vertex
     if budget <= 0:
         v = vertex_of(origin)
         return ComponentView("partial", (v,), (), 0, (v,), 0)
@@ -355,25 +359,9 @@ _MAPS = (
 )
 
 
-def _key_of(den: int, v: GVertex) -> Optional[tuple[int, int, int]]:
-    u, w = v.point.u, v.point.v
-    if den % u.denominator or den % w.denominator:
-        return None
-    return (
-        _SIDE_INDEX[v.side],
-        u.numerator * (den // u.denominator),
-        w.numerator * (den // w.denominator),
-    )
-
-
-def _vertex_of(den: int, key: tuple[int, int, int]) -> GVertex:
-    side, u, v = key
-    return GVertex(_SIDES[side], AlgebraicPoint(Fraction(u, den), Fraction(v, den)))
-
-
 def _integer_step(
-    sign: Callable[[int, int], int], den: int, key: tuple[int, int, int]
-) -> list[tuple[tuple[int, int, int], frozenset[Generator]]]:
+    sign: Callable[[int, int], int], den: int, key: Key
+) -> list[tuple[Key, frozenset[Generator]]]:
     """Adjacency on keys (side, U, V), side 0 for I and 1 for J.
 
     An I-vertex steps by each generator x -> a*x + 2b*alpha + 2c, a
@@ -383,7 +371,8 @@ def _integer_step(
     exact sign of U + V*alpha.
     """
     side, u, v = key
-    # the far interval is [s*alpha, 1 + s*alpha]: s = 1 for J, 0 for I
+    # the far interval is [s*alpha, 1 + s*alpha]: s = 1 for J, 0 for I.
+    # Frame.inside's test, inlined: a call per image costs about 7% here
     shift = den if side == 0 else 0
     found: dict[tuple[int, int], int] = {}
     for bit, a, c2, b2 in _MAPS[side]:

@@ -7,8 +7,8 @@ that a reduced element (with |b| smaller by one) sends y to, then close
 the gap from z to g(y) with a connector of at most two edges.  The
 connector is discovered by bounded search, never hard-coded, so a
 missing connector is a loud Finding rather than a silent wrong path.
-The construction runs on the integer keys of IntervalGraph._adjacency:
-a point is a pair (u, v) of ints for (u + v*alpha)/den, den fixed by y.
+The construction runs on the integer keys of y's frame (graph.Frame): a
+point is a pair (u, v) of ints for (u + v*alpha)/den, den fixed by y.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable
 
 from .algebra import ONE, ZERO, AlgebraicPoint, point
 from .errors import CONNECTOR_MISSING, EquigraphError, Finding
-from .graph import GVertex, IntervalGraph, Side
+from .graph import Frame, GVertex, IntervalGraph, Side
 from .group import GroupElement, apply, enumerate_ball, inverse
 
 THRESHOLDS = (point(0, 2), point(1, -2))  # 2*alpha, 1 - 2*alpha: the case splits
@@ -44,7 +42,11 @@ class CertifiedPath:
         return len(self.vertices) - 1
 
     def validate(self, graph: IntervalGraph) -> list[str]:
-        """Return a list of defects; empty means the certificate is good."""
+        """Return a list of defects; empty means the certificate is good.
+
+        A true edge joins points with equal denominators, so one frame over
+        every vertex's denominators decides every edge exactly.
+        """
         problems: list[str] = []
         first, last = self.vertices[0], self.vertices[-1]
         if first != GVertex(Side.I, self.anchor):
@@ -55,12 +57,12 @@ class CertifiedPath:
             expected = Side.I if k % 2 == 0 else Side.J
             if v.side is not expected:
                 problems.append(f"vertex {k} breaks I/J alternation")
-        for k in range(self.length):
-            v, w = self.vertices[k], self.vertices[k + 1]
-            graph.check_vertex(v)  # raises for v outside its side interval
-            key_of, adjacent, _ = graph._adjacency(v)
-            # a w off v's denominator has key None, which no edge carries
-            if key_of(w) not in [far for far, _labels in adjacent(key_of(v))]:
+        frame = graph.frame(*self.vertices)
+        keys = list(map(frame.key, self.vertices))
+        for k, v in enumerate(self.vertices[:-1]):
+            if not frame.inside(*keys[k]):  # graph.check_vertex, on keys
+                raise EquigraphError(f"{v.point} outside {v.side.value} interval")
+            if keys[k + 1] not in [far for far, _labels in frame.adjacent(keys[k])]:
                 problems.append(f"vertices {k} and {k + 1} are not adjacent")
         if self.length > 2 * abs(self.element.b):
             problems.append(
@@ -69,25 +71,8 @@ class CertifiedPath:
         return problems
 
 
-def _cleared(y: AlgebraicPoint) -> tuple[AlgebraicPoint, int, int, int]:
-    """(y, den, u, v) with den the lcm of y's denominators, as in _adjacency."""
-    ud, vd = y.u.denominator, y.v.denominator
-    den = lcm(ud, vd)
-    return y, den, y.u.numerator * den // ud, y.v.numerator * den // vd
-
-
-def _image(g: GroupElement, den: int, u: int, v: int) -> tuple[int, int]:
-    """apply(g, .) on (u, v): a*x + 2c + 2b*alpha."""
-    return g.a * u + 2 * g.c * den, g.a * v + 2 * g.b * den
-
-
-def _in_unit(sign: Callable[[int, int], int], den: int, u: int, v: int) -> bool:
-    """Whether (u, v) lies in [0, 1]; sign(u, v) is the exact sign of u + v*alpha."""
-    return sign(u, v) >= 0 and sign(den - u, -v) >= 0
-
-
 def _reduced_step(
-    sign: Callable[[int, int], int], den: int, g: GroupElement, u: int, v: int
+    frame: Frame, g: GroupElement, u: int, v: int
 ) -> tuple[tuple[int, int], GroupElement]:
     """Pick the intermediate z and the element sending y to z; g(y) is (u, v).
 
@@ -96,18 +81,18 @@ def _reduced_step(
     translate two units away is then forced, and still lowers |b|.
     """
     a, b, c = g.a, g.b, g.c
-    two = 2 * den
+    sign, den, two = frame.sign, frame.den, 2 * frame.den
     if b < 0:
         if sign(u - den, v + two) <= 0:  # g(y) <= 1 - 2*alpha
             return (u, v + two), GroupElement(a, b + 1, c)
         z = (two - u, -v - two)  # 2 - g(y) - 2*alpha
-        if _in_unit(sign, den, *z):
+        if frame.inside(0, *z):
             return z, GroupElement(-a, -(b + 1), 1 - c)
         return (u - two, v + two), GroupElement(a, b + 1, c - 1)
     if sign(-u, two - v) < 0:  # 2*alpha < g(y)
         return (u, v - two), GroupElement(a, b - 1, c)
     z = (-u, two - v)  # 2*alpha - g(y)
-    if _in_unit(sign, den, *z):
+    if frame.inside(0, *z):
         return z, GroupElement(-a, 1 - b, -c)
     return (u + two, v - two), GroupElement(a, b - 1, c + 1)
 
@@ -124,18 +109,18 @@ def build_path(
     """
     if not graph.ctx.in_interval(y, ZERO, ONE):
         raise EquigraphError(f"anchor {y} outside [0, 1]")
-    sign = graph.ctx.sign_scaled
-    _, adjacent, vertex_of = graph._adjacency(GVertex(Side.I, y))
-    _, den, yu, yv = _cleared(y)
+    frame = graph.frame(GVertex(Side.I, y))
+    adjacent, vertex_of = frame.adjacent, frame.vertex
+    _, yu, yv = frame.key(GVertex(Side.I, y))
     steps: list[tuple[GroupElement, tuple[int, int], tuple[int, int]]] = []
-    element, gy = g, _image(g, den, yu, yv)
+    element, gy = g, frame.image(g, yu, yv)
     while True:
-        if not _in_unit(sign, den, *gy):
+        if not frame.inside(0, *gy):
             raise EquigraphError(f"image {vertex_of((0, *gy)).point} outside [0, 1]")
         if element.b == 0:
             break
-        z, reduced = _reduced_step(sign, den, element, *gy)
-        if abs(reduced.b) != abs(element.b) - 1 or _image(reduced, den, yu, yv) != z:
+        z, reduced = _reduced_step(frame, element, *gy)
+        if abs(reduced.b) != abs(element.b) - 1 or frame.image(reduced, yu, yv) != z:
             raise EquigraphError(
                 f"reduction of {element} produced inconsistent step {reduced}"
             )  # pragma: no cover - construction is checked by tests
@@ -197,14 +182,24 @@ def verify_lemma(
     the 2|b| bound.  Violations are collected with full witnesses rather
     than raised, so one failure does not hide the rest of the sweep.
     """
-    sign = graph.ctx.sign_scaled
     elements = sorted(enumerate_ball(ball_radius))
     rng = random.Random(seed)
     base: list[AlgebraicPoint] = [ZERO, ONE]
     while len(base) < max(n_samples, 2):
         base.append(point(graph.sample_unit_rational(rng)))
+
+    def screened(anchors: list[AlgebraicPoint]) -> list[tuple]:
+        """(y, frame, u, v) for each anchor y in [0, 1], over y's denominators."""
+        out = []
+        for y in anchors:
+            frame = graph.frame(GVertex(Side.I, y))
+            side, u, v = frame.key(GVertex(Side.I, y))
+            if frame.inside(side, u, v):
+                out.append((y, frame, u, v))
+        return out
+
     # 0, 1 and the samples lie in [0, 1] already; test them once, not per element
-    base_anchors = [t for t in map(_cleared, base) if _in_unit(sign, *t[1:])]
+    base_anchors = screened(base)
 
     checks = 0
     elements_checked = 0
@@ -212,20 +207,19 @@ def verify_lemma(
     max_len_by_b: dict[int, int] = {}
     violations: list[dict] = []
     for g in elements:
-        thresholds = map(_cleared, _threshold_anchors(g, Fraction(1, 1000)))
-        anchors = base_anchors + [t for t in thresholds if _in_unit(sign, *t[1:])]
+        thresholds = _threshold_anchors(g, Fraction(1, 1000))
+        anchors = base_anchors + screened(thresholds)
         bound = 2 * abs(g.b)
         hit = False
-        for y, den, u, v in anchors:
-            gu, gv = _image(g, den, u, v)
-            if not _in_unit(sign, den, gu, gv):
-                continue  # screened on ints; the point g(y) is built past here
-            gy = AlgebraicPoint(Fraction(gu, den), Fraction(gv, den))
+        for y, frame, u, v in anchors:
+            gu, gv = frame.image(g, u, v)
+            if not frame.inside(0, gu, gv):
+                continue  # screened on ints; the vertex g(y) is built past here
             hit = True
             checks += 1
             witness = {"element": [g.a, g.b, g.c], "anchor": str(y), "bound": bound}
             dist = graph.bfs_distance(
-                GVertex(Side.I, y), GVertex(Side.I, gy), bfs_budget
+                GVertex(Side.I, y), frame.vertex((0, gu, gv)), bfs_budget
             )
             if dist is None or dist > bound:
                 violations.append(

@@ -11,7 +11,6 @@ import random
 import re
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -31,6 +30,7 @@ from equigraph.pathcert import verify_lemma
 from conftest import ALL_ALPHAS
 from oracles import facing_pairs_bruteforce
 from test_dynamics import compute_S
+from test_graph import extreme_vertices
 
 K_VALUES = (3, 5, 7, 9)
 SUITE_WINDOW = 200
@@ -70,7 +70,7 @@ def test_criterion_1_degree_one_set(capsys):
     ok = True
     for spec in ALL_ALPHAS:
         g = IntervalGraph(AlphaContext(spec))
-        extremes = g.extreme_vertices()
+        extremes = extreme_vertices(g)
         ok &= [(v.side, v.point) for v in extremes] == [
             (Side.I, ZERO),
             (Side.I, ONE),
@@ -193,7 +193,7 @@ def test_criterion_6_facing_pairs_vs_bruteforce(capsys):
 def test_criterion_7_no_even_path_components(capsys, graph, monkeypatch, tmp_path):
     kinds = {"partial": 0, "even_cycle": 0, "finite_path": 0}
     ok = True
-    origins = list(graph.extreme_vertices())
+    origins = list(extreme_vertices(graph))
     origins.append(graph.vertex(Side.I, point(Fraction(1, 2))))
     rng = random.Random(77)
     for _ in range(4):

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from equigraph.cli import (
-    DEFAULTS,
     load_config,
     main,
     parse_alpha_spec,

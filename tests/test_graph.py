@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,10 +29,27 @@ from oracles import (
 TWO_ALPHA = ALPHA.scale(2)
 
 
+def extreme_vertices(graph: IntervalGraph) -> list[GVertex]:
+    """The four vertices of degree one, one per side endpoint."""
+    return [
+        GVertex(Side.I, graph.i_lo),
+        GVertex(Side.I, graph.i_hi),
+        GVertex(Side.J, graph.j_lo),
+        GVertex(Side.J, graph.j_hi),
+    ]
+
+
+def other_end(edge: GEdge, v: GVertex) -> GVertex:
+    """The end of edge that is not v."""
+    if v.side is Side.I:
+        return GVertex(Side.J, edge.j_point)
+    return GVertex(Side.I, edge.i_point)
+
+
 def test_degree_one_exactly_at_extremes():
     for spec in ALL_ALPHAS:
         g = IntervalGraph(AlphaContext(spec))
-        extremes = g.extreme_vertices()
+        extremes = extreme_vertices(g)
         assert [(v.side, v.point) for v in extremes] == [
             (Side.I, ZERO),
             (Side.I, ONE),
@@ -98,6 +116,34 @@ def test_bfs_distances(graph):
     assert graph.bfs_distance(origin, other, 30) is None
     with pytest.raises(EquigraphError, match="budget must be positive"):
         graph.bfs_distance(origin, other, 0)
+
+
+def test_bfs_off_origin_denominators_expands_nothing(graph, monkeypatch):
+    # every vertex of a component has its origin's denominators, so a goal
+    # off them is unreachable before any expansion
+    calls = []
+    make_frame = IntervalGraph.frame
+
+    def spied(self, *vertices):
+        frame = make_frame(self, *vertices)
+        adjacent = frame.adjacent
+
+        def spy(key):
+            calls.append(key)
+            return adjacent(key)
+
+        frame.adjacent = spy
+        return frame
+
+    monkeypatch.setattr(IntervalGraph, "frame", spied)
+    origin = graph.vertex(Side.I, point(Fraction(1, 2)))
+    third = graph.vertex(Side.I, point(Fraction(1, 3)))
+    assert graph.bfs_distance(origin, third, 10_000) is None
+    assert calls == []
+    # a goal on the origin's denominators is searched for, through the spy
+    zero = graph.vertex(Side.I, ZERO)
+    assert graph.bfs_distance(origin, zero, 10) is None
+    assert len(calls) == 10
 
 
 def test_bfs_against_decimal_oracle(graph):
@@ -177,7 +223,7 @@ def test_explore_partial_and_centered(graph):
     for a, b in zip(view.visited, view.visited[1:]):
         assert a.side != b.side
     for k, e in enumerate(view.edges):
-        assert e.other(view.visited[k]) == view.visited[k + 1]
+        assert other_end(e, view.visited[k]) == view.visited[k + 1]
 
 
 def test_explore_budget_zero(graph):
@@ -307,11 +353,12 @@ class _FakeGraph(IntervalGraph):
     def check_vertex(self, v):
         return None
 
-    def _adjacency(self, v):
+    def frame(self, *vertices):
+        # the keys are the vertices themselves
         def adjacent(w):
-            return [(e.other(w), e.labels) for e in self._adj.get(w, ())]
+            return [(other_end(e, w), e.labels) for e in self._adj.get(w, ())]
 
-        return (lambda w: w), adjacent, (lambda w: w)
+        return SimpleNamespace(key=lambda w: w, adjacent=adjacent, vertex=lambda w: w)
 
 
 def _make_edge(a: GVertex, b: GVertex) -> GEdge:
@@ -372,7 +419,7 @@ def test_fake_even_cycle_classified(ctx):
     assert len(set(view.visited)) == 6
     n = len(view.visited)
     for k, e in enumerate(view.edges):
-        assert e.other(view.visited[k]) == view.visited[(k + 1) % n]
+        assert other_end(e, view.visited[k]) == view.visited[(k + 1) % n]
 
 
 def test_fake_even_cycle_stitched_from_both_directions(ctx):
@@ -386,7 +433,7 @@ def test_fake_even_cycle_stitched_from_both_directions(ctx):
     assert len(set(view.visited)) == 8
     n = len(view.visited)
     for k, e in enumerate(view.edges):
-        assert e.other(view.visited[k]) == view.visited[(k + 1) % n]
+        assert other_end(e, view.visited[k]) == view.visited[(k + 1) % n]
 
 
 def test_fake_odd_closure_is_structural_error(ctx):

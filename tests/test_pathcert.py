@@ -104,13 +104,15 @@ def test_wide_alpha_fallback_cases(golden_graph):
 class _SparseGraph(IntervalGraph):
     """The graph without its translation-only edges: some connectors go missing."""
 
-    def _adjacency(self, v):
-        key_of, adjacent, vertex_of = super()._adjacency(v)
+    def frame(self, *vertices):
+        frame = super().frame(*vertices)
+        adjacent = frame.adjacent
 
         def sparse(key):
             return [(far, gens) for far, gens in adjacent(key) if gens != {Generator.T}]
 
-        return key_of, sparse, vertex_of
+        frame.adjacent = sparse
+        return frame
 
 
 def _outcome(build, graph, g, y):
@@ -221,6 +223,22 @@ def test_validate_flags_tampering(graph):
     )
     with pytest.raises(EquigraphError, match="^3 outside J interval$"):
         outside.validate(graph)
+
+
+def test_validate_builds_one_frame_per_certificate(graph, monkeypatch):
+    calls = []
+    make_frame = IntervalGraph.frame
+
+    def counted(self, *vertices):
+        calls.append(vertices)
+        return make_frame(self, *vertices)
+
+    monkeypatch.setattr(IntervalGraph, "frame", counted)
+    for g, y in [(T, ZERO), (GroupElement(1, 3, -1), point(Fraction(1, 10)))]:
+        cert = build_path(graph, g, y)
+        calls.clear()
+        assert cert.validate(graph) == []
+        assert calls == [cert.vertices]
 
 
 def test_sweep_small_radius_frozen(graph):

@@ -2,9 +2,11 @@
 
 A deleted or renamed function would otherwise blank a per-layer metric
 (the tracer reports it only as `not_traced`) or leave README's example
-and the package's `__all__` pointing at nothing.
+and the package's `__all__` pointing at nothing.  Nor does any module
+import a name it never reads.
 """
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -53,6 +55,37 @@ def test_tracer_targets_and_exports_resolve(fresh_equigraph):
     assert tracer.missing == set()
     for name in fresh_equigraph.__all__:
         assert hasattr(fresh_equigraph, name), name
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Module-level imports of path that the module never reads."""
+    tree = ast.parse(path.read_text())
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:  # a name listed in __all__ is read by its importers
+        if isinstance(node, ast.Assign) and "__all__" in [
+            getattr(target, "id", None) for target in node.targets
+        ]:
+            read.update(ast.literal_eval(node.value))
+    unread = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unread.append(f"{path.relative_to(ROOT)}: {name}")
+    return unread
+
+
+def test_module_level_imports_are_read():
+    files = sorted((ROOT / "src" / "equigraph").glob("*.py"))
+    files += sorted((ROOT / "tests").glob("*.py"))
+    assert [name for path in files for name in _unread_imports(path)] == []
 
 
 def test_readme_library_example_runs():
