@@ -29,7 +29,7 @@ from .group import (
     enumerate_ball,
     inverse,
 )
-from .graph import GEdge, GVertex, IntervalGraph, Side
+from .graph import GVertex, IntervalGraph, Side
 from .pathcert import CertifiedPath, build_path, verify_lemma
 from .dynamics import (
     KMatching,
@@ -55,7 +55,6 @@ __all__ = [
     "CertifiedPath",
     "EquigraphError",
     "Finding",
-    "GEdge",
     "GVertex",
     "Generator",
     "GroupElement",

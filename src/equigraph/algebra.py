@@ -55,13 +55,6 @@ class AlgebraicPoint:
     def __sub__(self, other: "AlgebraicPoint") -> "AlgebraicPoint":
         return AlgebraicPoint(self.u - other.u, self.v - other.v)
 
-    def __neg__(self) -> "AlgebraicPoint":
-        return AlgebraicPoint(-self.u, -self.v)
-
-    def scale(self, factor: RationalLike) -> "AlgebraicPoint":
-        f = Fraction(factor)
-        return AlgebraicPoint(self.u * f, self.v * f)
-
     def __str__(self) -> str:
         if self.v == 0:
             return str(self.u)

@@ -119,8 +119,6 @@ def _typed_config(raw: dict) -> RunConfig:
         k_values = tuple(int(x) for x in raw["k_values"].split(","))
     except ValueError as exc:
         raise ConfigError(f"k_values must be integers: {raw['k_values']!r}") from exc
-    if not k_values:
-        raise ConfigError("k_values must not be empty")
     for k in k_values:
         if k <= 0 or k % 2 == 0:
             raise ConfigError(f"every K must be an odd positive integer, got {k}")
@@ -465,8 +463,8 @@ def render_figure(ctx: AlphaContext) -> str:
             f'<text x="{x_pos}" y="{y_pos}" font-size="15" '
             f'font-family="monospace" fill="#222222" text-anchor="middle">{text}</text>'
         )
-    j_lo_f = ctx.to_float(ALPHA)
-    for j_val, text in ((j_lo_f, "a"), (j_top, "1+a")):
+    j_bottom = ctx.to_float(ALPHA)
+    for j_val, text in ((j_bottom, "a"), (j_top, "1+a")):
         lines.append(
             f'<text x="{margin - 14:.6f}" y="{sy(j_val)}" font-size="15" '
             f'font-family="monospace" fill="#222222" text-anchor="end">{text}</text>'

@@ -33,9 +33,6 @@ from .group import (
 
 SAMPLE_DENOMINATOR = 10**6
 
-_GEN_ORDER = {gen: i for i, gen in enumerate(Generator)}
-
-
 class Side(Enum):
     I = "I"
     J = "J"
@@ -48,41 +45,30 @@ class GVertex:
 
 
 @dataclass(frozen=True)
-class GEdge:
-    """One edge; labels is the full set of generators realizing it."""
-
-    i_point: AlgebraicPoint
-    j_point: AlgebraicPoint
-    labels: frozenset[Generator]
-
-    def canonical_label(self) -> Generator:
-        return min(self.labels, key=_GEN_ORDER.__getitem__)
-
-
-@dataclass(frozen=True)
 class ComponentView:
     """Result of walking a component from an origin vertex.
 
-    visited is in path order (cycle order for cycles) and edges[k] joins
-    visited[k] to visited[k+1]; for cycles the last edge wraps around to
-    visited[0].  kind is "even_cycle", "finite_path", or "partial"; a
-    partial view carries the unexpanded frontier tips.
+    visited is in path order (cycle order for cycles) and labels[k] is the
+    generator set of the edge from visited[k] to visited[k+1]; for cycles
+    the last edge wraps around to visited[0].  kind is "even_cycle",
+    "finite_path", or "partial"; a partial view carries the unexpanded
+    frontier tips.
     """
 
     kind: str
     visited: tuple[GVertex, ...]
-    edges: tuple[GEdge, ...]
+    labels: tuple[frozenset[Generator], ...]
     origin_index: int
     frontier: tuple[GVertex, ...]
     budget_used: int
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.labels)
 
     @property
     def cycle_length(self) -> Optional[int]:
-        return len(self.edges) if self.kind == "even_cycle" else None
+        return len(self.labels) if self.kind == "even_cycle" else None
 
     def to_record(self) -> dict:
         rec = {
@@ -137,6 +123,12 @@ class Frame:
         sign, den, shift = self.sign, self.den, side * self.den
         return sign(u, v - shift) >= 0 and sign(den - u, shift - v) >= 0
 
+    def check(self, key: Key) -> None:
+        """Raise unless key's vertex lies in its side's interval."""
+        if not self.inside(*key):
+            v = self.vertex(key)
+            raise EquigraphError(f"{v.point} outside {v.side.value} interval")
+
     def image(self, g: GroupElement, u: int, v: int) -> tuple[int, int]:
         """apply(g, .) on (u, v): a*x + 2c + 2b*alpha."""
         return g.a * u + 2 * g.c * self.den, g.a * v + 2 * g.b * self.den
@@ -147,16 +139,13 @@ class IntervalGraph:
 
     def __init__(self, ctx: AlphaContext):
         self.ctx = ctx
-        self.i_lo, self.i_hi = ZERO, ONE
-        self.j_lo, self.j_hi = ALPHA, ONE + ALPHA
 
     # ------------------------------------------------------------------
     # vertices and adjacency
 
     def check_vertex(self, v: GVertex) -> None:
-        lo, hi = (self.i_lo, self.i_hi) if v.side is Side.I else (self.j_lo, self.j_hi)
-        if not self.ctx.in_interval(v.point, lo, hi):
-            raise EquigraphError(f"{v.point} outside {v.side.value} interval")
+        frame = self.frame(v)
+        frame.check(frame.key(v))
 
     def vertex(self, side: Side, pt: AlgebraicPoint) -> GVertex:
         v = GVertex(side, pt)
@@ -168,12 +157,12 @@ class IntervalGraph:
         den = lcm(*(x.denominator for v in vertices for x in (v.point.u, v.point.v)))
         return Frame(self.ctx.sign_scaled, den)
 
-    def neighbors(self, v: GVertex) -> list[GEdge]:
-        """Edges at v, deduplicated by far point, sorted by far point."""
-        self.check_vertex(v)
+    def neighbors(self, v: GVertex) -> list[tuple[GVertex, frozenset[Generator]]]:
+        """(far vertex, labels) of each edge at v, sorted by far point."""
         frame = self.frame(v)
-        edges = frame.adjacent(frame.key(v))
-        return [_edge(v, frame.vertex(far), labels) for far, labels in edges]
+        key = frame.key(v)
+        frame.check(key)
+        return [(frame.vertex(far), labels) for far, labels in frame.adjacent(key)]
 
     def degree(self, v: GVertex) -> int:
         return len(self.neighbors(v))
@@ -187,14 +176,17 @@ class IntervalGraph:
         budget bounds the number of expanded vertices; exhaustion and
         true unreachability both surface as None.
         """
-        self.check_vertex(u)
-        self.check_vertex(v)
+        frame = self.frame(u)
+        start, goal = frame.key(u), frame.key(v)
+        frame.check(start)
+        if goal is None:
+            self.check_vertex(v)
+        else:
+            frame.check(goal)
         if budget <= 0:
             raise EquigraphError(f"budget must be positive, got {budget}")
         if u == v:
             return 0
-        frame = self.frame(u)
-        start, goal = frame.key(u), frame.key(v)
         if goal is None:
             return None  # off u's denominators, so off u's component
         seen = {start}
@@ -222,9 +214,10 @@ class IntervalGraph:
         this graph is built to exhibit.  The walk runs on the keys of v's
         frame; points are built only for the returned view.
         """
-        self.check_vertex(v)
         frame = self.frame(v)
-        return walk_component(frame, frame.key(v), budget)
+        key = frame.key(v)
+        frame.check(key)
+        return walk_component(frame, key, budget)
 
     # ------------------------------------------------------------------
     # sampling
@@ -318,20 +311,10 @@ def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView
                 "endpoints": [vertex_record(visited[0]), vertex_record(visited[-1])],
             },
         )
-    # edges[k] joins visited[k] to visited[k+1]; a cycle's last edge wraps
-    n = len(visited)
-    edges = tuple(
-        _edge(visited[k], visited[(k + 1) % n], labels)
-        for k, labels in enumerate(chain_labels)
-    )
     tips = tuple(map(vertex_of, frontier)) if kind == "partial" else ()
-    return ComponentView(kind, visited, edges, chain.index(origin), tips, expanded)
-
-
-def _edge(a: GVertex, b: GVertex, labels: frozenset[Generator]) -> GEdge:
-    if a.side is Side.I:
-        return GEdge(a.point, b.point, labels)
-    return GEdge(b.point, a.point, labels)
+    return ComponentView(
+        kind, visited, tuple(chain_labels), chain.index(origin), tips, expanded
+    )
 
 
 # ----------------------------------------------------------------------
@@ -397,8 +380,8 @@ def _integer_step(
 def chain_element(view: ComponentView, i: int, j: int) -> GroupElement:
     """Element mapping visited[i]'s point to visited[j]'s point.
 
-    Composes canonical edge labels along the chain; requires indices into
-    the non-wrapping part of the view.
+    Composes, along the chain, each edge's lowest label in Generator order;
+    requires indices into the non-wrapping part of the view.
     """
     n = len(view.visited)
     if not (0 <= i < n and 0 <= j < n):
@@ -408,8 +391,8 @@ def chain_element(view: ComponentView, i: int, j: int) -> GroupElement:
     pos = i
     while pos != j:
         nxt = pos + step
-        edge = view.edges[min(pos, nxt)]
-        el = GENERATOR_ELEMENTS[edge.canonical_label()]
+        labels = view.labels[min(pos, nxt)]
+        el = GENERATOR_ELEMENTS[next(gen for gen in Generator if gen in labels)]
         src = view.visited[pos]
         if src.side is Side.I:
             acc = compose(el, acc)  # I -> J applies the label
@@ -429,11 +412,10 @@ def generator_domain(
     """The closed subinterval of [0, 1] that gen maps into [alpha, 1+alpha]."""
     el = GENERATOR_ELEMENTS[gen]
     shift = AlgebraicPoint(2 * el.c, 2 * el.b)
-    j_lo, j_hi = ALPHA, ONE + ALPHA
     if el.a == 1:
-        lo, hi = j_lo - shift, j_hi - shift
+        lo, hi = ALPHA - shift, ONE + ALPHA - shift
     else:
-        lo, hi = shift - j_hi, shift - j_lo
+        lo, hi = shift - ONE - ALPHA, shift - ALPHA
     if ctx.compare(lo, ZERO) < 0:
         lo = ZERO
     if ctx.compare(ONE, hi) < 0:

@@ -59,9 +59,8 @@ class CertifiedPath:
                 problems.append(f"vertex {k} breaks I/J alternation")
         frame = graph.frame(*self.vertices)
         keys = list(map(frame.key, self.vertices))
-        for k, v in enumerate(self.vertices[:-1]):
-            if not frame.inside(*keys[k]):  # graph.check_vertex, on keys
-                raise EquigraphError(f"{v.point} outside {v.side.value} interval")
+        for k in range(len(keys) - 1):
+            frame.check(keys[k])
             if keys[k + 1] not in [far for far, _labels in frame.adjacent(keys[k])]:
                 problems.append(f"vertices {k} and {k + 1} are not adjacent")
         if self.length > 2 * abs(self.element.b):
@@ -107,11 +106,11 @@ def build_path(
     (I, y) outwards; nothing here depends on the recursion limit.
     Points are built only for the returned certificate and for errors.
     """
-    if not graph.ctx.in_interval(y, ZERO, ONE):
-        raise EquigraphError(f"anchor {y} outside [0, 1]")
     frame = graph.frame(GVertex(Side.I, y))
     adjacent, vertex_of = frame.adjacent, frame.vertex
     _, yu, yv = frame.key(GVertex(Side.I, y))
+    if not frame.inside(0, yu, yv):
+        raise EquigraphError(f"anchor {y} outside [0, 1]")
     steps: list[tuple[GroupElement, tuple[int, int], tuple[int, int]]] = []
     element, gy = g, frame.image(g, yu, yv)
     while True:

@@ -289,11 +289,11 @@ def _connector(
     if z == gy:
         return []
     shared = None
-    z_edges = {e.j_point: e for e in graph.neighbors(GVertex(Side.I, z))}
-    for e in graph.neighbors(GVertex(Side.I, gy)):
-        if e.j_point in z_edges:
-            if shared is None or graph.ctx.compare(e.j_point, shared) < 0:
-                shared = e.j_point
+    z_far = {far.point for far, _labels in graph.neighbors(GVertex(Side.I, z))}
+    for far, _labels in graph.neighbors(GVertex(Side.I, gy)):
+        if far.point in z_far:
+            if shared is None or graph.ctx.compare(far.point, shared) < 0:
+                shared = far.point
     if shared is None:
         return None
     return [GVertex(Side.J, shared), GVertex(Side.I, gy)]

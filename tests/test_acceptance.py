@@ -70,7 +70,7 @@ def test_criterion_1_degree_one_set(capsys):
     ok = True
     for spec in ALL_ALPHAS:
         g = IntervalGraph(AlphaContext(spec))
-        extremes = extreme_vertices(g)
+        extremes = extreme_vertices()
         ok &= [(v.side, v.point) for v in extremes] == [
             (Side.I, ZERO),
             (Side.I, ONE),
@@ -193,7 +193,7 @@ def test_criterion_6_facing_pairs_vs_bruteforce(capsys):
 def test_criterion_7_no_even_path_components(capsys, graph, monkeypatch, tmp_path):
     kinds = {"partial": 0, "even_cycle": 0, "finite_path": 0}
     ok = True
-    origins = list(extreme_vertices(graph))
+    origins = extreme_vertices()
     origins.append(graph.vertex(Side.I, point(Fraction(1, 2))))
     rng = random.Random(77)
     for _ in range(4):
@@ -231,7 +231,7 @@ def test_criterion_7_no_even_path_components(capsys, graph, monkeypatch, tmp_pat
 
 def test_criterion_8_edge_polygon_figure(capsys):
     expected_corners = [
-        (ZERO, ALPHA.scale(2)),
+        (ZERO, point(0, 2)),
         (ONE - ALPHA, ONE + ALPHA),
         (ONE, ONE),
         (ALPHA, ALPHA),

@@ -1,4 +1,4 @@
-"""Byte-for-byte regression of the walk, lemma-sweep and dynamics outputs.
+"""Byte-for-byte regression of the walk, lemma-sweep, dynamics and figure outputs.
 
 Outputs echo their output directory, so every run happens inside a fresh
 temporary directory with a relative --out, which keeps the bytes the
@@ -69,6 +69,12 @@ GOLDEN = {
         "1da520c8d35a8ebaab3baf2efa0a0413f5f9cb76cea0d9afb0627e1339730d1c",
     ("phi", "dynamics", "trace_K9.csv"):
         "5e45d38730dbf63f1bfebdc0dfdc5d29331b3ca33774a3fa55a67b9ab376eb65",
+    ("sqrt2", "figure", "figure.svg"):
+        "ace5d0ab13a8a04eec001d11adfe851cf4462decd189b05b7c7e826e3e074026",
+    ("sqrt3", "figure", "figure.svg"):
+        "042055a44a903bf9fe625c3f0f055b1131ac8f81948bb8e16880b0aa4ccb56a1",
+    ("phi", "figure", "figure.svg"):
+        "1bcd1d965088114cf88201ea35109b3a521221821815a2b5b973ae0b26e8ecd0",
 }
 
 COMMANDS = {
@@ -76,6 +82,7 @@ COMMANDS = {
     "explore-J": ["explore", "--point", "0,1", "--side", "J"],
     "verify-lemma": ["verify-lemma"],
     "dynamics": ["dynamics"],
+    "figure": ["figure"],
 }
 
 

@@ -7,7 +7,6 @@ import pytest
 from equigraph.algebra import ALPHA, ONE, ZERO, AlphaContext, point
 from equigraph.errors import EVEN_PATH_COMPONENT, EquigraphError, Finding
 from equigraph.graph import (
-    GEdge,
     GVertex,
     IntervalGraph,
     Side,
@@ -16,7 +15,7 @@ from equigraph.graph import (
     generator_domain,
     vertex_record,
 )
-from equigraph.group import Generator, IDENTITY, apply, inverse
+from equigraph.group import GENERATOR_ELEMENTS, Generator, IDENTITY, apply, inverse
 
 from conftest import ALL_ALPHAS, KERNEL_ALPHAS
 from oracles import (
@@ -26,30 +25,23 @@ from oracles import (
     point_decimal,
 )
 
-TWO_ALPHA = ALPHA.scale(2)
+TWO_ALPHA = point(0, 2)
 
 
-def extreme_vertices(graph: IntervalGraph) -> list[GVertex]:
+def extreme_vertices() -> list[GVertex]:
     """The four vertices of degree one, one per side endpoint."""
     return [
-        GVertex(Side.I, graph.i_lo),
-        GVertex(Side.I, graph.i_hi),
-        GVertex(Side.J, graph.j_lo),
-        GVertex(Side.J, graph.j_hi),
+        GVertex(Side.I, ZERO),
+        GVertex(Side.I, ONE),
+        GVertex(Side.J, ALPHA),
+        GVertex(Side.J, ONE + ALPHA),
     ]
-
-
-def other_end(edge: GEdge, v: GVertex) -> GVertex:
-    """The end of edge that is not v."""
-    if v.side is Side.I:
-        return GVertex(Side.J, edge.j_point)
-    return GVertex(Side.I, edge.i_point)
 
 
 def test_degree_one_exactly_at_extremes():
     for spec in ALL_ALPHAS:
         g = IntervalGraph(AlphaContext(spec))
-        extremes = extreme_vertices(g)
+        extremes = extreme_vertices()
         assert [(v.side, v.point) for v in extremes] == [
             (Side.I, ZERO),
             (Side.I, ONE),
@@ -70,20 +62,25 @@ def test_degree_one_exactly_at_extremes():
 def test_neighbors_of_interior_point(graph):
     v = graph.vertex(Side.I, point(Fraction(1, 2)))
     edges = graph.neighbors(v)
-    assert [e.j_point for e in edges] == [
-        point(Fraction(1, 2)),
-        point(Fraction(1, 2)) + TWO_ALPHA,
+    assert [far for far, _labels in edges] == [
+        GVertex(Side.J, point(Fraction(1, 2))),
+        GVertex(Side.J, point(Fraction(1, 2)) + TWO_ALPHA),
     ]
-    assert [sorted(x.value for x in e.labels) for e in edges] == [["Id"], ["T"]]
+    assert [sorted(x.value for x in labels) for _, labels in edges] == [["Id"], ["T"]]
 
 
 def test_neighbors_merge_coinciding_images(graph):
     # at y = 0 the T and R2a images coincide at 2a: one edge, two labels
-    edges = graph.neighbors(graph.vertex(Side.I, ZERO))
+    origin = graph.vertex(Side.I, ZERO)
+    edges = graph.neighbors(origin)
     assert len(edges) == 1
-    assert edges[0].j_point == TWO_ALPHA
-    assert edges[0].labels == frozenset({Generator.T, Generator.R2A})
-    assert edges[0].canonical_label() == Generator.T
+    far, labels = edges[0]
+    assert far.point == TWO_ALPHA
+    assert labels == frozenset({Generator.T, Generator.R2A})
+    # a chain crosses a merged edge by its lowest label in Generator order
+    view = graph.explore_component(origin, 4)
+    o = view.origin_index
+    assert chain_element(view, o, o + 1) == GENERATOR_ELEMENTS[Generator.T]
 
 
 def test_neighbors_match_decimal_oracle(graph):
@@ -92,15 +89,15 @@ def test_neighbors_match_decimal_oracle(graph):
     for _ in range(25):
         y = Fraction(rng.randint(1, 999), 1000)
         got = {
-            (e.j_point.u, e.j_point.v)
-            for e in graph.neighbors(graph.vertex(Side.I, point(y)))
+            (far.point.u, far.point.v)
+            for far, _ in graph.neighbors(graph.vertex(Side.I, point(y)))
         }
         want = {far for _, far in oracle_neighbors(alpha, "I", (y, Fraction(0)))}
         assert got == want
         vq = point(y) + ALPHA
         got_j = {
-            (e.i_point.u, e.i_point.v)
-            for e in graph.neighbors(GVertex(Side.J, vq))
+            (far.point.u, far.point.v)
+            for far, _ in graph.neighbors(GVertex(Side.J, vq))
         }
         want_j = {far for _, far in oracle_neighbors(alpha, "J", (vq.u, vq.v))}
         assert got_j == want_j
@@ -116,6 +113,35 @@ def test_bfs_distances(graph):
     assert graph.bfs_distance(origin, other, 30) is None
     with pytest.raises(EquigraphError, match="budget must be positive"):
         graph.bfs_distance(origin, other, 0)
+
+
+def test_bfs_checks_origin_then_goal_then_budget(graph):
+    half = graph.vertex(Side.I, point(Fraction(1, 2)))
+    third = GVertex(Side.I, point(Fraction(1, 3)))  # off half's denominators
+    with pytest.raises(EquigraphError, match="^2 outside I interval$"):
+        graph.bfs_distance(GVertex(Side.I, point(2)), GVertex(Side.J, ZERO), 0)
+    with pytest.raises(EquigraphError, match="^0 outside J interval$"):
+        graph.bfs_distance(half, GVertex(Side.J, ZERO), 0)
+    # a goal off the origin's frame still gets its own interval check
+    with pytest.raises(EquigraphError, match="^1/3 outside J interval$"):
+        graph.bfs_distance(half, GVertex(Side.J, point(Fraction(1, 3))), 0)
+    with pytest.raises(EquigraphError, match="^budget must be positive, got 0$"):
+        graph.bfs_distance(half, third, 0)
+
+
+def test_bfs_builds_one_frame_for_a_goal_on_the_origin_frame(graph, monkeypatch):
+    frames = []
+    make_frame = IntervalGraph.frame
+
+    def counted(self, *vertices):
+        frames.append(vertices)
+        return make_frame(self, *vertices)
+
+    origin = graph.vertex(Side.I, ZERO)
+    goal = graph.vertex(Side.I, TWO_ALPHA)
+    monkeypatch.setattr(IntervalGraph, "frame", counted)
+    assert graph.bfs_distance(origin, goal, 100) == 2
+    assert frames == [(origin,)]
 
 
 def test_bfs_off_origin_denominators_expands_nothing(graph, monkeypatch):
@@ -209,6 +235,13 @@ def test_vertex_range_checked(graph):
         graph.vertex(Side.I, ZERO - ALPHA)
 
 
+def test_neighbors_and_walks_check_their_vertex(graph):
+    with pytest.raises(EquigraphError, match="^2 outside I interval$"):
+        graph.neighbors(GVertex(Side.I, point(2)))
+    with pytest.raises(EquigraphError, match="^0 outside J interval$"):
+        graph.explore_component(GVertex(Side.J, ZERO), 10)
+
+
 def test_explore_partial_and_centered(graph):
     v = graph.vertex(Side.I, point(Fraction(1, 2)))
     view = graph.explore_component(v, 64)
@@ -219,11 +252,13 @@ def test_explore_partial_and_centered(graph):
     assert len(view.frontier) == 2
     rec = view.to_record()
     assert rec["kind"] == "partial" and rec["size"] == 66
-    # the chain alternates sides, and edges[k] joins visited[k], visited[k+1]
+    # the chain alternates sides, and labels[k] are the generators of the
+    # edge that neighbors() gives from visited[k] to visited[k+1]
     for a, b in zip(view.visited, view.visited[1:]):
         assert a.side != b.side
-    for k, e in enumerate(view.edges):
-        assert other_end(e, view.visited[k]) == view.visited[k + 1]
+    assert len(view.labels) == len(view.visited) - 1
+    for k, labels in enumerate(view.labels):
+        assert dict(graph.neighbors(view.visited[k]))[view.visited[k + 1]] == labels
 
 
 def test_explore_budget_zero(graph):
@@ -348,23 +383,16 @@ class _FakeGraph(IntervalGraph):
 
     def __init__(self, ctx, adjacency):
         super().__init__(ctx)
-        self._adj = adjacency
-
-    def check_vertex(self, v):
-        return None
+        self._adj = adjacency  # vertex -> far vertices, every edge labelled Id
 
     def frame(self, *vertices):
-        # the keys are the vertices themselves
+        # the keys are the vertices themselves, and every one passes check
         def adjacent(w):
-            return [(other_end(e, w), e.labels) for e in self._adj.get(w, ())]
+            return [(far, frozenset({Generator.ID})) for far in self._adj.get(w, ())]
 
-        return SimpleNamespace(key=lambda w: w, adjacent=adjacent, vertex=lambda w: w)
-
-
-def _make_edge(a: GVertex, b: GVertex) -> GEdge:
-    ip = a.point if a.side is Side.I else b.point
-    jp = a.point if a.side is Side.J else b.point
-    return GEdge(ip, jp, frozenset({Generator.ID}))
+        return SimpleNamespace(
+            key=lambda w: w, check=lambda w: None, adjacent=adjacent, vertex=lambda w: w
+        )
 
 
 def _chain_graph(ctx, n_vertices, close_cycle=False):
@@ -374,15 +402,13 @@ def _chain_graph(ctx, n_vertices, close_cycle=False):
         pt = point(Fraction(k, 100))
         side = Side.I if k % 2 == 0 else Side.J
         vertices.append(GVertex(side, pt if side is Side.I else pt + ALPHA))
-    edges = [_make_edge(vertices[k], vertices[k + 1]) for k in range(n_vertices - 1)]
     adj = {v: [] for v in vertices}
-    for k, e in enumerate(edges):
-        adj[vertices[k]].append(e)
-        adj[vertices[k + 1]].append(e)
+    for a, b in zip(vertices, vertices[1:]):
+        adj[a].append(b)
+        adj[b].append(a)
     if close_cycle:
-        closing = _make_edge(vertices[0], vertices[-1])
-        adj[vertices[0]].append(closing)
-        adj[vertices[-1]].append(closing)
+        adj[vertices[0]].append(vertices[-1])
+        adj[vertices[-1]].append(vertices[0])
     return _FakeGraph(ctx, adj), vertices
 
 
@@ -418,8 +444,9 @@ def test_fake_even_cycle_classified(ctx):
     assert len(view.visited) == 6
     assert len(set(view.visited)) == 6
     n = len(view.visited)
-    for k, e in enumerate(view.edges):
-        assert other_end(e, view.visited[k]) == view.visited[(k + 1) % n]
+    assert len(view.labels) == n
+    for k in range(n):
+        assert view.visited[(k + 1) % n] in g._adj[view.visited[k]]
 
 
 def test_fake_even_cycle_stitched_from_both_directions(ctx):
@@ -432,8 +459,9 @@ def test_fake_even_cycle_stitched_from_both_directions(ctx):
     assert view.frontier == ()  # the first direction's tip closed the cycle
     assert len(set(view.visited)) == 8
     n = len(view.visited)
-    for k, e in enumerate(view.edges):
-        assert other_end(e, view.visited[k]) == view.visited[(k + 1) % n]
+    assert len(view.labels) == n
+    for k in range(n):
+        assert view.visited[(k + 1) % n] in g._adj[view.visited[k]]
 
 
 def test_fake_odd_closure_is_structural_error(ctx):
@@ -443,17 +471,12 @@ def test_fake_odd_closure_is_structural_error(ctx):
     i1 = GVertex(Side.I, point(Fraction(1, 100)))
     j1 = GVertex(Side.J, point(Fraction(1, 100)) + ALPHA)
     i2 = GVertex(Side.I, point(Fraction(2, 100)))
-    e0 = _make_edge(i0, j0)
-    e1 = _make_edge(j0, i1)
-    e2 = _make_edge(i1, j1)
-    e3 = _make_edge(j1, i2)
-    e_back = _make_edge(i2, j0)
     adj = {
-        i0: [e0],
-        j0: [e0, e1],
-        i1: [e1, e2],
-        j1: [e2, e3],
-        i2: [e3, e_back],
+        i0: [j0],
+        j0: [i0, i1],
+        i1: [j0, j1],
+        j1: [i1, i2],
+        i2: [j1, j0],  # the edge back to j0
     }
     g = _FakeGraph(AlphaContext(ALL_ALPHAS[0]), adj)
     with pytest.raises(EquigraphError) as exc:
@@ -465,7 +488,7 @@ def test_fake_high_degree_is_structural_error(ctx):
     i0, j0 = GVertex(Side.I, ZERO), GVertex(Side.J, ALPHA)
     j1 = GVertex(Side.J, ONE + ALPHA)
     j2 = GVertex(Side.J, ONE)
-    adj = {i0: [_make_edge(i0, j0), _make_edge(i0, j1), _make_edge(i0, j2)]}
+    adj = {i0: [j0, j1, j2]}
     g = _FakeGraph(AlphaContext(ALL_ALPHAS[0]), adj)
     with pytest.raises(EquigraphError):
         g.explore_component(i0, 100)

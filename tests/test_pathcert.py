@@ -21,7 +21,7 @@ from equigraph.pathcert import CertifiedPath, build_path, verify_lemma
 from conftest import KERNEL_ALPHAS, SEVEN_MINUS_TWO_SQRT5_OVER_3
 from oracles import build_path_points
 
-TWO_ALPHA = ALPHA.scale(2)
+TWO_ALPHA = point(0, 2)
 T = GENERATOR_ELEMENTS[Generator.T]
 
 
@@ -172,6 +172,21 @@ def test_anchor_preconditions(graph):
         build_path(graph, T, point(2))
     with pytest.raises(EquigraphError, match=r"image .* outside \[0, 1\]"):
         build_path(graph, GroupElement(1, 3, 0), point(Fraction(1, 2)))
+
+
+def test_verify_lemma_makes_no_point_interval_tests(graph, monkeypatch):
+    # every anchor, image and certificate vertex is decided on integer keys
+    calls = []
+    in_interval = AlphaContext.in_interval
+
+    def counted(self, *args):
+        calls.append(args)
+        return in_interval(self, *args)
+
+    monkeypatch.setattr(AlphaContext, "in_interval", counted)
+    report = verify_lemma(graph, 4, 10, seed=0, bfs_budget=16 * 4 + 64)
+    assert report["checks"] > 0
+    assert calls == []
 
 
 def test_validate_flags_tampering(graph):
