@@ -133,6 +133,28 @@ class Frame:
         """apply(g, .) on (u, v): a*x + 2c + 2b*alpha."""
         return g.a * u + 2 * g.c * self.den, g.a * v + 2 * g.b * self.den
 
+    def remember(self, limit: int) -> None:
+        """Keep adjacent's lists as tuples in memo, for the first limit keys.
+
+        Walks keep the bare adjacency: a walk never revisits a vertex.
+        """
+        step, memo = self.adjacent, {}
+
+        def adjacent(key: Key) -> tuple[tuple[Key, frozenset[Generator]], ...]:
+            edges = memo.get(key)
+            if edges is None:
+                edges = tuple(step(key))
+                if len(memo) < limit:
+                    memo[key] = edges
+            return edges
+
+        self.adjacent, self.memo = adjacent, memo
+
+
+def frame_den(*vertices: GVertex) -> int:
+    """The lcm of the vertices' denominators: the den of their frame."""
+    return lcm(*(x.denominator for v in vertices for x in (v.point.u, v.point.v)))
+
 
 class IntervalGraph:
     """Lazy view of the graph for one validated alpha."""
@@ -154,8 +176,7 @@ class IntervalGraph:
 
     def frame(self, *vertices: GVertex) -> Frame:
         """The integer frame over the lcm of the vertices' denominators."""
-        den = lcm(*(x.denominator for v in vertices for x in (v.point.u, v.point.v)))
-        return Frame(self.ctx.sign_scaled, den)
+        return Frame(self.ctx.sign_scaled, frame_den(*vertices))
 
     def neighbors(self, v: GVertex) -> list[tuple[GVertex, frozenset[Generator]]]:
         """(far vertex, labels) of each edge at v, sorted by far point."""
@@ -170,13 +191,16 @@ class IntervalGraph:
     # ------------------------------------------------------------------
     # traversal
 
-    def bfs_distance(self, u: GVertex, v: GVertex, budget: int) -> Optional[int]:
+    def bfs_distance(
+        self, u: GVertex, v: GVertex, budget: int, frame: Optional[Frame] = None
+    ) -> Optional[int]:
         """Exact graph distance, or None if not reached within budget.
 
         budget bounds the number of expanded vertices; exhaustion and
-        true unreachability both surface as None.
+        true unreachability both surface as None.  frame is u's frame,
+        built here when not given.
         """
-        frame = self.frame(u)
+        frame = frame or self.frame(u)
         start, goal = frame.key(u), frame.key(v)
         frame.check(start)
         if goal is None:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import ONE, ZERO, AlgebraicPoint, point
 from .errors import CONNECTOR_MISSING, EquigraphError, Finding
-from .graph import Frame, GVertex, IntervalGraph, Side
+from .graph import Frame, GVertex, IntervalGraph, Side, frame_den
 from .group import GroupElement, apply, enumerate_ball, inverse
 
 THRESHOLDS = (point(0, 2), point(1, -2))  # 2*alpha, 1 - 2*alpha: the case splits
@@ -41,11 +41,12 @@ class CertifiedPath:
     def length(self) -> int:
         return len(self.vertices) - 1
 
-    def validate(self, graph: IntervalGraph) -> list[str]:
+    def validate(self, graph: IntervalGraph, frame: Frame | None = None) -> list[str]:
         """Return a list of defects; empty means the certificate is good.
 
         A true edge joins points with equal denominators, so one frame over
-        every vertex's denominators decides every edge exactly.
+        every vertex's denominators decides every edge exactly: frame when
+        its den is that lcm (a sweep passes its anchor's), else a new one.
         """
         problems: list[str] = []
         first, last = self.vertices[0], self.vertices[-1]
@@ -57,7 +58,8 @@ class CertifiedPath:
             expected = Side.I if k % 2 == 0 else Side.J
             if v.side is not expected:
                 problems.append(f"vertex {k} breaks I/J alternation")
-        frame = graph.frame(*self.vertices)
+        if frame is None or frame.den != frame_den(*self.vertices):
+            frame = graph.frame(*self.vertices)
         keys = list(map(frame.key, self.vertices))
         for k in range(len(keys) - 1):
             frame.check(keys[k])
@@ -97,16 +99,17 @@ def _reduced_step(
 
 
 def build_path(
-    graph: IntervalGraph, g: GroupElement, y: AlgebraicPoint
+    graph: IntervalGraph, g: GroupElement, y: AlgebraicPoint, frame: Frame | None = None
 ) -> CertifiedPath:
     """Certificate that (I, y) and (I, g(y)) are within distance 2|b|.
 
     Reduces g one step of |b| at a time down to b = 0, then closes each
     step's gap with a connector, innermost first, so the path grows from
     (I, y) outwards; nothing here depends on the recursion limit.
+    It runs on frame, y's frame, built here when not given.
     Points are built only for the returned certificate and for errors.
     """
-    frame = graph.frame(GVertex(Side.I, y))
+    frame = frame or graph.frame(GVertex(Side.I, y))
     adjacent, vertex_of = frame.adjacent, frame.vertex
     _, yu, yv = frame.key(GVertex(Side.I, y))
     if not frame.inside(0, yu, yv):
@@ -194,6 +197,9 @@ def verify_lemma(
             frame = graph.frame(GVertex(Side.I, y))
             side, u, v = frame.key(GVertex(Side.I, y))
             if frame.inside(side, u, v):
+                # y's checks share this memo; they expand keys within 2*|b| <=
+                # 2*ball_radius of y, at most 4*ball_radius + 1 of them
+                frame.remember(4 * ball_radius + 2)
                 out.append((y, frame, u, v))
         return out
 
@@ -208,7 +214,8 @@ def verify_lemma(
     for g in elements:
         thresholds = _threshold_anchors(g, Fraction(1, 1000))
         anchors = base_anchors + screened(thresholds)
-        bound = 2 * abs(g.b)
+        k = abs(g.b)
+        bound = 2 * k
         hit = False
         for y, frame, u, v in anchors:
             gu, gv = frame.image(g, u, v)
@@ -218,29 +225,23 @@ def verify_lemma(
             checks += 1
             witness = {"element": [g.a, g.b, g.c], "anchor": str(y), "bound": bound}
             dist = graph.bfs_distance(
-                GVertex(Side.I, y), frame.vertex((0, gu, gv)), bfs_budget
+                GVertex(Side.I, y), frame.vertex((0, gu, gv)), bfs_budget, frame
             )
             if dist is None or dist > bound:
-                violations.append(
-                    {**witness, "defect": "bfs", "distance": dist}
-                )
+                violations.append({**witness, "defect": "bfs", "distance": dist})
             else:
-                k = abs(g.b)
                 max_dist_by_b[k] = max(max_dist_by_b.get(k, 0), dist)
             try:
-                cert = build_path(graph, g, y)
-                defects = cert.validate(graph)
+                cert = build_path(graph, g, y, frame)
+                defects = cert.validate(graph, frame)
                 if defects:
                     violations.append(
                         {**witness, "defect": "certificate", "problems": defects}
                     )
                 else:
-                    k = abs(g.b)
                     max_len_by_b[k] = max(max_len_by_b.get(k, 0), cert.length)
             except Finding as f:
-                violations.append(
-                    {**witness, "defect": f.kind, "finding": f.witness}
-                )
+                violations.append({**witness, "defect": f.kind, "finding": f.witness})
         if hit:
             elements_checked += 1
     return {

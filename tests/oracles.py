@@ -8,9 +8,10 @@ signs are also decided in plain Fraction arithmetic, the facing-pair
 set is recomputed by a literal all-pairs ray walk, and random matchings
 are drawn through Random.randrange and Random.randint.
 
-The one exception is build_path_points, the package's earlier distance
+The exceptions are build_path_points, the package's earlier distance
 certificate construction on exact points (apply, compare, in_interval and
-neighbors), kept verbatim as the reference for the integer construction.
+neighbors), kept verbatim as the reference for the integer construction,
+and verify_lemma_reference, the sweep with no frame shared between calls.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Optional
 from equigraph.algebra import ALPHA, ONE, ZERO, AlgebraicPoint, point
 from equigraph.errors import CONNECTOR_MISSING, EquigraphError, Finding
 from equigraph.graph import GVertex, IntervalGraph, Side
-from equigraph.group import GroupElement, apply
-from equigraph.pathcert import CertifiedPath
+from equigraph.group import GroupElement, apply, enumerate_ball, inverse
+from equigraph.pathcert import THRESHOLDS, CertifiedPath, build_path
 
 getcontext().prec = 60
 
@@ -346,3 +347,73 @@ def build_path_points(
             )
         vertices.extend(tail)
     return CertifiedPath(tuple(vertices), g, y)
+
+
+# ----------------------------------------------------------------------
+# the distance-lemma sweep, one fresh frame per call
+
+
+def verify_lemma_reference(
+    graph: IntervalGraph, ball_radius: int, n_samples: int, seed: int, bfs_budget: int
+) -> dict:
+    """The report of verify_lemma, from the point API alone.
+
+    Anchors and images are screened with in_interval, and bfs_distance,
+    build_path and validate each build their own frame, with no memo.
+    """
+    ctx = graph.ctx
+    elements = sorted(enumerate_ball(ball_radius))
+    rng = random.Random(seed)
+    base: list[AlgebraicPoint] = [ZERO, ONE]
+    while len(base) < max(n_samples, 2):
+        base.append(point(graph.sample_unit_rational(rng)))
+    checks = 0
+    elements_checked = 0
+    max_dist_by_b: dict[int, int] = {}
+    max_len_by_b: dict[int, int] = {}
+    violations: list[dict] = []
+    for g in elements:
+        ginv = inverse(g)
+        thresholds = [
+            apply(ginv, threshold + point(eps))
+            for threshold in THRESHOLDS
+            for eps in (Fraction(-1, 1000), Fraction(0), Fraction(1, 1000))
+        ]
+        k = abs(g.b)
+        hit = False
+        for y in base + [y for y in thresholds if ctx.in_interval(y, ZERO, ONE)]:
+            gy = apply(g, y)
+            if not ctx.in_interval(gy, ZERO, ONE):
+                continue
+            hit = True
+            checks += 1
+            witness = {"element": [g.a, g.b, g.c], "anchor": str(y), "bound": 2 * k}
+            u, v = GVertex(Side.I, y), GVertex(Side.I, gy)
+            dist = graph.bfs_distance(u, v, bfs_budget)
+            if dist is None or dist > 2 * k:
+                violations.append({**witness, "defect": "bfs", "distance": dist})
+            else:
+                max_dist_by_b[k] = max(max_dist_by_b.get(k, 0), dist)
+            try:
+                cert = build_path(graph, g, y)
+                defects = cert.validate(graph)
+                if defects:
+                    violations.append(
+                        {**witness, "defect": "certificate", "problems": defects}
+                    )
+                else:
+                    max_len_by_b[k] = max(max_len_by_b.get(k, 0), cert.length)
+            except Finding as f:
+                violations.append({**witness, "defect": f.kind, "finding": f.witness})
+        elements_checked += hit
+    return {
+        "ball_radius": ball_radius,
+        "ball_size": len(elements),
+        "elements_checked": elements_checked,
+        "checks": checks,
+        "samples": n_samples,
+        "seed": seed,
+        "max_dist_by_b": {str(k): max_dist_by_b[k] for k in sorted(max_dist_by_b)},
+        "max_path_len_by_b": {str(k): max_len_by_b[k] for k in sorted(max_len_by_b)},
+        "violations": violations,
+    }

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equigraph.algebra import ALPHA, ONE, ZERO, AlphaContext, point
+from equigraph import graph as graph_module
 from equigraph.errors import EquigraphError
 from equigraph.graph import GVertex, IntervalGraph, Side
 from equigraph.group import (
@@ -19,7 +21,7 @@ from equigraph.group import (
 from equigraph.pathcert import CertifiedPath, build_path, verify_lemma
 
 from conftest import KERNEL_ALPHAS, SEVEN_MINUS_TWO_SQRT5_OVER_3
-from oracles import build_path_points
+from oracles import build_path_points, verify_lemma_reference
 
 TWO_ALPHA = point(0, 2)
 T = GENERATOR_ELEMENTS[Generator.T]
@@ -189,32 +191,58 @@ def test_verify_lemma_makes_no_point_interval_tests(graph, monkeypatch):
     assert calls == []
 
 
-def test_validate_flags_tampering(graph):
+@pytest.fixture
+def built_frames(monkeypatch):
+    """Every frame that IntervalGraph.frame builds in the test, in order."""
+    frames = []
+    make_frame = IntervalGraph.frame
+
+    def recorded(self, *vertices):
+        frames.append(make_frame(self, *vertices))
+        return frames[-1]
+
+    monkeypatch.setattr(IntervalGraph, "frame", recorded)
+    return frames
+
+
+def test_validate_flags_tampering(graph, built_frames):
+    # each list is also checked on the sweep's frame of the anchor 0 (its
+    # first), after the sweep filled its memo; off-denominator certificates
+    # must fall back to the lcm frame
+    verify_lemma(graph, 2, 2, seed=0, bfs_budget=16 * 2 + 64)
+    anchor_frame = built_frames[0]
+    assert anchor_frame.den == 1 and anchor_frame.memo
+
+    def problems_of(cert):
+        problems = cert.validate(graph)
+        assert cert.validate(graph, anchor_frame) == problems
+        return problems
+
     cert = build_path(graph, T, ZERO)
     wrong_middle = CertifiedPath(
         (cert.vertices[0], GVertex(Side.J, point(2) - TWO_ALPHA), cert.vertices[2]),
         cert.element,
         cert.anchor,
     )
-    assert any("not adjacent" in p for p in wrong_middle.validate(graph))
+    assert any("not adjacent" in p for p in problems_of(wrong_middle))
     wrong_anchor = CertifiedPath(cert.vertices, cert.element, TWO_ALPHA)
-    problems = wrong_anchor.validate(graph)
+    problems = problems_of(wrong_anchor)
     assert any("not the anchor" in p for p in problems)
     assert any("not the image" in p for p in problems)
     claimed_shorter = CertifiedPath(cert.vertices, IDENTITY, ZERO)
-    assert any("exceeds bound" in p for p in claimed_shorter.validate(graph))
+    assert any("exceeds bound" in p for p in problems_of(claimed_shorter))
     broken_sides = CertifiedPath(
         (cert.vertices[0], cert.vertices[2], cert.vertices[1]),
         cert.element,
         cert.anchor,
     )
-    assert any("alternation" in p for p in broken_sides.validate(graph))
+    assert any("alternation" in p for p in problems_of(broken_sides))
     # the problem lists below are those of the earlier point-based validate
     third = GVertex(Side.J, point(Fraction(1, 3), 2))  # 1/3 + 2*alpha
     off_denominator = CertifiedPath(
         (cert.vertices[0], third, cert.vertices[2]), T, ZERO
     )
-    assert off_denominator.validate(graph) == [
+    assert problems_of(off_denominator) == [
         "vertices 0 and 1 are not adjacent",
         "vertices 1 and 2 are not adjacent",
     ]
@@ -224,20 +252,21 @@ def test_validate_flags_tampering(graph):
         T,
         ZERO,
     )
-    assert off_denominator_tail.validate(graph) == [
+    assert problems_of(off_denominator_tail) == [
         "last vertex is not the image of the anchor",
         "vertices 0 and 1 are not adjacent",
     ]
     same_side = CertifiedPath((cert.vertices[0], cert.vertices[2]), T, ZERO)
-    assert same_side.validate(graph) == [
+    assert problems_of(same_side) == [
         "vertex 1 breaks I/J alternation",
         "vertices 0 and 1 are not adjacent",
     ]
     outside = CertifiedPath(
         (cert.vertices[0], GVertex(Side.J, point(3)), cert.vertices[2]), T, ZERO
     )
-    with pytest.raises(EquigraphError, match="^3 outside J interval$"):
-        outside.validate(graph)
+    for frame in (None, anchor_frame):
+        with pytest.raises(EquigraphError, match="^3 outside J interval$"):
+            outside.validate(graph, frame)
 
 
 def test_validate_builds_one_frame_per_certificate(graph, monkeypatch):
@@ -254,6 +283,95 @@ def test_validate_builds_one_frame_per_certificate(graph, monkeypatch):
         calls.clear()
         assert cert.validate(graph) == []
         assert calls == [cert.vertices]
+
+
+def test_sweep_builds_one_frame_per_anchor_and_expands_each_key_once(
+    graph, monkeypatch
+):
+    # no check builds a frame of its own, and the checks of one anchor share
+    # its adjacency: _integer_step runs once per (anchor frame, key)
+    total = Counter()
+    integer_step = graph_module._integer_step
+
+    def counted_step(*args):
+        total["calls"] += 1
+        return integer_step(*args)
+
+    frames, steps = [], Counter()
+    make_frame = IntervalGraph.frame
+
+    def tagged(self, *vertices):
+        frames.append(vertices)
+        frame = make_frame(self, *vertices)
+        step, tag = frame.adjacent, len(frames)
+
+        def adjacent(key):
+            steps[tag, key] += 1
+            return step(key)
+
+        frame.adjacent = adjacent
+        return frame
+
+    monkeypatch.setattr(graph_module, "_integer_step", counted_step)
+    monkeypatch.setattr(IntervalGraph, "frame", tagged)
+    report = verify_lemma(graph, 4, 10, seed=0, bfs_budget=16 * 4 + 64)
+    assert report["checks"] > 0
+    # the 10 base anchors once, then 6 threshold anchors per element
+    assert len(frames) == 10 + 6 * report["ball_size"]
+    assert all(len(vs) == 1 and vs[0].side is Side.I for vs in frames)
+    assert max(steps.values()) == 1
+    assert total["calls"] == len(steps)
+
+
+def test_walks_keep_the_bare_adjacency(graph, built_frames):
+    v = GVertex(Side.I, point(Fraction(1, 3)))
+    assert graph.explore_component(v, 50).budget_used == 50
+    graph.neighbors(v)
+    assert len(built_frames) == 2
+    for frame in built_frames:
+        assert frame.adjacent.func is graph_module._integer_step
+        assert not hasattr(frame, "memo")
+
+
+def test_anchor_memo_stays_bounded_and_immutable(graph, built_frames):
+    # y + alpha is on y's frame but never in y's component (every element
+    # shifts by an even multiple of alpha), and 0's component is an infinite
+    # path, so this BFS expands its whole budget through the sweep's frame
+    radius = 3
+    verify_lemma(graph, radius, 2, seed=0, bfs_budget=16 * radius + 64)
+    anchor_frame = built_frames[0]
+    assert anchor_frame.den == 1
+    y = GVertex(Side.I, ZERO)
+    far = GVertex(Side.I, ALPHA)
+    assert graph.bfs_distance(y, far, 10_000, anchor_frame) is None
+    assert len(anchor_frame.memo) == 4 * radius + 2
+    key = anchor_frame.key(y)
+    edges = anchor_frame.adjacent(key)
+    assert edges is anchor_frame.memo[key]
+    assert edges == tuple(graph_module._integer_step(graph.ctx.sign_scaled, 1, key))
+    assert all(isinstance(labels, frozenset) for _far, labels in edges)
+    with pytest.raises(TypeError):
+        edges[0] = edges[-1]
+    with pytest.raises(AttributeError):
+        edges.append(edges[0])
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("spec", KERNEL_ALPHAS)
+@pytest.mark.parametrize("mutant", [False, True], ids=["graph", "no-T"])
+def test_verify_lemma_matches_fresh_frame_reference(monkeypatch, mutant, spec, seed):
+    # the mutant drops the translation T from both sides' adjacency, so BFS
+    # distances and connectors go missing and the violation path runs too
+    if mutant:
+        t = list(GENERATOR_ELEMENTS).index(Generator.T)
+        maps = tuple(side[:t] + side[t + 1 :] for side in graph_module._MAPS)
+        monkeypatch.setattr(graph_module, "_MAPS", maps)
+    graph = IntervalGraph(AlphaContext(spec))
+    args = (graph, 5, 10, seed, 16 * 5 + 64)
+    report = verify_lemma(*args)
+    assert report == verify_lemma_reference(*args)
+    assert report["checks"] > 0
+    assert bool(report["violations"]) == mutant
 
 
 def test_sweep_small_radius_frozen(graph):
