@@ -386,11 +386,7 @@ def kmatching_from_assignment(
         raise EquigraphError("assignment views must originate at an I-vertex")
     origin = view.origin_index
     point_at = {idx - origin: v.point for idx, v in enumerate(view.visited)}
-    j_coord = {
-        v.point: idx - origin
-        for idx, v in enumerate(view.visited)
-        if (idx - origin) % 2 != 0
-    }
+    j_coord = {pt: coord for coord, pt in point_at.items() if coord % 2 != 0}
     k = bridge_k_bound(max((abs(el.b) for _, _, el in assignment), default=0))
     targets: dict[int, int] = {}
     for lo, hi, el in assignment:

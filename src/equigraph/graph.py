@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -44,6 +45,28 @@ class GVertex:
     point: AlgebraicPoint
 
 
+class VertexChain(Sequence):
+    """A read-only sequence of vertices, kept as keys and built when read.
+
+    Indexing gives vertex_of(keys[k]), a slice a tuple of vertices, and a
+    chain equals a tuple (or chain) of the same vertices.
+    """
+
+    def __init__(self, keys: Sequence[Hashable], vertex_of: Callable):
+        self.keys, self.vertex_of = tuple(keys), vertex_of
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.vertex_of, self.keys[k]))
+        return self.vertex_of(self.keys[k])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, (tuple, VertexChain)) and tuple(self) == tuple(other)
+
+
 @dataclass(frozen=True)
 class ComponentView:
     """Result of walking a component from an origin vertex.
@@ -52,11 +75,12 @@ class ComponentView:
     generator set of the edge from visited[k] to visited[k+1]; for cycles
     the last edge wraps around to visited[0].  kind is "even_cycle",
     "finite_path", or "partial"; a partial view carries the unexpanded
-    frontier tips.
+    frontier tips.  visited keeps the walk's keys and builds each vertex
+    when it is read.
     """
 
     kind: str
-    visited: tuple[GVertex, ...]
+    visited: VertexChain
     labels: tuple[frozenset[Generator], ...]
     origin_index: int
     frontier: tuple[GVertex, ...]
@@ -261,12 +285,12 @@ def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView
 
     frame.adjacent(key) lists (far key, labels) sorted by far point; the
     first direction walked is the first edge at origin.  frame.vertex turns
-    a key into its vertex, for the returned view and for error witnesses.
+    a key into its vertex, for the view's reads and for error witnesses.
     """
     adjacent, vertex_of = frame.adjacent, frame.vertex
     if budget <= 0:
-        v = vertex_of(origin)
-        return ComponentView("partial", (v,), (), 0, (v,), 0)
+        visited = VertexChain((origin,), vertex_of)
+        return ComponentView("partial", visited, (), 0, (visited[0],), 0)
     chain: deque[Hashable] = deque([origin])
     chain_labels: deque[frozenset[Generator]] = deque()
     frontier: list[Hashable] = []
@@ -324,7 +348,7 @@ def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView
         kind = "partial"
     else:
         kind = "finite_path"
-    visited = tuple(map(vertex_of, chain))
+    visited = VertexChain(chain, vertex_of)
     if kind == "finite_path" and edge_count % 2 == 0:
         raise Finding(
             EVEN_PATH_COMPONENT,
@@ -353,17 +377,38 @@ _LABELS = tuple(
 )
 
 
-# per side: (bit, a, 2c, 2b) of each generator map for I, of its inverse for J
-_MAPS = (
-    tuple(
-        (1 << k, g.a, 2 * g.c, 2 * g.b)
-        for k, g in enumerate(GENERATOR_ELEMENTS.values())
-    ),
-    tuple(
-        (1 << k, g.a, -2 * g.a * g.c, -2 * g.a * g.b)
-        for k, g in enumerate(GENERATOR_ELEMENTS.values())
-    ),
-)
+def _side_tables(side: int) -> tuple[tuple, tuple]:
+    """The side's thresholds, and (bit, a, 2c, 2b, k, direction) per generator.
+
+    The map is the generator's for I, its inverse's for J: x -> a*x + 2c +
+    2b*alpha.  With x = side*alpha + t, t in [0, 1], and s = 1 - side, the
+    image lies in [s*alpha, 1 + s*alpha] iff both bounds e*x + f + h*alpha >=
+    0, (e, f, h) = (a, 2c, 2b - s) and (-a, 1 - 2c, s - 2b), hold.  A bound
+    is linear in t and alpha, so its least value over t, alpha in [0, 1] is
+    f + min(e, 0) + min(e*side + h, 0); when that is >= 0 it always holds.
+    The other bound is the map's test: direction*(x - threshold) >= 0, with
+    threshold (-e*f, -e*h) and direction e.
+    """
+    s, thresholds, maps = 1 - side, [], []
+    for n, el in enumerate(GENERATOR_ELEMENTS.values()):
+        el = inverse(el) if side else el
+        a, c2, b2 = el.a, 2 * el.c, 2 * el.b
+        ((threshold, direction),) = [  # unpacking fails unless one bound is open
+            ((-e * f, -e * h), e)
+            for e, f, h in ((a, c2, b2 - s), (-a, 1 - c2, s - b2))
+            if f + min(e, 0) + min(e * side + h, 0) < 0
+        ]
+        if threshold not in thresholds:
+            thresholds.append(threshold)
+        k = thresholds.index(threshold)
+        maps.append((1 << n, a, c2, b2, k, direction))
+    return tuple(thresholds), tuple(maps)
+
+
+# per side: the image of a map lies in the far interval iff direction times
+# the sign of x - _THRESHOLDS[side][k] is >= 0; the thresholds come out as
+# alpha and 1 - alpha on I, and 1 and 2*alpha on J
+_THRESHOLDS, _MAPS = zip(_side_tables(0), _side_tables(1))
 
 
 def _integer_step(
@@ -376,24 +421,27 @@ def _integer_step(
     interval, all in units of 1/den, and coinciding images merge into one
     edge carrying every generator that realizes them.  sign(U, V) is the
     exact sign of U + V*alpha.
+
+    key must lie in its side's interval (Frame.check).  Then one sign per
+    threshold decides every map's far-interval test, and there are at most
+    two edges: the two maps that share a threshold face opposite ways and
+    agree on it.
     """
     side, u, v = key
-    # the far interval is [s*alpha, 1 + s*alpha]: s = 1 for J, 0 for I.
-    # Frame.inside's test, inlined: a call per image costs about 7% here
-    shift = den if side == 0 else 0
+    # _THRESHOLDS has two a side; unrolled, as a loop over them costs ~10% here
+    (p0, q0), (p1, q1) = _THRESHOLDS[side]
+    signs = sign(u - p0 * den, v - q0 * den), sign(u - p1 * den, v - q1 * den)
     found: dict[tuple[int, int], int] = {}
-    for bit, a, c2, b2 in _MAPS[side]:
-        x, y = a * u + c2 * den, a * v + b2 * den
-        if sign(x, y - shift) >= 0 and sign(den - x, shift - y) >= 0:
-            found[x, y] = found.get((x, y), 0) | bit
+    for bit, a, c2, b2, k, direction in _MAPS[side]:
+        if direction * signs[k] >= 0:
+            xy = a * u + c2 * den, a * v + b2 * den
+            found[xy] = found.get(xy, 0) | bit
     far = 1 - side
     out = [((far, x, y), _LABELS[mask]) for (x, y), mask in found.items()]
-    if len(out) > 1:
-
-        def order(e1: tuple, e2: tuple) -> int:
-            return sign(e1[0][1] - e2[0][1], e1[0][2] - e2[0][2])
-
-        out.sort(key=cmp_to_key(order))
+    if len(out) == 2:
+        (x1, y1), (x2, y2) = found
+        if sign(x1 - x2, y1 - y2) > 0:
+            out.reverse()
     return out
 
 

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ONE, ZERO, AlgebraicPoint, point
+from .algebra import ONE, ZERO, AlgebraicPoint, AlphaContext, point
 from .errors import CONNECTOR_MISSING, EquigraphError, Finding
 from .graph import Frame, GVertex, IntervalGraph, Side, frame_den
 from .group import GroupElement, apply, enumerate_ball, inverse
@@ -160,14 +160,17 @@ def build_path(
 # sweep verification
 
 
-def _threshold_anchors(g: GroupElement, wiggle: Fraction) -> list[AlgebraicPoint]:
-    """Anchors whose images straddle the case-split thresholds."""
-    ginv = inverse(g)
-    return [
-        apply(ginv, threshold + point(eps))
+def _threshold_images(ctx: AlphaContext, wiggle: Fraction) -> list[AlgebraicPoint]:
+    """The points on and next to the case-split thresholds that lie in [0, 1].
+
+    An anchor g^-1(x) yields a check only when its image x lies in [0, 1].
+    """
+    images = [
+        threshold + point(eps)
         for threshold in THRESHOLDS
         for eps in (-wiggle, Fraction(0), wiggle)
     ]
+    return [x for x in images if ctx.sign(x) >= 0 and ctx.sign(ONE - x) >= 0]
 
 
 def verify_lemma(
@@ -205,6 +208,7 @@ def verify_lemma(
 
     # 0, 1 and the samples lie in [0, 1] already; test them once, not per element
     base_anchors = screened(base)
+    images = _threshold_images(graph.ctx, Fraction(1, 1000))
 
     checks = 0
     elements_checked = 0
@@ -212,8 +216,8 @@ def verify_lemma(
     max_len_by_b: dict[int, int] = {}
     violations: list[dict] = []
     for g in elements:
-        thresholds = _threshold_anchors(g, Fraction(1, 1000))
-        anchors = base_anchors + screened(thresholds)
+        ginv = inverse(g)
+        anchors = base_anchors + screened([apply(ginv, x) for x in images])
         k = abs(g.b)
         bound = 2 * k
         hit = False

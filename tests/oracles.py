@@ -11,7 +11,9 @@ are drawn through Random.randrange and Random.randint.
 The exceptions are build_path_points, the package's earlier distance
 certificate construction on exact points (apply, compare, in_interval and
 neighbors), kept verbatim as the reference for the integer construction,
-and verify_lemma_reference, the sweep with no frame shared between calls.
+verify_lemma_reference, the sweep with no frame shared between calls, and
+integer_step_reference, the package's earlier adjacency kernel, which tests
+both far-interval bounds of all four generator maps.
 """
 
 from __future__ import annotations
@@ -19,12 +21,20 @@ from __future__ import annotations
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
-from typing import Optional
+from functools import cmp_to_key
+from typing import Callable, Optional
 
 from equigraph.algebra import ALPHA, ONE, ZERO, AlgebraicPoint, point
 from equigraph.errors import CONNECTOR_MISSING, EquigraphError, Finding
 from equigraph.graph import GVertex, IntervalGraph, Side
-from equigraph.group import GroupElement, apply, enumerate_ball, inverse
+from equigraph.group import (
+    GENERATOR_ELEMENTS,
+    Generator,
+    GroupElement,
+    apply,
+    enumerate_ball,
+    inverse,
+)
 from equigraph.pathcert import THRESHOLDS, CertifiedPath, build_path
 
 getcontext().prec = 60
@@ -417,3 +427,56 @@ def verify_lemma_reference(
         "max_path_len_by_b": {str(k): max_len_by_b[k] for k in sorted(max_len_by_b)},
         "violations": violations,
     }
+
+
+# ----------------------------------------------------------------------
+# the adjacency kernel with all eight far-interval bounds
+
+_LABELS = tuple(
+    frozenset(gen for k, gen in enumerate(GENERATOR_ELEMENTS) if mask >> k & 1)
+    for mask in range(1 << len(GENERATOR_ELEMENTS))
+)
+
+
+# per side: (bit, a, 2c, 2b) of each generator map for I, of its inverse for J
+_MAPS = (
+    tuple(
+        (1 << k, g.a, 2 * g.c, 2 * g.b)
+        for k, g in enumerate(GENERATOR_ELEMENTS.values())
+    ),
+    tuple(
+        (1 << k, g.a, -2 * g.a * g.c, -2 * g.a * g.b)
+        for k, g in enumerate(GENERATOR_ELEMENTS.values())
+    ),
+)
+
+
+def integer_step_reference(
+    sign: Callable[[int, int], int], den: int, key: tuple[int, int, int]
+) -> list[tuple[tuple[int, int, int], frozenset[Generator]]]:
+    """Adjacency on keys (side, U, V), side 0 for I and 1 for J.
+
+    An I-vertex steps by each generator x -> a*x + 2b*alpha + 2c, a
+    J-vertex by its inverse; an image is kept when it lies in the far
+    interval, all in units of 1/den, and coinciding images merge into one
+    edge carrying every generator that realizes them.  sign(U, V) is the
+    exact sign of U + V*alpha.
+    """
+    side, u, v = key
+    # the far interval is [s*alpha, 1 + s*alpha]: s = 1 for J, 0 for I.
+    # Frame.inside's test, inlined: a call per image costs about 7% here
+    shift = den if side == 0 else 0
+    found: dict[tuple[int, int], int] = {}
+    for bit, a, c2, b2 in _MAPS[side]:
+        x, y = a * u + c2 * den, a * v + b2 * den
+        if sign(x, y - shift) >= 0 and sign(den - x, shift - y) >= 0:
+            found[x, y] = found.get((x, y), 0) | bit
+    far = 1 - side
+    out = [((far, x, y), _LABELS[mask]) for (x, y), mask in found.items()]
+    if len(out) > 1:
+
+        def order(e1: tuple, e2: tuple) -> int:
+            return sign(e1[0][1] - e2[0][1], e1[0][2] - e2[0][2])
+
+        out.sort(key=cmp_to_key(order))
+    return out

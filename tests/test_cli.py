@@ -18,6 +18,7 @@ from equigraph.errors import (
     ConfigError,
     Finding,
 )
+from equigraph.graph import Frame
 
 SMALL = """
 # compact settings for fast end-to-end runs
@@ -128,6 +129,24 @@ def test_explore_writes_report(tmp_path, capsys):
     assert len(data["visited_head"]) == 8 and len(data["visited_tail"]) == 8
     assert data["params"]["bfs_budget"] == 300
     assert "explore" in capsys.readouterr().out
+
+
+def test_explore_builds_only_the_points_it_reports(tmp_path, monkeypatch):
+    # the walk keeps its 4,002 keys; points are built for the 16 visited
+    # vertices in the report, the two frontier tips and the origin's edges
+    built = []
+    make_vertex = Frame.vertex
+
+    def counted(self, key):
+        built.append(key)
+        return make_vertex(self, key)
+
+    monkeypatch.setattr(Frame, "vertex", counted)
+    cfg = _write_config(tmp_path, "bfs_budget = 4000\n")
+    assert main(["--out", str(tmp_path), "--config", cfg, "explore"]) == 0
+    data = json.loads((tmp_path / "explore.json").read_text())
+    assert data["component"]["size"] == 4002
+    assert len(built) <= 20
 
 
 def test_explore_point_and_side_flags(tmp_path):

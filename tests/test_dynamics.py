@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from equigraph.dynamics import (
     run_dynamics,
 )
 from equigraph.errors import EquigraphError
-from equigraph.graph import Side
+from equigraph.graph import Side, chain_element
 from equigraph.group import GroupElement, IDENTITY
 
 from oracles import facing_pairs_bruteforce, random_deviations
@@ -378,6 +379,24 @@ def test_assignment_with_swaps_runs_to_standard(graph):
     final, trace = run_dynamics(m)
     assert final.is_standard
     assert trace.iterations <= trace.initial_cost
+
+
+def test_bridge_reads_the_lazy_chain_as_its_tuple(graph):
+    v = graph.vertex(Side.I, point(Fraction(1, 2)))
+    view = graph.explore_component(v, 64)
+    eager = dataclasses.replace(view, visited=tuple(view.visited))
+    n = len(view.visited)
+    for i, j in [(0, n - 1), (n - 1, 0), (30, 35), (35, 30), (33, 33)]:
+        assert chain_element(view, i, j) == chain_element(eager, i, j)
+    targets = {-4: -1, -2: -3, 0: 3, 2: 1}
+    pieces = assignment_from_targets(view, targets)
+    assert pieces == assignment_from_targets(eager, targets)
+    lazy_m, eager_m = (kmatching_from_assignment(w, pieces) for w in (view, eager))
+    assert (lazy_m.k, lazy_m.window, lazy_m.deviations) == (
+        eager_m.k,
+        eager_m.window,
+        eager_m.deviations,
+    )
 
 
 def test_assignment_pieces_coalesce(ctx):

@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+from equigraph import graph as graph_module
 from equigraph.algebra import ALPHA, ONE, ZERO, AlphaContext, point
+from equigraph.cli import _bridge_suite, load_config
 from equigraph.errors import EVEN_PATH_COMPONENT, EquigraphError, Finding
 from equigraph.graph import (
+    Frame,
     GVertex,
     IntervalGraph,
     Side,
@@ -15,12 +19,22 @@ from equigraph.graph import (
     generator_domain,
     vertex_record,
 )
-from equigraph.group import GENERATOR_ELEMENTS, Generator, IDENTITY, apply, inverse
+from equigraph.group import (
+    GENERATOR_ELEMENTS,
+    Generator,
+    GroupElement,
+    IDENTITY,
+    apply,
+    inverse,
+)
+from equigraph.pathcert import build_path, verify_lemma
 
 from conftest import ALL_ALPHAS, KERNEL_ALPHAS
+import oracles
 from oracles import (
     alpha_decimal,
     bfs_distance as oracle_bfs,
+    integer_step_reference,
     neighbors as oracle_neighbors,
     point_decimal,
 )
@@ -224,6 +238,129 @@ def test_integer_walk_matches_decimal_oracle_step_by_step(spec):
         right, left = walked[o + 1 :], walked[o - 1 :: -1]
         assert _oracle_walk(alpha, start, firsts[0], len(right)) == right
         assert _oracle_walk(alpha, start, firsts[1], len(left)) == left
+
+
+def test_far_tests_are_derived_once_per_generator():
+    # (threshold as (u, v) for u + v*alpha, direction): a map's image lies in
+    # the far interval iff direction * sign(x - threshold) >= 0
+    alpha, one_minus_alpha, one, two_alpha = (0, 1), (1, -1), (1, 0), (0, 2)
+    assert set(graph_module._THRESHOLDS[0]) == {alpha, one_minus_alpha}
+    assert set(graph_module._THRESHOLDS[1]) == {one, two_alpha}
+    tests = {}
+    for side, maps in enumerate(graph_module._MAPS):
+        assert [m[:4] for m in maps] == list(oracles._MAPS[side])
+        for gen, (_bit, _a, _c2, _b2, k, direction) in zip(GENERATOR_ELEMENTS, maps):
+            tests[side, gen.value] = graph_module._THRESHOLDS[side][k], direction
+    assert tests == {
+        (0, "Id"): (alpha, 1),
+        (0, "T"): (one_minus_alpha, -1),
+        (0, "R2"): (one_minus_alpha, 1),
+        (0, "R2a"): (alpha, -1),
+        (1, "Id"): (one, -1),
+        (1, "T"): (two_alpha, 1),
+        (1, "R2"): (one, 1),
+        (1, "R2a"): (two_alpha, -1),
+    }
+
+
+# 0, 1, alpha, 1 - alpha, 2*alpha, 1 + alpha, 2*alpha - 1 and 2 - 2*alpha
+SPECIAL_POINTS = ((0, 0), (1, 0), (0, 1), (1, -1), (0, 2), (1, 1), (-1, 2), (2, -2))
+
+
+def _kernel_keys(spec, den: int, n_random: int, rng: random.Random) -> list:
+    """Keys of den's frame inside their interval: special points, their
+    neighbours 1/den away, and random keys anywhere along the component."""
+    ctx = AlphaContext(spec)
+    frame = Frame(ctx.sign_scaled, den)
+    approx = ctx.to_float(ALPHA)
+    keys = [
+        (side, u * den + nudge, v * den)
+        for side in (0, 1)
+        for u, v in SPECIAL_POINTS
+        for nudge in (-1, 0, 1)
+    ]
+    for side in (0, 1):
+        for _ in range(n_random):
+            v = rng.randint(-50 * den, 50 * den)
+            u = round((side * den - v) * approx) + rng.randint(-1, den + 1)
+            keys.append((side, u, v))
+    return [key for key in keys if frame.inside(*key)]
+
+
+@pytest.mark.parametrize("spec", KERNEL_ALPHAS)
+def test_integer_step_matches_eight_test_reference(spec):
+    # far keys, label sets and their order, on keys inside their interval
+    sign = AlphaContext(spec).sign_scaled
+    rng = random.Random(23)
+    checked = Counter()
+    for den in (1, 7, 10**6):
+        for key in _kernel_keys(spec, den, 2000, rng):
+            want = integer_step_reference(sign, den, key)
+            assert graph_module._integer_step(sign, den, key) == want, (den, key)
+            checked[den, len(want)] += 1
+    # degree one occurs only at the four endpoints, all special points
+    assert {degree for _den, degree in checked} == {1, 2}
+    assert sum(checked.values()) > 7000
+
+
+@pytest.fixture
+def kernel_keys(monkeypatch):
+    """Every key _integer_step receives, and those outside their interval."""
+    step = graph_module._integer_step
+    seen, outside = [], []
+
+    def guarded(sign, den, key):
+        seen.append(key)
+        if not Frame(sign, den).inside(*key):
+            outside.append((den, key))
+        return step(sign, den, key)
+
+    monkeypatch.setattr(graph_module, "_integer_step", guarded)
+    return seen, outside
+
+
+def test_integer_step_only_sees_keys_inside_their_interval(graph, kernel_keys):
+    seen, outside = kernel_keys
+    graph.explore_component(graph.vertex(Side.I, point(Fraction(2, 7))), 300)
+    graph.explore_component(graph.vertex(Side.J, point(Fraction(2, 7), 1)), 300)
+    origin = graph.vertex(Side.I, ZERO)
+    assert graph.bfs_distance(origin, graph.vertex(Side.I, TWO_ALPHA), 100) == 2
+    cert = build_path(graph, GroupElement(1, 3, -1), point(Fraction(1, 10)))
+    assert cert.validate(graph) == []
+    assert verify_lemma(graph, 4, 10, seed=0, bfs_budget=16 * 4 + 64)["checks"] > 0
+    assert _bridge_suite(load_config(None))["extracted_standard"]
+    assert len(seen) > 1000
+    assert outside == []
+
+
+def test_visited_builds_points_only_when_read(graph, monkeypatch):
+    v = graph.vertex(Side.I, point(Fraction(1, 2)))
+    built = []
+    make_vertex = Frame.vertex
+
+    def counted(self, key):
+        built.append(key)
+        return make_vertex(self, key)
+
+    monkeypatch.setattr(Frame, "vertex", counted)
+    view = graph.explore_component(v, 64)
+    assert len(built) == 2  # the two frontier tips
+    visited = view.visited
+    assert len(visited) == 66 and len(built) == 2
+    o = view.origin_index
+    assert visited[o] == v and visited[-1] == visited[len(visited) - 1]
+    head = visited[:3]
+    assert type(head) is tuple and len(head) == 3 and head[0] == visited[0]
+    assert visited[o - 1 : o + 2] == (visited[o - 1], v, visited[o + 1])
+    assert len(set(visited)) == 66
+    assert all(a.side != b.side for a, b in zip(visited, visited[1:]))
+    assert visited == tuple(visited) and tuple(visited) == visited[:]
+    assert graph.explore_component(v, 0).visited == (v,)
+    assert graph.explore_component(v, 0).visited != [v]
+    with pytest.raises(IndexError):
+        visited[66]
+    with pytest.raises(TypeError):
+        visited[0] = v
 
 
 def test_vertex_range_checked(graph):

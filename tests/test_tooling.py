@@ -125,3 +125,25 @@ def test_verify_lemma_runs_each_traced_step_once_per_check(monkeypatch, graph):
         "build_path": report["checks"],
         "validate": report["checks"],
     }
+
+
+def test_walk_makes_three_signs_per_vertex(monkeypatch, graph):
+    # one sign per far-interval threshold (two a side) and one to order the
+    # two edges: a kernel testing every bound of every map makes about eight
+    from fractions import Fraction
+
+    from equigraph.algebra import AlphaContext, point
+    from equigraph.graph import Side
+
+    calls = Counter()
+    sign_scaled = AlphaContext.sign_scaled
+
+    def counted(self, u, v):
+        calls["sign"] += 1
+        return sign_scaled(self, u, v)
+
+    v = graph.vertex(Side.I, point(Fraction(1, 2)))
+    monkeypatch.setattr(AlphaContext, "sign_scaled", counted)
+    view = graph.explore_component(v, 500)
+    assert view.budget_used == 500
+    assert calls["sign"] <= 3 * view.budget_used + 4
