@@ -20,7 +20,7 @@ from functools import cmp_to_key, partial
 from math import lcm
 from typing import Callable, Hashable, Optional
 
-from .algebra import ALPHA, ONE, ZERO, AlgebraicPoint, AlphaContext
+from .algebra import ONE, ZERO, AlgebraicPoint, AlphaContext, point
 from .errors import EVEN_PATH_COMPONENT, EquigraphError, Finding
 from .group import (
     GENERATOR_ELEMENTS,
@@ -46,22 +46,22 @@ class GVertex:
 
 
 class VertexChain(Sequence):
-    """A read-only sequence of vertices, kept as keys and built when read.
+    """A read-only sequence of vertices, kept as keys of frame and built when read.
 
-    Indexing gives vertex_of(keys[k]), a slice a tuple of vertices, and a
+    Indexing gives frame.vertex(keys[k]), a slice a tuple of vertices, and a
     chain equals a tuple (or chain) of the same vertices.
     """
 
-    def __init__(self, keys: Sequence[Hashable], vertex_of: Callable):
-        self.keys, self.vertex_of = tuple(keys), vertex_of
+    def __init__(self, keys: Sequence[Hashable], frame: Frame):
+        self.keys, self.frame = tuple(keys), frame
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return tuple(map(self.vertex_of, self.keys[k]))
-        return self.vertex_of(self.keys[k])
+            return tuple(map(self.frame.vertex, self.keys[k]))
+        return self.frame.vertex(self.keys[k])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, (tuple, VertexChain)) and tuple(self) == tuple(other)
@@ -175,11 +175,6 @@ class Frame:
         self.adjacent, self.memo = adjacent, memo
 
 
-def frame_den(*vertices: GVertex) -> int:
-    """The lcm of the vertices' denominators: the den of their frame."""
-    return lcm(*(x.denominator for v in vertices for x in (v.point.u, v.point.v)))
-
-
 class IntervalGraph:
     """Lazy view of the graph for one validated alpha."""
 
@@ -200,7 +195,8 @@ class IntervalGraph:
 
     def frame(self, *vertices: GVertex) -> Frame:
         """The integer frame over the lcm of the vertices' denominators."""
-        return Frame(self.ctx.sign_scaled, frame_den(*vertices))
+        den = lcm(*(x.denominator for v in vertices for x in (v.point.u, v.point.v)))
+        return Frame(self.ctx.sign_scaled, den)
 
     def neighbors(self, v: GVertex) -> list[tuple[GVertex, frozenset[Generator]]]:
         """(far vertex, labels) of each edge at v, sorted by far point."""
@@ -289,7 +285,7 @@ def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView
     """
     adjacent, vertex_of = frame.adjacent, frame.vertex
     if budget <= 0:
-        visited = VertexChain((origin,), vertex_of)
+        visited = VertexChain((origin,), frame)
         return ComponentView("partial", visited, (), 0, (visited[0],), 0)
     chain: deque[Hashable] = deque([origin])
     chain_labels: deque[frozenset[Generator]] = deque()
@@ -348,7 +344,7 @@ def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView
         kind = "partial"
     else:
         kind = "finite_path"
-    visited = VertexChain(chain, vertex_of)
+    visited = VertexChain(chain, frame)
     if kind == "finite_path" and edge_count % 2 == 0:
         raise Finding(
             EVEN_PATH_COMPONENT,
@@ -478,23 +474,14 @@ def chain_element(view: ComponentView, i: int, j: int) -> GroupElement:
 # edge-set geometry
 
 
-def generator_domain(
-    ctx: AlphaContext, gen: Generator
-) -> tuple[AlgebraicPoint, AlgebraicPoint]:
-    """The closed subinterval of [0, 1] that gen maps into [alpha, 1+alpha]."""
-    el = GENERATOR_ELEMENTS[gen]
-    shift = AlgebraicPoint(2 * el.c, 2 * el.b)
-    if el.a == 1:
-        lo, hi = ALPHA - shift, ONE + ALPHA - shift
-    else:
-        lo, hi = shift - ONE - ALPHA, shift - ALPHA
-    if ctx.compare(lo, ZERO) < 0:
-        lo = ZERO
-    if ctx.compare(ONE, hi) < 0:
-        hi = ONE
-    if ctx.compare(hi, lo) < 0:
-        raise EquigraphError(f"{gen.value} has empty domain")  # pragma: no cover
-    return lo, hi
+def generator_domain(gen: Generator) -> tuple[AlgebraicPoint, AlgebraicPoint]:
+    """The closed subinterval of [0, 1] that gen maps into [alpha, 1+alpha].
+
+    It is gen's far-interval test on I (its _MAPS entry), for every alpha.
+    """
+    *_, k, direction = _MAPS[0][list(GENERATOR_ELEMENTS).index(gen)]
+    threshold = point(*_THRESHOLDS[0][k])
+    return (threshold, ONE) if direction > 0 else (ZERO, threshold)
 
 
 Corner = tuple[AlgebraicPoint, AlgebraicPoint]
@@ -510,7 +497,7 @@ def edge_polygon(ctx: AlphaContext) -> list[Corner]:
     """
     segments: list[tuple[Corner, Corner]] = []
     for gen, el in GENERATOR_ELEMENTS.items():
-        lo, hi = generator_domain(ctx, gen)
+        lo, hi = generator_domain(gen)
         segments.append(((lo, apply(el, lo)), (hi, apply(el, hi))))
 
     ends: dict[Corner, list[tuple[int, int]]] = {}

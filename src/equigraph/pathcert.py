@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import ONE, ZERO, AlgebraicPoint, AlphaContext, point
 from .errors import CONNECTOR_MISSING, EquigraphError, Finding
-from .graph import Frame, GVertex, IntervalGraph, Side, frame_den
+from .graph import Frame, GVertex, IntervalGraph, Side, VertexChain
 from .group import GroupElement, apply, enumerate_ball, inverse
 
 THRESHOLDS = (point(0, 2), point(1, -2))  # 2*alpha, 1 - 2*alpha: the case splits
@@ -30,10 +30,11 @@ class CertifiedPath:
     """A concrete walk in the graph witnessing dist <= 2|b|.
 
     vertices alternates I/J, starts at (I, y), ends at (I, g(y)); for
-    b = 0 the walk is the single vertex (I, y).
+    b = 0 the walk is the single vertex (I, y).  It keeps the keys of the
+    frame that built it, and builds a vertex only when one is read.
     """
 
-    vertices: tuple[GVertex, ...]
+    vertices: VertexChain
     element: GroupElement
     anchor: AlgebraicPoint
 
@@ -41,26 +42,23 @@ class CertifiedPath:
     def length(self) -> int:
         return len(self.vertices) - 1
 
-    def validate(self, graph: IntervalGraph, frame: Frame | None = None) -> list[str]:
+    def validate(self) -> list[str]:
         """Return a list of defects; empty means the certificate is good.
 
-        A true edge joins points with equal denominators, so one frame over
-        every vertex's denominators decides every edge exactly: frame when
-        its den is that lcm (a sweep passes its anchor's), else a new one.
+        Every check is decided on the chain's keys and frame.  An element
+        keeps denominators, so an anchor off the frame (key None) is neither
+        the first vertex nor mapped onto the last.
         """
+        frame, keys = self.vertices.frame, self.vertices.keys
         problems: list[str] = []
-        first, last = self.vertices[0], self.vertices[-1]
-        if first != GVertex(Side.I, self.anchor):
+        anchor = frame.key(GVertex(Side.I, self.anchor))
+        if keys[0] != anchor:
             problems.append("first vertex is not the anchor")
-        if last != GVertex(Side.I, apply(self.element, self.anchor)):
+        if anchor is None or keys[-1] != (0, *frame.image(self.element, *anchor[1:])):
             problems.append("last vertex is not the image of the anchor")
-        for k, v in enumerate(self.vertices):
-            expected = Side.I if k % 2 == 0 else Side.J
-            if v.side is not expected:
+        for k, key in enumerate(keys):
+            if key[0] != k % 2:
                 problems.append(f"vertex {k} breaks I/J alternation")
-        if frame is None or frame.den != frame_den(*self.vertices):
-            frame = graph.frame(*self.vertices)
-        keys = list(map(frame.key, self.vertices))
         for k in range(len(keys) - 1):
             frame.check(keys[k])
             if keys[k + 1] not in [far for far, _labels in frame.adjacent(keys[k])]:
@@ -106,8 +104,8 @@ def build_path(
     Reduces g one step of |b| at a time down to b = 0, then closes each
     step's gap with a connector, innermost first, so the path grows from
     (I, y) outwards; nothing here depends on the recursion limit.
-    It runs on frame, y's frame, built here when not given.
-    Points are built only for the returned certificate and for errors.
+    It runs on frame, y's frame, built here when not given, and the
+    certificate keeps its keys; points are built only for errors.
     """
     frame = frame or graph.frame(GVertex(Side.I, y))
     adjacent, vertex_of = frame.adjacent, frame.vertex
@@ -153,7 +151,7 @@ def build_path(
                 },
             )
         keys += [shared, (0, *gy)]
-    return CertifiedPath(tuple(map(vertex_of, keys)), g, y)
+    return CertifiedPath(VertexChain(keys, frame), g, y)
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +235,7 @@ def verify_lemma(
                 max_dist_by_b[k] = max(max_dist_by_b.get(k, 0), dist)
             try:
                 cert = build_path(graph, g, y, frame)
-                defects = cert.validate(graph, frame)
+                defects = cert.validate()
                 if defects:
                     violations.append(
                         {**witness, "defect": "certificate", "problems": defects}

@@ -368,8 +368,8 @@ def verify_lemma_reference(
 ) -> dict:
     """The report of verify_lemma, from the point API alone.
 
-    Anchors and images are screened with in_interval, and bfs_distance,
-    build_path and validate each build their own frame, with no memo.
+    Anchors and images are screened with in_interval, and bfs_distance and
+    build_path each build their own frame, with no memo.
     """
     ctx = graph.ctx
     elements = sorted(enumerate_ball(ball_radius))
@@ -406,7 +406,7 @@ def verify_lemma_reference(
                 max_dist_by_b[k] = max(max_dist_by_b.get(k, 0), dist)
             try:
                 cert = build_path(graph, g, y)
-                defects = cert.validate(graph)
+                defects = cert.validate()
                 if defects:
                     violations.append(
                         {**witness, "defect": "certificate", "problems": defects}

@@ -326,7 +326,7 @@ def test_integer_step_only_sees_keys_inside_their_interval(graph, kernel_keys):
     origin = graph.vertex(Side.I, ZERO)
     assert graph.bfs_distance(origin, graph.vertex(Side.I, TWO_ALPHA), 100) == 2
     cert = build_path(graph, GroupElement(1, 3, -1), point(Fraction(1, 10)))
-    assert cert.validate(graph) == []
+    assert cert.validate() == []
     assert verify_lemma(graph, 4, 10, seed=0, bfs_budget=16 * 4 + 64)["checks"] > 0
     assert _bridge_suite(load_config(None))["extracted_standard"]
     assert len(seen) > 1000
@@ -466,8 +466,8 @@ def test_classify_sample_empty(graph):
     assert rep["samples"] == 0 and rep["kinds"] == {}
 
 
-def test_generator_domains_frozen(ctx):
-    dom = {gen.value: generator_domain(ctx, gen) for gen in Generator}
+def test_generator_domains_frozen():
+    dom = {gen.value: generator_domain(gen) for gen in Generator}
     assert dom["T"] == (ZERO, ONE - ALPHA)
     assert dom["R2"] == (ONE - ALPHA, ONE)
     assert dom["Id"] == (ALPHA, ONE)
@@ -481,7 +481,7 @@ def test_generator_domains_cover_interval_twice():
         ctx = AlphaContext(spec)
         total = ZERO
         for gen in Generator:
-            lo, hi = generator_domain(ctx, gen)
+            lo, hi = generator_domain(gen)
             assert ctx.compare(lo, hi) <= 0
             total = total + (hi - lo)
         assert total == point(2)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from equigraph.algebra import ALPHA, ONE, ZERO, AlphaContext, point
 from equigraph import graph as graph_module
 from equigraph.errors import EquigraphError
-from equigraph.graph import GVertex, IntervalGraph, Side
+from equigraph.graph import Frame, GVertex, IntervalGraph, Side, VertexChain
 from equigraph.group import (
     GENERATOR_ELEMENTS,
     GroupElement,
@@ -18,6 +18,7 @@ from equigraph.group import (
     apply,
     inverse,
 )
+from equigraph import pathcert as pathcert_module
 from equigraph.pathcert import CertifiedPath, build_path, verify_lemma
 
 from conftest import KERNEL_ALPHAS, SEVEN_MINUS_TWO_SQRT5_OVER_3
@@ -35,7 +36,7 @@ def test_single_shift_certificate(graph):
         GVertex(Side.I, TWO_ALPHA),
     )
     assert cert.length == 2
-    assert cert.validate(graph) == []
+    assert cert.validate() == []
 
 
 def test_identity_certificate_is_one_vertex(graph):
@@ -43,7 +44,7 @@ def test_identity_certificate_is_one_vertex(graph):
     cert = build_path(graph, IDENTITY, y)
     assert cert.vertices == (GVertex(Side.I, y),)
     assert cert.length == 0
-    assert cert.validate(graph) == []
+    assert cert.validate() == []
 
 
 def test_reflection_with_no_shift_fixes_its_anchor(graph):
@@ -59,7 +60,7 @@ def test_triple_shift_certificate_meets_bound_exactly(graph):
     y = point(Fraction(1, 10))
     cert = build_path(graph, g, y)
     assert cert.length == 6
-    assert cert.validate(graph) == []
+    assert cert.validate() == []
     dist = graph.bfs_distance(
         GVertex(Side.I, y), GVertex(Side.I, apply(g, y)), 500
     )
@@ -71,7 +72,7 @@ def test_negative_shift_certificate(graph):
     y = point(Fraction(1, 10))
     cert = build_path(graph, g, y)
     assert cert.length == 4
-    assert cert.validate(graph) == []
+    assert cert.validate() == []
     dist = graph.bfs_distance(
         GVertex(Side.I, y), GVertex(Side.I, apply(g, y)), 500
     )
@@ -86,7 +87,7 @@ def test_deep_certificate_needs_no_recursion(graph):
     g = GroupElement(1, b, c)
     assert graph.ctx.in_interval(apply(g, y), ZERO, ONE)
     cert = build_path(graph, g, y)
-    assert cert.validate(graph) == []
+    assert cert.validate() == []
     assert cert.length <= 2 * b
 
 
@@ -99,7 +100,7 @@ def test_wide_alpha_fallback_cases(golden_graph):
     ]:
         cert = build_path(golden_graph, el, point(y))
         assert cert.length == 2
-        assert cert.validate(golden_graph) == []
+        assert cert.validate() == []
         assert cert == build_path_points(golden_graph, el, point(y))
 
 
@@ -205,84 +206,108 @@ def built_frames(monkeypatch):
     return frames
 
 
-def test_validate_flags_tampering(graph, built_frames):
-    # each list is also checked on the sweep's frame of the anchor 0 (its
-    # first), after the sweep filled its memo; off-denominator certificates
-    # must fall back to the lcm frame
-    verify_lemma(graph, 2, 2, seed=0, bfs_budget=16 * 2 + 64)
-    anchor_frame = built_frames[0]
-    assert anchor_frame.den == 1 and anchor_frame.memo
+def _keyed_chain(graph, vertices, scale):
+    """vertices keyed on the frame over their denominators' lcm times scale."""
+    frame = Frame(graph.ctx.sign_scaled, scale * graph.frame(*vertices).den)
+    return VertexChain([frame.key(v) for v in vertices], frame)
 
-    def problems_of(cert):
-        problems = cert.validate(graph)
-        assert cert.validate(graph, anchor_frame) == problems
+
+def test_validate_flags_tampering(graph):
+    # each tampered certificate is keyed on the frame over its vertices'
+    # denominators, and again on a frame over six times that: the lists agree
+    cert = build_path(graph, T, ZERO)
+    first, middle, last = cert.vertices
+
+    def problems_of(vertices, element=T, anchor=ZERO):
+        certs = [
+            CertifiedPath(_keyed_chain(graph, vertices, scale), element, anchor)
+            for scale in (1, 6)
+        ]
+        problems = certs[0].validate()
+        assert certs[1].validate() == problems
         return problems
 
-    cert = build_path(graph, T, ZERO)
-    wrong_middle = CertifiedPath(
-        (cert.vertices[0], GVertex(Side.J, point(2) - TWO_ALPHA), cert.vertices[2]),
-        cert.element,
-        cert.anchor,
-    )
+    wrong_middle = (first, GVertex(Side.J, point(2) - TWO_ALPHA), last)
     assert any("not adjacent" in p for p in problems_of(wrong_middle))
-    wrong_anchor = CertifiedPath(cert.vertices, cert.element, TWO_ALPHA)
-    problems = problems_of(wrong_anchor)
+    problems = problems_of(cert.vertices, anchor=TWO_ALPHA)
     assert any("not the anchor" in p for p in problems)
     assert any("not the image" in p for p in problems)
-    claimed_shorter = CertifiedPath(cert.vertices, IDENTITY, ZERO)
-    assert any("exceeds bound" in p for p in problems_of(claimed_shorter))
-    broken_sides = CertifiedPath(
-        (cert.vertices[0], cert.vertices[2], cert.vertices[1]),
-        cert.element,
-        cert.anchor,
-    )
-    assert any("alternation" in p for p in problems_of(broken_sides))
+    # an anchor off the certificate's frame (at scale 1) matches neither end
+    assert problems_of(cert.vertices, anchor=point(Fraction(1, 3))) == [
+        "first vertex is not the anchor",
+        "last vertex is not the image of the anchor",
+    ]
+    assert any("exceeds bound" in p for p in problems_of(cert.vertices, IDENTITY))
+    assert any("alternation" in p for p in problems_of((first, last, middle)))
     # the problem lists below are those of the earlier point-based validate
     third = GVertex(Side.J, point(Fraction(1, 3), 2))  # 1/3 + 2*alpha
-    off_denominator = CertifiedPath(
-        (cert.vertices[0], third, cert.vertices[2]), T, ZERO
-    )
-    assert problems_of(off_denominator) == [
+    assert problems_of((first, third, last)) == [
         "vertices 0 and 1 are not adjacent",
         "vertices 1 and 2 are not adjacent",
     ]
     # off the anchor's denominator, the last edge is still a true edge
-    off_denominator_tail = CertifiedPath(
-        off_denominator.vertices[:2] + (GVertex(Side.I, point(Fraction(1, 3))),),
-        T,
-        ZERO,
-    )
-    assert problems_of(off_denominator_tail) == [
+    assert problems_of((first, third, GVertex(Side.I, point(Fraction(1, 3))))) == [
         "last vertex is not the image of the anchor",
         "vertices 0 and 1 are not adjacent",
     ]
-    same_side = CertifiedPath((cert.vertices[0], cert.vertices[2]), T, ZERO)
-    assert problems_of(same_side) == [
+    assert problems_of((first, last)) == [
         "vertex 1 breaks I/J alternation",
         "vertices 0 and 1 are not adjacent",
     ]
-    outside = CertifiedPath(
-        (cert.vertices[0], GVertex(Side.J, point(3)), cert.vertices[2]), T, ZERO
-    )
-    for frame in (None, anchor_frame):
+    outside = (first, GVertex(Side.J, point(3)), last)
+    for scale in (1, 6):
+        chain = _keyed_chain(graph, outside, scale)
         with pytest.raises(EquigraphError, match="^3 outside J interval$"):
-            outside.validate(graph, frame)
+            CertifiedPath(chain, T, ZERO).validate()
 
 
-def test_validate_builds_one_frame_per_certificate(graph, monkeypatch):
-    calls = []
-    make_frame = IntervalGraph.frame
+def test_validate_builds_no_frame(graph, monkeypatch):
+    # validate decides on the keys and frame its certificate keeps
+    calls = Counter()
+    frame_init = graph_module.Frame.__init__
 
-    def counted(self, *vertices):
-        calls.append(vertices)
-        return make_frame(self, *vertices)
+    def counted_init(self, *args):
+        calls["frame"] += 1
+        frame_init(self, *args)
 
-    monkeypatch.setattr(IntervalGraph, "frame", counted)
+    def counted_apply(*args):
+        calls["apply"] += 1
+        return apply(*args)
+
     for g, y in [(T, ZERO), (GroupElement(1, 3, -1), point(Fraction(1, 10)))]:
         cert = build_path(graph, g, y)
+        with monkeypatch.context() as patched:
+            patched.setattr(graph_module.Frame, "__init__", counted_init)
+            patched.setattr(pathcert_module, "apply", counted_apply)
+            assert cert.validate() == []
+        assert calls == {}
+
+
+@pytest.mark.parametrize("spec", KERNEL_ALPHAS)
+def test_sweep_builds_only_its_bfs_goals_as_points(monkeypatch, spec):
+    # with no violation the certificates stay keys: the one point a check
+    # builds is its BFS goal, and the only point signs are the threshold
+    # screen's, made once per sweep
+    graph = IntervalGraph(AlphaContext(spec))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for owner, attr in [(graph_module.Frame, "vertex"), (AlphaContext, "sign")]:
+        monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+    signs = []
+    for samples in (10, 40):
         calls.clear()
-        assert cert.validate(graph) == []
-        assert calls == [cert.vertices]
+        report = verify_lemma(graph, 4, samples, seed=0, bfs_budget=16 * 4 + 64)
+        assert report["checks"] > 0 and report["violations"] == []
+        assert calls["vertex"] == report["checks"]
+        signs.append(calls["sign"])
+    assert signs[0] == signs[1] <= 12  # two signs for each of six images
 
 
 def test_sweep_builds_one_frame_per_anchor_and_expands_each_key_once(
