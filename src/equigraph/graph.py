@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key, partial
-from math import lcm
+from math import inf, lcm
 from typing import Callable, Hashable, Optional
 
 from .algebra import ONE, ZERO, AlgebraicPoint, AlphaContext, point
@@ -127,6 +127,7 @@ class Frame:
         # a bound partial: a method reading self.den and self.sign costs
         # 4-5% more per call, and a walk makes one call per vertex
         self.adjacent = partial(_integer_step, sign, den)
+        self.bfs: Optional[_Search] = None  # kept by remember
 
     def key(self, v: GVertex) -> Optional[Key]:
         """The key of v, or None for a vertex off this denominator."""
@@ -157,8 +158,9 @@ class Frame:
         """apply(g, .) on (u, v): a*x + 2c + 2b*alpha."""
         return g.a * u + 2 * g.c * self.den, g.a * v + 2 * g.b * self.den
 
-    def remember(self, limit: int) -> None:
-        """Keep adjacent's lists as tuples in memo, for the first limit keys.
+    def remember(self, limit: int, origin: Key) -> None:
+        """Keep adjacent's lists as tuples in memo, for the first limit keys,
+        and one breadth-first search from origin, for its first limit keys.
 
         Walks keep the bare adjacency: a walk never revisits a vertex.
         """
@@ -173,6 +175,50 @@ class Frame:
             return edges
 
         self.adjacent, self.memo = adjacent, memo
+        self.bfs = _Search(adjacent, origin, limit)
+
+
+class _Search:
+    """A breadth-first search from start that each call resumes.
+
+    reached[key] is (distance, n) when key was found while expanding the
+    n-th vertex.  The expansion order from one start is fixed, so a search
+    with budget B finds key exactly when n <= B.  reached stops growing at
+    limit keys: a call that must go further goes on in a copy.
+    """
+
+    def __init__(self, adjacent: Callable, start: Key, limit: float = inf):
+        self.adjacent, self.start, self.limit = adjacent, start, limit
+        self.reached = {start: (0, 0)}
+        self.queue = deque([start])
+        self.expanded = 0
+
+    def distance(self, goal: Key, budget: int) -> Optional[int]:
+        """The distance to goal, or None if budget expansions do not find it."""
+        found = self.reached.get(goal) or self._resume(goal, budget)
+        return found[0] if found is not None and found[1] <= budget else None
+
+    def _resume(self, goal: Key, budget: int) -> Optional[tuple[int, int]]:
+        adjacent, limit = self.adjacent, self.limit
+        reached, queue, expanded = self.reached, self.queue, self.expanded
+        stored = True
+        while queue and expanded < budget:
+            cur = queue[0]
+            dist = reached[cur][0] + 1
+            new = [w for w, _labels in adjacent(cur) if w not in reached]
+            if stored and len(reached) + len(new) > limit:
+                stored = False
+                reached, queue = dict(reached), deque(queue)
+            queue.popleft()
+            expanded += 1
+            for w in new:
+                reached[w] = dist, expanded
+                queue.append(w)
+            if stored:
+                self.expanded = expanded
+            if goal in new:
+                return dist, expanded
+        return None
 
 
 class IntervalGraph:
@@ -218,7 +264,8 @@ class IntervalGraph:
 
         budget bounds the number of expanded vertices; exhaustion and
         true unreachability both surface as None.  frame is u's frame,
-        built here when not given.
+        built here when not given; a frame that remembers resumes the
+        search it keeps from u, with the answer of a new one.
         """
         frame = frame or self.frame(u)
         start, goal = frame.key(u), frame.key(v)
@@ -233,21 +280,10 @@ class IntervalGraph:
             return 0
         if goal is None:
             return None  # off u's denominators, so off u's component
-        seen = {start}
-        queue: deque[tuple[Key, int]] = deque([(start, 0)])
-        expanded = 0
-        while queue:
-            if expanded >= budget:
-                return None
-            cur, dist = queue.popleft()
-            expanded += 1
-            for w, _labels in frame.adjacent(cur):
-                if w == goal:
-                    return dist + 1
-                if w not in seen:
-                    seen.add(w)
-                    queue.append((w, dist + 1))
-        return None
+        search = frame.bfs
+        if search is None or search.start != start:
+            search = _Search(frame.adjacent, start)
+        return search.distance(goal, budget)
 
     def explore_component(self, v: GVertex, budget: int) -> ComponentView:
         """Walk the component of v in both directions.
@@ -449,9 +485,11 @@ def chain_element(view: ComponentView, i: int, j: int) -> GroupElement:
     """Element mapping visited[i]'s point to visited[j]'s point.
 
     Composes, along the chain, each edge's lowest label in Generator order;
-    requires indices into the non-wrapping part of the view.
+    requires indices into the non-wrapping part of the view.  Each step's
+    side is read from the chain's keys, so no vertex is built.
     """
-    n = len(view.visited)
+    keys = view.visited.keys
+    n = len(keys)
     if not (0 <= i < n and 0 <= j < n):
         raise EquigraphError(f"indices ({i}, {j}) outside view of size {n}")
     step = 1 if j >= i else -1
@@ -461,8 +499,7 @@ def chain_element(view: ComponentView, i: int, j: int) -> GroupElement:
         nxt = pos + step
         labels = view.labels[min(pos, nxt)]
         el = GENERATOR_ELEMENTS[next(gen for gen in Generator if gen in labels)]
-        src = view.visited[pos]
-        if src.side is Side.I:
+        if keys[pos][0] == 0:
             acc = compose(el, acc)  # I -> J applies the label
         else:
             acc = compose(inverse(el), acc)  # J -> I applies its inverse

@@ -57,10 +57,10 @@ class CertifiedPath:
         if anchor is None or keys[-1] != (0, *frame.image(self.element, *anchor[1:])):
             problems.append("last vertex is not the image of the anchor")
         for k, key in enumerate(keys):
+            frame.check(key)
             if key[0] != k % 2:
                 problems.append(f"vertex {k} breaks I/J alternation")
         for k in range(len(keys) - 1):
-            frame.check(keys[k])
             if keys[k + 1] not in [far for far, _labels in frame.adjacent(keys[k])]:
                 problems.append(f"vertices {k} and {k + 1} are not adjacent")
         if self.length > 2 * abs(self.element.b):
@@ -97,7 +97,11 @@ def _reduced_step(
 
 
 def build_path(
-    graph: IntervalGraph, g: GroupElement, y: AlgebraicPoint, frame: Frame | None = None
+    graph: IntervalGraph,
+    g: GroupElement,
+    y: AlgebraicPoint,
+    frame: Frame | None = None,
+    known: dict[GroupElement, tuple] | None = None,
 ) -> CertifiedPath:
     """Certificate that (I, y) and (I, g(y)) are within distance 2|b|.
 
@@ -106,8 +110,14 @@ def build_path(
     (I, y) outwards; nothing here depends on the recursion limit.
     It runs on frame, y's frame, built here when not given, and the
     certificate keeps its keys; points are built only for errors.
+
+    known maps elements to the keys of their certificates from y on frame.
+    The reduction stops at the first element known there: the certificate
+    of an element is that of its reduced element plus one connector.  Each
+    element certified on the way is added to known.
     """
     frame = frame or graph.frame(GVertex(Side.I, y))
+    known = {} if known is None else known
     adjacent, vertex_of = frame.adjacent, frame.vertex
     _, yu, yv = frame.key(GVertex(Side.I, y))
     if not frame.inside(0, yu, yv):
@@ -115,9 +125,19 @@ def build_path(
     steps: list[tuple[GroupElement, tuple[int, int], tuple[int, int]]] = []
     element, gy = g, frame.image(g, yu, yv)
     while True:
+        keys = known.get(element)
+        if keys is not None:
+            break
         if not frame.inside(0, *gy):
             raise EquigraphError(f"image {vertex_of((0, *gy)).point} outside [0, 1]")
         if element.b == 0:
+            # With both y and g(y) in [0, 1] and no alpha shift, the element
+            # fixes y: the identity, or a reflection anchored at y in {0, 1}.
+            if gy != (yu, yv):  # pragma: no cover - impossible under the precondition
+                raise EquigraphError(
+                    f"b=0 element moved {y} to {vertex_of((0, *gy)).point}"
+                )
+            keys = ((0, yu, yv),)
             break
         z, reduced = _reduced_step(frame, element, *gy)
         if abs(reduced.b) != abs(element.b) - 1 or frame.image(reduced, yu, yv) != z:
@@ -126,31 +146,26 @@ def build_path(
             )  # pragma: no cover - construction is checked by tests
         steps.append((element, z, gy))
         element, gy = reduced, z
-    # With both y and g(y) in [0, 1] and no alpha shift, the element fixes
-    # y: the identity, or a reflection anchored at y in {0, 1}.
-    if gy != (yu, yv):  # pragma: no cover - impossible under the precondition
-        raise EquigraphError(f"b=0 element moved {y} to {vertex_of((0, *gy)).point}")
-    keys = [(0, yu, yv)]
     for element, z, gy in reversed(steps):
-        if z == gy:
-            continue
-        # far keys come sorted by far point, so the first one at (I, g(y))
-        # that (I, z) shares is the lowest J-vertex joining them
-        z_far = {far for far, _labels in adjacent((0, *z))}
-        shared = next((far for far, _ in adjacent((0, *gy)) if far in z_far), None)
-        if shared is None:
-            zp, gp = vertex_of((0, *z)).point, vertex_of((0, *gy)).point
-            raise Finding(
-                CONNECTOR_MISSING,
-                f"no <=2-edge connection from {zp} to {gp}",
-                witness={
-                    "element": [element.a, element.b, element.c],
-                    "anchor": str(y),
-                    "z": str(zp),
-                    "image": str(gp),
-                },
-            )
-        keys += [shared, (0, *gy)]
+        if z != gy:
+            # far keys come sorted by far point, so the first one at (I, g(y))
+            # that (I, z) shares is the lowest J-vertex joining them
+            z_far = {far for far, _labels in adjacent((0, *z))}
+            shared = next((far for far, _ in adjacent((0, *gy)) if far in z_far), None)
+            if shared is None:
+                zp, gp = vertex_of((0, *z)).point, vertex_of((0, *gy)).point
+                raise Finding(
+                    CONNECTOR_MISSING,
+                    f"no <=2-edge connection from {zp} to {gp}",
+                    witness={
+                        "element": [element.a, element.b, element.c],
+                        "anchor": str(y),
+                        "z": str(zp),
+                        "image": str(gp),
+                    },
+                )
+            keys += (shared, (0, *gy))
+        known[element] = keys
     return CertifiedPath(VertexChain(keys, frame), g, y)
 
 
@@ -192,21 +207,27 @@ def verify_lemma(
         base.append(point(graph.sample_unit_rational(rng)))
 
     def screened(anchors: list[AlgebraicPoint]) -> list[tuple]:
-        """(y, frame, u, v) for each anchor y in [0, 1], over y's denominators."""
+        """(y, frame, u, v, known) for each anchor y in [0, 1], over y's denominators.
+
+        y's checks share the frame's memo and BFS, which keep the keys within
+        2*|b| <= 2*ball_radius of y (4*ball_radius + 1 of them), and known, the
+        table of y's certificates.  Each element on a reduction chain maps y
+        into [0, 1]: one at most per (a, b) with b != 0, so known holds at most
+        4*ball_radius entries, no more than the ball has elements.
+        """
         out = []
         for y in anchors:
             frame = graph.frame(GVertex(Side.I, y))
-            side, u, v = frame.key(GVertex(Side.I, y))
-            if frame.inside(side, u, v):
-                # y's checks share this memo; they expand keys within 2*|b| <=
-                # 2*ball_radius of y, at most 4*ball_radius + 1 of them
-                frame.remember(4 * ball_radius + 2)
-                out.append((y, frame, u, v))
+            key = frame.key(GVertex(Side.I, y))
+            if frame.inside(*key):
+                frame.remember(4 * ball_radius + 2, key)
+                out.append((y, frame, key[1], key[2], {}))
         return out
 
     # 0, 1 and the samples lie in [0, 1] already; test them once, not per element
     base_anchors = screened(base)
     images = _threshold_images(graph.ctx, Fraction(1, 1000))
+    sign = graph.ctx.sign_scaled
 
     checks = 0
     elements_checked = 0
@@ -214,12 +235,17 @@ def verify_lemma(
     max_len_by_b: dict[int, int] = {}
     violations: list[dict] = []
     for g in elements:
+        # g([0, 1]) = [2c + min(0, a), 2c + max(0, a)] + 2b*alpha; when it
+        # misses [0, 1], no anchor yields a check
+        lo, hi = 2 * g.c + min(0, g.a), 2 * g.c + max(0, g.a)
+        if sign(hi, 2 * g.b) < 0 or sign(lo - 1, 2 * g.b) > 0:
+            continue
         ginv = inverse(g)
         anchors = base_anchors + screened([apply(ginv, x) for x in images])
         k = abs(g.b)
         bound = 2 * k
         hit = False
-        for y, frame, u, v in anchors:
+        for y, frame, u, v, known in anchors:
             gu, gv = frame.image(g, u, v)
             if not frame.inside(0, gu, gv):
                 continue  # screened on ints; the vertex g(y) is built past here
@@ -234,7 +260,7 @@ def verify_lemma(
             else:
                 max_dist_by_b[k] = max(max_dist_by_b.get(k, 0), dist)
             try:
-                cert = build_path(graph, g, y, frame)
+                cert = build_path(graph, g, y, frame, known)
                 defects = cert.validate()
                 if defects:
                     violations.append(

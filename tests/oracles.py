@@ -11,9 +11,11 @@ are drawn through Random.randrange and Random.randint.
 The exceptions are build_path_points, the package's earlier distance
 certificate construction on exact points (apply, compare, in_interval and
 neighbors), kept verbatim as the reference for the integer construction,
-verify_lemma_reference, the sweep with no frame shared between calls, and
+verify_lemma_reference, the sweep with no frame shared between calls,
 integer_step_reference, the package's earlier adjacency kernel, which tests
-both far-interval bounds of all four generator maps.
+both far-interval bounds of all four generator maps, and
+chain_element_points, the earlier chain_element, which reads each step's
+side from its vertex.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from equigraph.errors import CONNECTOR_MISSING, EquigraphError, Finding
 from equigraph.graph import GVertex, IntervalGraph, Side
 from equigraph.group import (
     GENERATOR_ELEMENTS,
+    IDENTITY,
     Generator,
     GroupElement,
     apply,
+    compose,
     enumerate_ball,
     inverse,
 )
@@ -427,6 +431,24 @@ def verify_lemma_reference(
         "max_path_len_by_b": {str(k): max_len_by_b[k] for k in sorted(max_len_by_b)},
         "violations": violations,
     }
+
+
+# ----------------------------------------------------------------------
+# chain arithmetic on vertices
+
+
+def chain_element_points(view, i: int, j: int) -> GroupElement:
+    """chain_element with each step's side read from visited[pos]'s vertex."""
+    step = 1 if j >= i else -1
+    acc = IDENTITY
+    for pos in range(i, j, step):
+        labels = view.labels[min(pos, pos + step)]
+        el = GENERATOR_ELEMENTS[next(gen for gen in Generator if gen in labels)]
+        if view.visited[pos].side is Side.I:
+            acc = compose(el, acc)  # I -> J applies the label
+        else:
+            acc = compose(inverse(el), acc)  # J -> I applies its inverse
+    return acc
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,12 @@ from equigraph.dynamics import (
     random_kmatching,
     run_dynamics,
 )
+from equigraph import dynamics as dynamics_module
 from equigraph.errors import EquigraphError
-from equigraph.graph import Side, chain_element
+from equigraph.graph import Frame, Side, chain_element
 from equigraph.group import GroupElement, IDENTITY
 
-from oracles import facing_pairs_bruteforce, random_deviations
+from oracles import chain_element_points, facing_pairs_bruteforce, random_deviations
 
 
 def compute_S(m):
@@ -381,15 +382,23 @@ def test_assignment_with_swaps_runs_to_standard(graph):
     assert trace.iterations <= trace.initial_cost
 
 
-def test_bridge_reads_the_lazy_chain_as_its_tuple(graph):
+def test_bridge_reads_the_lazy_chain_as_its_tuple(graph, monkeypatch):
+    # chain_element reads sides from the chain's keys and builds no vertex;
+    # on the view read as a tuple, the vertex-reading oracle stands in for it
     v = graph.vertex(Side.I, point(Fraction(1, 2)))
     view = graph.explore_component(v, 64)
     eager = dataclasses.replace(view, visited=tuple(view.visited))
     n = len(view.visited)
-    for i, j in [(0, n - 1), (n - 1, 0), (30, 35), (35, 30), (33, 33)]:
-        assert chain_element(view, i, j) == chain_element(eager, i, j)
+    pairs = [(0, n - 1), (n - 1, 0), (30, 35), (35, 30), (33, 33)]
+    built = []
+    with monkeypatch.context() as patched:
+        patched.setattr(Frame, "vertex", lambda *args: built.append(args))
+        elements = [chain_element(view, i, j) for i, j in pairs]
+    assert built == []
+    assert elements == [chain_element_points(eager, i, j) for i, j in pairs]
     targets = {-4: -1, -2: -3, 0: 3, 2: 1}
     pieces = assignment_from_targets(view, targets)
+    monkeypatch.setattr(dynamics_module, "chain_element", chain_element_points)
     assert pieces == assignment_from_targets(eager, targets)
     lazy_m, eager_m = (kmatching_from_assignment(w, pieces) for w in (view, eager))
     assert (lazy_m.k, lazy_m.window, lazy_m.deviations) == (

@@ -523,12 +523,17 @@ class _FakeGraph(IntervalGraph):
         self._adj = adjacency  # vertex -> far vertices, every edge labelled Id
 
     def frame(self, *vertices):
-        # the keys are the vertices themselves, and every one passes check
-        def adjacent(w):
-            return [(far, frozenset({Generator.ID})) for far in self._adj.get(w, ())]
+        # a key is (side, vertex), side 0 for I as in a Frame key, and every
+        # key passes check
+        def key(w):
+            return (0 if w.side is Side.I else 1), w
+
+        def adjacent(k):
+            edges = self._adj.get(k[1], ())
+            return [(key(far), frozenset({Generator.ID})) for far in edges]
 
         return SimpleNamespace(
-            key=lambda w: w, check=lambda w: None, adjacent=adjacent, vertex=lambda w: w
+            key=key, check=lambda k: None, adjacent=adjacent, vertex=lambda k: k[1]
         )
 
 

@@ -16,6 +16,7 @@ from equigraph.group import (
     IDENTITY,
     Generator,
     apply,
+    enumerate_ball,
     inverse,
 )
 from equigraph import pathcert as pathcert_module
@@ -261,6 +262,15 @@ def test_validate_flags_tampering(graph):
             CertifiedPath(chain, T, ZERO).validate()
 
 
+def test_validate_checks_the_last_vertex(graph):
+    # the last key is checked like every other: a one-vertex certificate
+    # outside [0, 1] raises rather than validating
+    two = GVertex(Side.I, point(2))
+    cert = CertifiedPath(_keyed_chain(graph, (two,), 1), IDENTITY, point(2))
+    with pytest.raises(EquigraphError, match="^2 outside I interval$"):
+        cert.validate()
+
+
 def test_validate_builds_no_frame(graph, monkeypatch):
     # validate decides on the keys and frame its certificate keeps
     calls = Counter()
@@ -341,8 +351,17 @@ def test_sweep_builds_one_frame_per_anchor_and_expands_each_key_once(
     monkeypatch.setattr(IntervalGraph, "frame", tagged)
     report = verify_lemma(graph, 4, 10, seed=0, bfs_budget=16 * 4 + 64)
     assert report["checks"] > 0
-    # the 10 base anchors once, then 6 threshold anchors per element
-    assert len(frames) == 10 + 6 * report["ball_size"]
+    # the 10 base anchors once, then 6 threshold anchors per element whose
+    # image of [0, 1], [2c + min(0, a), 2c + max(0, a)] + 2b*alpha, meets it
+    compare = graph.ctx.compare
+    meeting = [
+        g
+        for g in enumerate_ball(4)
+        if compare(point(2 * g.c + max(0, g.a), 2 * g.b), ZERO) >= 0
+        and compare(point(2 * g.c + min(0, g.a), 2 * g.b), ONE) <= 0
+    ]
+    assert 0 < len(meeting) < report["ball_size"]
+    assert len(frames) == 10 + 6 * len(meeting)
     assert all(len(vs) == 1 and vs[0].side is Side.I for vs in frames)
     assert max(steps.values()) == 1
     assert total["calls"] == len(steps)
@@ -370,6 +389,8 @@ def test_anchor_memo_stays_bounded_and_immutable(graph, built_frames):
     far = GVertex(Side.I, ALPHA)
     assert graph.bfs_distance(y, far, 10_000, anchor_frame) is None
     assert len(anchor_frame.memo) == 4 * radius + 2
+    assert anchor_frame.bfs.start == anchor_frame.key(y)
+    assert len(anchor_frame.bfs.reached) <= 4 * radius + 2
     key = anchor_frame.key(y)
     edges = anchor_frame.adjacent(key)
     assert edges is anchor_frame.memo[key]
@@ -379,6 +400,84 @@ def test_anchor_memo_stays_bounded_and_immutable(graph, built_frames):
         edges[0] = edges[-1]
     with pytest.raises(AttributeError):
         edges.append(edges[0])
+
+
+@pytest.mark.parametrize("spec", KERNEL_ALPHAS)
+def test_sweep_reduces_each_element_once_per_anchor(monkeypatch, spec):
+    # an anchor's certificates share their reduction chain: _reduced_step
+    # runs at most once per (anchor frame, element), and each anchor's table
+    # holds at most one element per (a, b) with b != 0, fewer than the ball
+    graph = IntervalGraph(AlphaContext(spec))
+    steps, tables = Counter(), {}
+    reduced_step, build = pathcert_module._reduced_step, pathcert_module.build_path
+
+    def counted_step(frame, g, u, v):
+        steps[frame, g] += 1
+        return reduced_step(frame, g, u, v)
+
+    def recorded_build(graph, g, y, frame, known):
+        tables[id(known)] = known
+        return build(graph, g, y, frame, known)
+
+    monkeypatch.setattr(pathcert_module, "_reduced_step", counted_step)
+    monkeypatch.setattr(pathcert_module, "build_path", recorded_build)
+    radius = 6
+    report = verify_lemma(graph, radius, 20, seed=0, bfs_budget=16 * radius + 64)
+    assert report["violations"] == []
+    assert max(steps.values()) == 1
+    # with no violation, every element reduced is certified and kept
+    assert sum(steps.values()) == sum(map(len, tables.values()))
+    for known in tables.values():
+        assert all(g.b != 0 for g in known)
+        assert len({(g.a, g.b) for g in known}) == len(known)
+        assert len(known) <= min(4 * radius, report["ball_size"])
+
+
+@pytest.mark.parametrize("limit", [4 * 8 + 2, 5])
+def test_remembered_bfs_answers_each_budget_as_a_new_search(graph, limit):
+    # the goal lies at distance 6, found past the second expansion: budget 2
+    # must miss it whether the kept search ran further before or not.  The
+    # runs of budgets up and down cross the expansion that finds the goal;
+    # the small limit makes the search go on in a copy past its cap
+    y = point(Fraction(1, 10))
+    origin = GVertex(Side.I, y)
+    goal = GVertex(Side.I, apply(GroupElement(1, 3, -1), y))
+
+    def kept_frame():
+        frame = graph.frame(origin)
+        frame.remember(limit, frame.key(origin))
+        return frame
+
+    runs = [(100, 2), (2, 100), (2, 2, 100, 100), range(1, 21), range(20, 0, -1)]
+    for budgets in runs:
+        frame = kept_frame()
+        for budget in budgets:
+            fresh = graph.bfs_distance(origin, goal, budget)
+            assert graph.bfs_distance(origin, goal, budget, frame) == fresh
+            assert len(frame.bfs.reached) <= limit
+    assert graph.bfs_distance(origin, goal, 2) is None
+    assert graph.bfs_distance(origin, goal, 100) == 6
+    # a start other than the kept one gets a new search
+    frame = kept_frame()
+    other = GVertex(Side.I, point(Fraction(3, 10)))
+    assert graph.bfs_distance(other, goal, 100, frame) == graph.bfs_distance(
+        other, goal, 100
+    )
+    assert frame.bfs.reached == {frame.key(origin): (0, 0)}
+
+
+@pytest.mark.parametrize("radius, budget", [(4, 3), (6, 7), (8, 12)])
+@pytest.mark.parametrize("spec", KERNEL_ALPHAS)
+def test_verify_lemma_matches_reference_when_budget_binds(spec, radius, budget):
+    # budgets too small for the longer distances: the resumed BFS must give
+    # None exactly where a new search with that budget does
+    graph = IntervalGraph(AlphaContext(spec))
+    args = (graph, radius, 10, 0, budget)
+    report = verify_lemma(*args)
+    assert report == verify_lemma_reference(*args)
+    assert any(
+        v["defect"] == "bfs" and v["distance"] is None for v in report["violations"]
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 11])
