@@ -283,7 +283,7 @@ def cmd_verify_lemma(cfg: RunConfig) -> int:
 
 
 def _pairs_cell(pairs: Sequence[tuple[int, int]]) -> str:
-    return ";".join(f"0:{x}:{y}" for x, y in pairs)
+    return ";".join([f"0:{x}:{y}" for x, y in pairs])
 
 
 def _assert_converged(label: str, final: KMatching, trace: DynamicsTrace) -> KMatching:

@@ -54,7 +54,7 @@ class KMatching:
 
     def validate(self) -> None:
         """Raise EquigraphError on any structural defect."""
-        dev = self.deviations
+        dev, k = self.deviations, self.k
         lo, hi = self.window
         if dev and not (lo % 2 == 0 and hi % 2 == 1 and lo < hi):
             raise EquigraphError(f"window ({lo}, {hi}) not canonical")
@@ -65,8 +65,8 @@ class KMatching:
                 raise EquigraphError(f"standard pair {a} stored")
             if not (lo <= a <= hi and lo <= t <= hi):
                 raise EquigraphError(f"pair {a}->{t} leaves window")
-            if abs(a - t) > self.k:
-                raise EquigraphError(f"pair {a}->{t} exceeds K={self.k}")
+            if abs(a - t) > k:
+                raise EquigraphError(f"pair {a}->{t} exceeds K={k}")
         targets = set(dev.values())
         if len(targets) != len(dev):
             raise EquigraphError("matching is not injective")
@@ -100,25 +100,21 @@ def _canonical_window(
 # facing pairs, improvement
 
 
-def _faces(dev: Mapping[int, int], a: int) -> bool:
-    """Whether the A-vertices a - 2 and a face, given the deviations.
-
-    They face when each lies on the other's ray: a points left, which
-    needs a stored pair, and a - 2 points right.
-    """
-    t = dev.get(a)
-    return t is not None and t < a and dev.get(a - 2, a - 1) > a - 2
-
-
 def phi_pairs(m: KMatching) -> list[tuple[int, int]]:
     """All facing pairs, as (left, right), in increasing order.
 
     Two A-vertices at distance 2 face when each lies on the other's ray,
     the half-path from a vertex through its partner.  A facing pair
-    (a, a+2) needs direction(a+2) = -1, which forces a+2 to deviate from
-    standard, so scanning the stored deviations is complete.
+    (a - 2, a) needs a to point left, t < a, which forces a stored pair
+    a -> t, so one pass over the stored deviations is complete; a - 2
+    must point right.
     """
-    return [(a - 2, a) for a in m.deviations if _faces(m.deviations, a)]
+    get = m.deviations.get
+    return [
+        (a - 2, a)
+        for a, t in m.deviations.items()
+        if t < a and get(a - 2, a - 1) > a - 2
+    ]
 
 
 def _rewire(
@@ -136,12 +132,15 @@ def _rewire(
     and injectivity as validate() would; it is stored only when it is
     not standard, and its K bound is the Finding's.
     """
+    get, iget, pop, ipop = dev.get, inv.get, dev.pop, inv.pop
     drop = 0
     for x, y in pairs:
-        mx = dev.get(x, x + 1)
-        my = dev.get(y, y + 1)
-        ndx, ndy = abs(x - my), abs(y - mx)
-        odx, ody = abs(x - mx), abs(y - my)
+        mx = get(x, x + 1)
+        my = get(y, y + 1)
+        ndx = my - x if my > x else x - my
+        ndy = mx - y if mx > y else y - mx
+        odx = mx - x if mx > x else x - mx
+        ody = my - y if my > y else y - my
         if ndx > k or ndy > k:
             raise Finding(
                 CLAIM1_VIOLATION,
@@ -154,21 +153,21 @@ def _rewire(
                 f"rewiring ({x}, {y}) dropped cost by less than 2",
                 witness={"pair": [x, y], "old": [odx, ody], "new": [ndx, ndy]},
             )
-        inv.pop(mx, None)
-        inv.pop(my, None)
+        ipop(mx, None)
+        ipop(my, None)
         if my == x + 1:
-            dev.pop(x, None)
+            pop(x, None)
         else:
             inv[my] = x
             dev[x] = my
         if mx == y + 1:
-            dev.pop(y, None)
+            pop(y, None)
         else:
             inv[mx] = y
             dev[y] = mx
         if x % 2 or y % 2 or not (mx % 2 and my % 2):
             raise EquigraphError(f"pair {x}->{my} or {y}->{mx} breaks parity")
-        if inv.get(my, my - 1) != x or inv.get(mx, mx - 1) != y:
+        if iget(my, my - 1) != x or iget(mx, mx - 1) != y:
             raise EquigraphError("matching is not injective")
         drop += odx + ody - ndx - ndy
     return drop
@@ -228,15 +227,19 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
     facing pairs left raises EquigraphError.
 
     The rounds run on one mutable copy of the deviations, so a round
-    costs O(|S|): only coordinates a and a + 2 of a rewired a can start
-    facing (a pair whose entries did not change cannot), the cost moves
-    by the exact per-pair drops, and only the written entries are
-    checked.  The result is built and fully validated once, and equals
-    that of replaying improve(), window and trace included.
+    costs O(|S|): after rewiring (x, x + 2), only (x - 2, x) and
+    (x + 2, x + 4) are re-tested, since a pair whose entries did not
+    change cannot start facing and the rewired pair cannot face again
+    (that needs x -> x + 1 and x + 2 -> x + 1, which the injectivity
+    check refuses).  The cost moves by the exact per-pair drops, and
+    only the written entries are checked.  The result is built and fully
+    validated once, and equals that of replaying improve(), window and
+    trace included.
     """
     initial = m.cost()
     trace = DynamicsTrace(initial_cost=initial)
     dev, inv = dict(m.deviations), dict(m._inverse)
+    get = dev.get
     window = m.window
     cost = initial
     pairs = phi_pairs(m)
@@ -255,13 +258,14 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
             )
         trace.records.append(IterationRecord(n + 1, s_size, before, tuple(pairs)))
         # Pairs come sorted and lie at least 4 apart, so the re-tested
-        # coordinates x, x + 2, x + 4 come sorted as well, with x
-        # repeating the previous pair's x + 4 at most.
+        # right ends x and x + 4 come sorted as well, with x repeating
+        # the previous pair's x + 4 at most.
         nxt: list[tuple[int, int]] = []
         done = None
         for x, _ in pairs:
-            for c in (x, x + 2, x + 4) if done != x else (x + 2, x + 4):
-                if _faces(dev, c):
+            for c in (x, x + 4) if done != x else (x + 4,):
+                t = get(c)
+                if t is not None and t < c and get(c - 2, c - 1) > c - 2:
                     nxt.append((c - 2, c))
             done = x + 4
         # A round that empties the path keeps, under improve(), the window
@@ -327,33 +331,38 @@ def random_kmatching(window: int, k: int, seed: int) -> KMatching:
     if window < k:
         raise EquigraphError(f"window {window} smaller than K={k}")
     getrandbits = random.Random(seed).getrandbits
-
-    def below(n: int) -> int:
-        # Random.randrange(n) without its argument checks, so the stream
-        # is the same: n.bit_length() random bits, redrawn while >= n.
-        bits = n.bit_length()
-        r = getrandbits(bits)
-        while r >= n:
-            r = getrandbits(bits)
-        return r
-
     top = 2 * (window - 1)
     half = (k + 1) // 2
+    wbits, hbits = window.bit_length(), half.bit_length()
     cur: dict[int, int] = {}
+    get, pop = cur.get, cur.pop
+    # Each loop is Random.randrange(n) without its argument checks, so the
+    # stream is the same: n.bit_length() random bits, redrawn while >= n.
     for _ in range(window):
-        a1 = 2 * below(window)
-        delta = 2 * (1 + below(half))  # rng.randint(1, half)
-        a2 = a1 + (delta if below(2) else -delta)
-        if a2 < 0 or a2 > top or a2 == a1:
+        a1 = getrandbits(wbits)
+        while a1 >= window:
+            a1 = getrandbits(wbits)
+        delta = getrandbits(hbits)  # rng.randint(1, half) - 1
+        while delta >= half:
+            delta = getrandbits(hbits)
+        coin = getrandbits(2)  # rng.randrange(2)
+        while coin >= 2:
+            coin = getrandbits(2)
+        a1, delta = 2 * a1, 2 * delta + 2
+        a2 = a1 + delta if coin else a1 - delta
+        if a2 < 0 or a2 > top:
             continue
-        p1, p2 = cur.get(a1, a1 + 1), cur.get(a2, a2 + 1)
+        p1, p2 = get(a1, a1 + 1), get(a2, a2 + 1)
         if abs(a1 - p2) > k or abs(a2 - p1) > k:
             continue
-        for a, t in ((a1, p2), (a2, p1)):
-            if t == a + 1:
-                cur.pop(a, None)
-            else:
-                cur[a] = t
+        if p2 == a1 + 1:
+            pop(a1, None)
+        else:
+            cur[a1] = p2
+        if p1 == a2 + 1:
+            pop(a2, None)
+        else:
+            cur[a2] = p1
     result = KMatching(k, _canonical_window(cur, (0, -1)), cur)
     result.validate()
     return result

@@ -239,6 +239,25 @@ def test_run_dynamics_equals_improve_replay_on_bridge(graph):
     _assert_matches_replay(kmatching_from_assignment(view, pieces))
 
 
+def test_rewired_pairs_never_face_again():
+    # run_dynamics re-tests only the neighbours (x - 2, x) and
+    # (x + 2, x + 4) of a rewired (x, x + 2): every new facing pair is one
+    # of them, and the rewired pair itself is never among them
+    refound = 0
+    for window in (15, 40, 101, 400):
+        for k in (3, 5, 7, 9):
+            for seed in range(3):
+                m = random_kmatching(window, k, seed)
+                while pairs := phi_pairs(m):
+                    m = improve(m)
+                    after = set(phi_pairs(m))
+                    assert not after & set(pairs)
+                    near = {(x + d, x + d + 2) for x, _ in pairs for d in (-2, 2)}
+                    assert after <= near
+                    refound += len(after)
+    assert refound > 1000  # the later rounds are not empty
+
+
 def test_run_dynamics_checks_the_entries_it_writes():
     # A-vertices at odd coordinates: the one facing pair rewires 3 -> 6
     m = KMatching(5, (1, 6), {1: 6, 3: 2})
@@ -270,6 +289,11 @@ def test_run_dynamics_golden_regressions():
     m = random_kmatching(200, 7, 42)
     final, trace = run_dynamics(m)
     assert (trace.initial_cost, trace.iterations, trace.sum_s) == (456, 7, 370)
+    assert final.is_standard
+    # the benchmark's instance size
+    m = random_kmatching(1000, 9, 7)
+    final, trace = run_dynamics(m)
+    assert (trace.initial_cost, trace.iterations, trace.sum_s) == (2940, 14, 2330)
     assert final.is_standard
 
 
@@ -324,11 +348,17 @@ def test_random_kmatching_is_valid_and_deterministic():
 
 
 def test_random_kmatching_draws_as_randrange_did():
-    for window in (15, 16, 17, 63, 64, 65, 1000):
-        for k in (1, 3, 5, 7, 9):
-            for seed in range(20):
-                m = random_kmatching(window, k, seed)
-                assert m.deviations == random_deviations(window, k, seed)
+    # K = 11 and 15 draw from half = 6 and 8; (9, 9) and (11, 11) have
+    # window == k
+    cases = [(9, 9), (11, 11)] + [
+        (window, k)
+        for window in (15, 16, 17, 63, 64, 65, 1000)
+        for k in (1, 3, 5, 7, 9, 11, 15)
+    ]
+    for window, k in cases:
+        for seed in range(20):
+            m = random_kmatching(window, k, seed)
+            assert m.deviations == random_deviations(window, k, seed)
 
 
 def test_random_kmatching_edge_cases():
