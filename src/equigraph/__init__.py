@@ -9,19 +9,10 @@ Submodules:
   cli       command line entry points
 """
 
-from .algebra import (
-    ALPHA,
-    ONE,
-    ZERO,
-    AlgebraicPoint,
-    AlphaContext,
-    AlphaSpec,
-    point,
-)
+from .algebra import AlgebraicPoint, AlphaContext, AlphaSpec, point
 from .errors import EquigraphError, Finding
 from .group import (
     GENERATOR_ELEMENTS,
-    IDENTITY,
     Generator,
     GroupElement,
     apply,
@@ -33,9 +24,7 @@ from .graph import GVertex, IntervalGraph, Side
 from .pathcert import CertifiedPath, build_path, verify_lemma
 from .dynamics import (
     KMatching,
-    bridge_k_bound,
     extract_matching,
-    improve,
     kmatching_from_assignment,
     random_kmatching,
     run_dynamics,
@@ -44,11 +33,7 @@ from .dynamics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA",
     "GENERATOR_ELEMENTS",
-    "IDENTITY",
-    "ONE",
-    "ZERO",
     "AlgebraicPoint",
     "AlphaContext",
     "AlphaSpec",
@@ -62,12 +47,10 @@ __all__ = [
     "KMatching",
     "Side",
     "apply",
-    "bridge_k_bound",
     "build_path",
     "compose",
     "enumerate_ball",
     "extract_matching",
-    "improve",
     "inverse",
     "kmatching_from_assignment",
     "point",

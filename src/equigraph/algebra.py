@@ -127,13 +127,7 @@ class AlphaContext:
 
     def compare(self, x: AlgebraicPoint, y: AlgebraicPoint) -> int:
         """Sign of x - y: -1, 0 or 1; total order, exact."""
-        xu, xv, yu, yv = x.u, x.v, y.u, y.v
-        du = xu.denominator * yu.denominator
-        dv = xv.denominator * yv.denominator
-        # x - y = (nu/du) + (nv/dv)*alpha; scale both parts by du*dv > 0
-        nu = xu.numerator * yu.denominator - yu.numerator * xu.denominator
-        nv = xv.numerator * yv.denominator - yv.numerator * xv.denominator
-        return self.sign_scaled(nu * dv, nv * du)
+        return self.sign(x - y)
 
     def in_interval(
         self, x: AlgebraicPoint, lo: AlgebraicPoint, hi: AlgebraicPoint

@@ -15,8 +15,9 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
+from math import inf
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,30 +42,31 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FINDING = 3
 
-DEFAULTS = {
-    "alpha": "-1,1,2,1",
-    "seed": "0",
-    "ball_radius": "8",
-    "samples": "200",
-    "bfs_budget": "10000",
-    "k_values": "3,5,7,9",
-    "window": "200",
-    "instances": "500",
-    "output_dir": "out",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    alpha: AlphaSpec
-    seed: int
-    ball_radius: int
-    samples: int
-    bfs_budget: int
-    k_values: tuple[int, ...]
-    window: int
-    instances: int
-    output_dir: Path
+    """The run settings: one field per config key, at its default."""
+
+    alpha: AlphaSpec = AlphaSpec(-1, 1, 2, 1)
+    seed: int = 0
+    ball_radius: int = 8
+    samples: int = 200
+    bfs_budget: int = 10000
+    k_values: tuple[int, ...] = (3, 5, 7, 9)
+    window: int = 200
+    instances: int = 500
+    output_dir: Path = Path("out")
+
+
+# the integer settings: the least and greatest value, and that bound in words
+INT_BOUNDS = {
+    "seed": (0, inf, "nonnegative"),
+    "ball_radius": (0, MAX_BALL_RADIUS, f"in [0, {MAX_BALL_RADIUS}]"),
+    "samples": (0, inf, "nonnegative"),
+    "bfs_budget": (1, inf, "positive"),
+    "window": (1, inf, "positive"),
+    "instances": (0, inf, "nonnegative"),
+}
 
 
 # ----------------------------------------------------------------------
@@ -76,65 +78,39 @@ def parse_alpha_spec(text: str) -> AlphaSpec:
     if len(parts) != 4:
         raise ConfigError(f"alpha needs four integers p,q,d,r, got {text!r}")
     try:
-        p, q, d, r = (int(x) for x in parts)
+        spec = AlphaSpec(*(int(x) for x in parts))
     except ValueError as exc:
         raise ConfigError(f"alpha components must be integers: {text!r}") from exc
-    return AlphaSpec(p, q, d, r)
-
-
-def _parse_int(raw: dict, key: str) -> int:
     try:
-        return int(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {raw[key]!r}") from exc
-
-
-def _typed_config(raw: dict) -> RunConfig:
-    alpha = parse_alpha_spec(raw["alpha"])
-    try:
-        AlphaContext(alpha)  # full validation: positive non-square d, 0 < alpha < 1
+        AlphaContext(spec)  # full validation: positive non-square d, 0 < alpha < 1
     except EquigraphError as exc:
         raise ConfigError(f"bad alpha: {exc}") from exc
-    seed = _parse_int(raw, "seed")
-    ball_radius = _parse_int(raw, "ball_radius")
-    samples = _parse_int(raw, "samples")
-    bfs_budget = _parse_int(raw, "bfs_budget")
-    window = _parse_int(raw, "window")
-    instances = _parse_int(raw, "instances")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    if not 0 <= ball_radius <= MAX_BALL_RADIUS:
-        raise ConfigError(
-            f"ball_radius must be in [0, {MAX_BALL_RADIUS}], got {ball_radius}"
-        )
-    if samples < 0:
-        raise ConfigError(f"samples must be nonnegative, got {samples}")
-    if bfs_budget <= 0:
-        raise ConfigError(f"bfs_budget must be positive, got {bfs_budget}")
-    if window <= 0:
-        raise ConfigError(f"window must be positive, got {window}")
-    if instances < 0:
-        raise ConfigError(f"instances must be nonnegative, got {instances}")
+    return spec
+
+
+def _parse_setting(key: str, text: str) -> object:
+    """The value of one setting, from its text in a config file or flag."""
+    if key == "alpha":
+        return parse_alpha_spec(text)
+    if key == "output_dir":
+        return Path(text)
+    if key == "k_values":
+        try:
+            k_values = tuple(int(x) for x in text.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"k_values must be integers: {text!r}") from exc
+        for k in k_values:
+            if k <= 0 or k % 2 == 0:
+                raise ConfigError(f"every K must be an odd positive integer, got {k}")
+        return k_values
+    least, greatest, wording = INT_BOUNDS[key]
     try:
-        k_values = tuple(int(x) for x in raw["k_values"].split(","))
+        value = int(text)
     except ValueError as exc:
-        raise ConfigError(f"k_values must be integers: {raw['k_values']!r}") from exc
-    for k in k_values:
-        if k <= 0 or k % 2 == 0:
-            raise ConfigError(f"every K must be an odd positive integer, got {k}")
-    if window < max(k_values):
-        raise ConfigError(f"window {window} smaller than largest K {max(k_values)}")
-    return RunConfig(
-        alpha=alpha,
-        seed=seed,
-        ball_radius=ball_radius,
-        samples=samples,
-        bfs_budget=bfs_budget,
-        k_values=k_values,
-        window=window,
-        instances=instances,
-        output_dir=Path(raw["output_dir"]),
-    )
+        raise ConfigError(f"{key} must be an integer, got {text!r}") from exc
+    if not least <= value <= greatest:
+        raise ConfigError(f"{key} must be {wording}, got {value}")
+    return value
 
 
 def load_config(
@@ -144,12 +120,17 @@ def load_config(
     out: Optional[str] = None,
 ) -> RunConfig:
     """Defaults, then the key=value config file, then CLI overrides."""
-    raw = dict(DEFAULTS)
+    raw: dict[str, str] = {}
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {config_path}")
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {config_path} is not UTF-8: {exc}") from exc
+        keys = {f.name for f in fields(RunConfig)}
+        for lineno, line in enumerate(lines, 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -157,31 +138,30 @@ def load_config(
             if not sep:
                 raise ConfigError(f"{config_path}:{lineno}: expected key=value")
             key, value = key.strip(), value.strip()
-            if key not in DEFAULTS:
+            if key not in keys:
                 raise ConfigError(f"{config_path}:{lineno}: unknown key {key!r}")
             raw[key] = value
-    if seed is not None:
-        raw["seed"] = str(seed)
-    if alpha is not None:
-        raw["alpha"] = alpha
-    if out is not None:
-        raw["output_dir"] = out
-    return _typed_config(raw)
+    flags = {"seed": seed, "alpha": alpha, "output_dir": out}
+    raw.update((key, str(value)) for key, value in flags.items() if value is not None)
+    cfg = RunConfig(**{key: _parse_setting(key, text) for key, text in raw.items()})
+    if cfg.window < max(cfg.k_values):
+        raise ConfigError(
+            f"window {cfg.window} smaller than largest K {max(cfg.k_values)}"
+        )
+    return cfg
 
 
 def config_echo(cfg: RunConfig) -> dict:
-    return {
-        "alpha": [cfg.alpha.p, cfg.alpha.q, cfg.alpha.d, cfg.alpha.r],
-        "seed": cfg.seed,
-        "ball_radius": cfg.ball_radius,
-        "samples": cfg.samples,
-        "bfs_budget": cfg.bfs_budget,
-        "k_values": list(cfg.k_values),
-        "window": cfg.window,
-        "instances": cfg.instances,
-        "output_dir": str(cfg.output_dir),
-        "version": __version__,
-    }
+    """The settings as JSON gives them back, and the package version.
+
+    Every output records these as its params, and report compares them
+    with the params its inputs were written with.
+    """
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    text = json.dumps(
+        echo, default=lambda x: astuple(x) if isinstance(x, AlphaSpec) else str(x)
+    )
+    return {**json.loads(text), "version": __version__}
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +246,15 @@ def cmd_explore(cfg: RunConfig, point_text: str, side_text: str) -> int:
 
 
 def cmd_verify_lemma(cfg: RunConfig) -> int:
+    # at degree <= 2 a BFS finds a goal at distance d within its first 2d - 1
+    # expansions, and every checked distance is at most 2|b| <= 2*ball_radius;
+    # with less budget a goal out of reach would read as a violation
+    least = 4 * cfg.ball_radius - 1
+    if cfg.bfs_budget < least:
+        raise ConfigError(
+            f"bfs_budget {cfg.bfs_budget} is below 4*ball_radius - 1 = {least} "
+            f"for ball_radius {cfg.ball_radius}"
+        )
     ctx = AlphaContext(cfg.alpha)
     graph = IntervalGraph(ctx)
     report = verify_lemma(
@@ -416,13 +405,20 @@ def render_figure(ctx: AlphaContext) -> str:
     """
     corners = edge_polygon(ctx)
     margin, scale = 60.0, 440.0
-    j_top = ctx.to_float(ALPHA) + 1.0
+    j_bottom = ctx.to_float(ALPHA)
+    j_top = j_bottom + 1.0
 
     def sx(i_val: float) -> str:
         return f"{margin + scale * i_val:.6f}"
 
     def sy(j_val: float) -> str:
         return f"{margin + scale * (j_top - j_val):.6f}"
+
+    def text(x: float, y: float, body: str, anchor: str = "") -> str:
+        style = 'font-size="15" font-family="monospace" fill="#222222"'
+        if anchor:
+            style += f' text-anchor="{anchor}"'
+        return f'<text x="{x:.6f}" y="{y:.6f}" {style}>{body}</text>'
 
     exact = [
         tuple(
@@ -445,30 +441,12 @@ def render_figure(ctx: AlphaContext) -> str:
         'stroke="#1f5fa8" stroke-width="2"/>',
     ]
     for (ci, cj), (px, py) in zip(corners, rendered):
-        lines.append(
-            f'<circle cx="{sx(px)}" cy="{sy(py)}" r="4" fill="#1f5fa8"/>'
-        )
-        label_x = float(sx(px)) + 9.0
-        label_y = float(sy(py)) - 9.0
-        lines.append(
-            f'<text x="{label_x:.6f}" y="{label_y:.6f}" font-size="15" '
-            f'font-family="monospace" fill="#222222">({ci}, {cj})</text>'
-        )
-    axis = [
-        (sx(0.0), f"{margin + scale + 24:.6f}", "0"),
-        (sx(1.0), f"{margin + scale + 24:.6f}", "1"),
-    ]
-    for x_pos, y_pos, text in axis:
-        lines.append(
-            f'<text x="{x_pos}" y="{y_pos}" font-size="15" '
-            f'font-family="monospace" fill="#222222" text-anchor="middle">{text}</text>'
-        )
-    j_bottom = ctx.to_float(ALPHA)
-    for j_val, text in ((j_bottom, "a"), (j_top, "1+a")):
-        lines.append(
-            f'<text x="{margin - 14:.6f}" y="{sy(j_val)}" font-size="15" '
-            f'font-family="monospace" fill="#222222" text-anchor="end">{text}</text>'
-        )
+        lines.append(f'<circle cx="{sx(px)}" cy="{sy(py)}" r="4" fill="#1f5fa8"/>')
+        lines.append(text(float(sx(px)) + 9.0, float(sy(py)) - 9.0, f"({ci}, {cj})"))
+    for i_val, label in ((0.0, "0"), (1.0, "1")):
+        lines.append(text(float(sx(i_val)), margin + scale + 24, label, "middle"))
+    for j_val, label in ((j_bottom, "a"), (j_top, "1+a")):
+        lines.append(text(margin - 14, float(sy(j_val)), label, "end"))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -498,8 +476,14 @@ def cmd_report(cfg: RunConfig) -> int:
     echo = config_echo(cfg)
     merged = {"version": __version__, "config": echo}
     for section in ("explore", "verify_lemma", "dynamics"):
-        data = json.loads((out / needed[section]).read_text())
-        params = data.get("params", {})
+        path = out / needed[section]
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"{path} is not readable JSON: {exc}") from exc
+        params = data.get("params", {}) if isinstance(data, dict) else None
+        if not isinstance(params, dict):
+            raise ConfigError(f"{path} is not a JSON object with a params object")
         for key, value in echo.items():
             if params.get(key) != value:
                 raise ConfigError(
@@ -529,6 +513,17 @@ def cmd_report(cfg: RunConfig) -> int:
 # entry point
 
 
+# subcommand -> (handler, help).  main looks the handler up by its name when
+# it runs, so that a wrapper set on the module attribute is the one called.
+COMMANDS = {
+    "explore": ("cmd_explore", "walk and classify one component"),
+    "verify-lemma": ("cmd_verify_lemma", "check distance certificates over a ball"),
+    "dynamics": ("cmd_dynamics", "run the matching-improvement suites"),
+    "figure": ("cmd_figure", "draw the edge-set polygon as SVG"),
+    "report": ("cmd_report", "merge all outputs into one JSON report"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equigraph",
@@ -545,15 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha", metavar="p,q,d,r", help="override alpha = (p + q*sqrt(d)) / r"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    explore = sub.add_parser("explore", help="walk and classify one component")
+    commands = {name: sub.add_parser(name, help=h) for name, (_, h) in COMMANDS.items()}
+    explore = commands["explore"]
     explore.add_argument(
         "--point", default="1/2", metavar="u[,v]", help="origin point u + v*alpha"
     )
     explore.add_argument("--side", default="I", choices=("I", "J"))
-    sub.add_parser("verify-lemma", help="check distance certificates over a ball")
-    sub.add_parser("dynamics", help="run the matching-improvement suites")
-    sub.add_parser("figure", help="draw the edge-set polygon as SVG")
-    sub.add_parser("report", help="merge all outputs into one JSON report")
     return parser
 
 
@@ -561,18 +553,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed=args.seed, alpha=args.alpha, out=args.out)
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "explore":
-            return cmd_explore(cfg, args.point, args.side)
-        if args.command == "verify-lemma":
-            return cmd_verify_lemma(cfg)
-        if args.command == "dynamics":
-            return cmd_dynamics(cfg)
-        if args.command == "figure":
-            return cmd_figure(cfg)
-        if args.command == "report":
-            return cmd_report(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
+        try:
+            cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {cfg.output_dir}: {exc.strerror}"
+            ) from exc
+        handler = globals()[COMMANDS[args.command][0]]
+        extra = (args.point, args.side) if args.command == "explore" else ()
+        return handler(cfg, *extra)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -386,3 +386,44 @@ def test_seed_changes_dynamics_output(tmp_path):
     b = json.loads((tmp_path / "s1" / "dynamics_summary.json").read_text())
     assert a["instances"] != b["instances"]
     assert a["params"]["seed"] == 0 and b["params"]["seed"] == 1
+
+
+# ----------------------------------------------------------------------
+# refusals that exit 2 before anything is written
+
+
+def test_verify_lemma_refuses_a_budget_that_could_miss_a_goal(tmp_path, capsys):
+    # a goal at distance d <= 2*ball_radius is found within 2d - 1 expansions
+    text = "ball_radius = 1\nsamples = 20\nbfs_budget = {}\n"
+    cfg = _write_config(tmp_path, text.format(2))
+    assert main(["--out", str(tmp_path), "--config", cfg, "verify-lemma"]) == 2
+    err = capsys.readouterr().err
+    assert "bfs_budget" in err and "ball_radius" in err
+    assert not (tmp_path / "verify_lemma.json").exists()
+    cfg = _write_config(tmp_path, text.format(3))
+    assert main(["--out", str(tmp_path), "--config", cfg, "verify-lemma"]) == 0
+    data = json.loads((tmp_path / "verify_lemma.json").read_text())
+    assert data["checks"] > 0 and data["violations"] == []
+
+
+@pytest.mark.parametrize("text", ['{"params": ', "[1, 2]"])
+def test_report_refuses_inputs_that_are_not_json_objects(tmp_path, capsys, text):
+    for name in ("verify_lemma.json", "dynamics_summary.json", "figure.svg"):
+        (tmp_path / name).write_text("{}")
+    (tmp_path / "explore.json").write_text(text)
+    assert main(["--out", str(tmp_path), "report"]) == 2
+    assert str(tmp_path / "explore.json") in capsys.readouterr().err
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["--out", str(taken), "figure"]) == 2
+    assert str(taken) in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed = \xff\n")
+    assert main(["--out", str(tmp_path), "--config", str(cfg), "figure"]) == 2
+    assert str(cfg) in capsys.readouterr().err

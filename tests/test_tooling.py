@@ -3,7 +3,8 @@
 A deleted or renamed function would otherwise blank a per-layer metric
 (the tracer reports it only as `not_traced`) or leave README's example
 and the package's `__all__` pointing at nothing.  Nor does any module
-import a name it never reads.
+import a name it never reads, and README's configuration table lists
+the run settings and their defaults.
 """
 
 import ast
@@ -95,6 +96,22 @@ def test_readme_library_example_runs():
     # pad with blank lines so that a traceback names the README's own line
     code = "\n" * readme[: readme.index(code)].count("\n") + code
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_configuration_table_lists_the_settings(tmp_path):
+    # every key of RunConfig in its field order, each default read as
+    # config-file text giving back RunConfig's own default
+    from dataclasses import fields
+
+    from equigraph.cli import RunConfig, load_config
+
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)`\s*\| `([^`]*)`", section, re.M)
+    assert [key for key, _ in rows] == [f.name for f in fields(RunConfig)]
+    path = tmp_path / "readme.cfg"
+    path.write_text("".join(f"{key} = {default}\n" for key, default in rows))
+    assert load_config(str(path)) == RunConfig()
 
 
 def test_verify_lemma_runs_each_traced_step_once_per_check(monkeypatch, graph):
