@@ -170,8 +170,13 @@ def config_echo(cfg: RunConfig) -> dict:
 
 def _write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(text.encode("utf-8"))
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(text.encode("utf-8"))
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp.is_file():  # not a directory that was in the way
+            tmp.unlink()
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_json(path: Path, obj: dict) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key, partial
-from math import inf, lcm
+from math import lcm
 from typing import Callable, Hashable, Optional
 
 from .algebra import ONE, ZERO, AlgebraicPoint, AlphaContext, point
@@ -158,24 +158,23 @@ class Frame:
         """apply(g, .) on (u, v): a*x + 2c + 2b*alpha."""
         return g.a * u + 2 * g.c * self.den, g.a * v + 2 * g.b * self.den
 
-    def remember(self, limit: int, origin: Key) -> None:
-        """Keep adjacent's lists as tuples in memo, for the first limit keys,
-        and one breadth-first search from origin, for its first limit keys.
+    def remember(self, origin: Key) -> None:
+        """Keep adjacent's lists as tuples in memo, and one breadth-first
+        search from origin, which bfs_distance resumes.
 
-        Walks keep the bare adjacency: a walk never revisits a vertex.
+        Both grow as the frame is used and die with it.  Walks keep the bare
+        adjacency: a walk never revisits a vertex.
         """
         step, memo = self.adjacent, {}
 
         def adjacent(key: Key) -> tuple[tuple[Key, frozenset[Generator]], ...]:
             edges = memo.get(key)
             if edges is None:
-                edges = tuple(step(key))
-                if len(memo) < limit:
-                    memo[key] = edges
+                edges = memo[key] = tuple(step(key))
             return edges
 
         self.adjacent, self.memo = adjacent, memo
-        self.bfs = _Search(adjacent, origin, limit)
+        self.bfs = _Search(adjacent, origin)
 
 
 class _Search:
@@ -183,12 +182,11 @@ class _Search:
 
     reached[key] is (distance, n) when key was found while expanding the
     n-th vertex.  The expansion order from one start is fixed, so a search
-    with budget B finds key exactly when n <= B.  reached stops growing at
-    limit keys: a call that must go further goes on in a copy.
+    with budget B finds key exactly when n <= B.
     """
 
-    def __init__(self, adjacent: Callable, start: Key, limit: float = inf):
-        self.adjacent, self.start, self.limit = adjacent, start, limit
+    def __init__(self, adjacent: Callable, start: Key):
+        self.adjacent, self.start = adjacent, start
         self.reached = {start: (0, 0)}
         self.queue = deque([start])
         self.expanded = 0
@@ -199,23 +197,16 @@ class _Search:
         return found[0] if found is not None and found[1] <= budget else None
 
     def _resume(self, goal: Key, budget: int) -> Optional[tuple[int, int]]:
-        adjacent, limit = self.adjacent, self.limit
-        reached, queue, expanded = self.reached, self.queue, self.expanded
-        stored = True
+        adjacent, reached, queue = self.adjacent, self.reached, self.queue
+        expanded = self.expanded
         while queue and expanded < budget:
-            cur = queue[0]
+            cur = queue.popleft()
+            self.expanded = expanded = expanded + 1
             dist = reached[cur][0] + 1
             new = [w for w, _labels in adjacent(cur) if w not in reached]
-            if stored and len(reached) + len(new) > limit:
-                stored = False
-                reached, queue = dict(reached), deque(queue)
-            queue.popleft()
-            expanded += 1
             for w in new:
                 reached[w] = dist, expanded
                 queue.append(w)
-            if stored:
-                self.expanded = expanded
             if goal in new:
                 return dist, expanded
         return None
@@ -230,9 +221,12 @@ class IntervalGraph:
     # ------------------------------------------------------------------
     # vertices and adjacency
 
-    def check_vertex(self, v: GVertex) -> None:
+    def check_vertex(self, v: GVertex) -> tuple[Frame, Key]:
+        """v's frame and key; raises unless v lies in its side's interval."""
         frame = self.frame(v)
-        frame.check(frame.key(v))
+        key = frame.key(v)
+        frame.check(key)
+        return frame, key
 
     def vertex(self, side: Side, pt: AlgebraicPoint) -> GVertex:
         v = GVertex(side, pt)
@@ -246,9 +240,7 @@ class IntervalGraph:
 
     def neighbors(self, v: GVertex) -> list[tuple[GVertex, frozenset[Generator]]]:
         """(far vertex, labels) of each edge at v, sorted by far point."""
-        frame = self.frame(v)
-        key = frame.key(v)
-        frame.check(key)
+        frame, key = self.check_vertex(v)
         return [(frame.vertex(far), labels) for far, labels in frame.adjacent(key)]
 
     def degree(self, v: GVertex) -> int:
@@ -294,10 +286,7 @@ class IntervalGraph:
         this graph is built to exhibit.  The walk runs on the keys of v's
         frame; points are built only for the returned view.
         """
-        frame = self.frame(v)
-        key = frame.key(v)
-        frame.check(key)
-        return walk_component(frame, key, budget)
+        return walk_component(*self.check_vertex(v), budget)
 
     # ------------------------------------------------------------------
     # sampling

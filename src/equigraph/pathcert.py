@@ -199,87 +199,82 @@ def verify_lemma(
     checks that BFS distance and the constructed certificate both respect
     the 2|b| bound.  Violations are collected with full witnesses rather
     than raised, so one failure does not hide the rest of the sweep.
+
+    The sweep runs anchor by anchor: each base anchor (0, 1 and the samples)
+    against every screened element, then each threshold anchor g^-1(x)
+    against its g alone.  An anchor's checks share its frame's memo and BFS
+    and known, the table of its certificates, and all three go with the
+    anchor, so the sweep holds one anchor's state at a time: O(bfs_budget)
+    keys.  Each element lists its violations in anchor order, and the
+    report joins the lists in ball order.
     """
     elements = sorted(enumerate_ball(ball_radius))
     rng = random.Random(seed)
     base: list[AlgebraicPoint] = [ZERO, ONE]
     while len(base) < max(n_samples, 2):
         base.append(point(graph.sample_unit_rational(rng)))
-
-    def screened(anchors: list[AlgebraicPoint]) -> list[tuple]:
-        """(y, frame, u, v, known) for each anchor y in [0, 1], over y's denominators.
-
-        y's checks share the frame's memo and BFS, which keep the keys within
-        2*|b| <= 2*ball_radius of y (4*ball_radius + 1 of them), and known, the
-        table of y's certificates.  Each element on a reduction chain maps y
-        into [0, 1]: one at most per (a, b) with b != 0, so known holds at most
-        4*ball_radius entries, no more than the ball has elements.
-        """
-        out = []
-        for y in anchors:
-            frame = graph.frame(GVertex(Side.I, y))
-            key = frame.key(GVertex(Side.I, y))
-            if frame.inside(*key):
-                frame.remember(4 * ball_radius + 2, key)
-                out.append((y, frame, key[1], key[2], {}))
-        return out
-
-    # 0, 1 and the samples lie in [0, 1] already; test them once, not per element
-    base_anchors = screened(base)
-    images = _threshold_images(graph.ctx, Fraction(1, 1000))
     sign = graph.ctx.sign_scaled
-
-    checks = 0
-    elements_checked = 0
+    # g([0, 1]) = [2c + min(0, a), 2c + max(0, a)] + 2b*alpha; when it misses
+    # [0, 1], no anchor yields a check
+    screened = [
+        g
+        for g in elements
+        if sign(2 * g.c + max(0, g.a), 2 * g.b) >= 0
+        and sign(2 * g.c + min(0, g.a) - 1, 2 * g.b) <= 0
+    ]
+    checks: dict[GroupElement, int] = dict.fromkeys(screened, 0)
+    violations: dict[GroupElement, list[dict]] = {g: [] for g in screened}
     max_dist_by_b: dict[int, int] = {}
     max_len_by_b: dict[int, int] = {}
-    violations: list[dict] = []
-    for g in elements:
-        # g([0, 1]) = [2c + min(0, a), 2c + max(0, a)] + 2b*alpha; when it
-        # misses [0, 1], no anchor yields a check
-        lo, hi = 2 * g.c + min(0, g.a), 2 * g.c + max(0, g.a)
-        if sign(hi, 2 * g.b) < 0 or sign(lo - 1, 2 * g.b) > 0:
-            continue
-        ginv = inverse(g)
-        anchors = base_anchors + screened([apply(ginv, x) for x in images])
-        k = abs(g.b)
-        bound = 2 * k
-        hit = False
-        for y, frame, u, v, known in anchors:
-            gu, gv = frame.image(g, u, v)
+
+    def check_anchor(y: AlgebraicPoint, targets: list[GroupElement]) -> None:
+        frame = graph.frame(GVertex(Side.I, y))
+        key = frame.key(GVertex(Side.I, y))
+        if not frame.inside(*key):
+            return
+        frame.remember(key)
+        known: dict[GroupElement, tuple] = {}
+        for g in targets:
+            gu, gv = frame.image(g, *key[1:])
             if not frame.inside(0, gu, gv):
                 continue  # screened on ints; the vertex g(y) is built past here
-            hit = True
-            checks += 1
-            witness = {"element": [g.a, g.b, g.c], "anchor": str(y), "bound": bound}
+            checks[g] += 1
+            found, k = violations[g], abs(g.b)
+            witness = {"element": [g.a, g.b, g.c], "anchor": str(y), "bound": 2 * k}
             dist = graph.bfs_distance(
                 GVertex(Side.I, y), frame.vertex((0, gu, gv)), bfs_budget, frame
             )
-            if dist is None or dist > bound:
-                violations.append({**witness, "defect": "bfs", "distance": dist})
+            if dist is None or dist > 2 * k:
+                found.append({**witness, "defect": "bfs", "distance": dist})
             else:
                 max_dist_by_b[k] = max(max_dist_by_b.get(k, 0), dist)
             try:
                 cert = build_path(graph, g, y, frame, known)
                 defects = cert.validate()
                 if defects:
-                    violations.append(
+                    found.append(
                         {**witness, "defect": "certificate", "problems": defects}
                     )
                 else:
                     max_len_by_b[k] = max(max_len_by_b.get(k, 0), cert.length)
             except Finding as f:
-                violations.append({**witness, "defect": f.kind, "finding": f.witness})
-        if hit:
-            elements_checked += 1
+                found.append({**witness, "defect": f.kind, "finding": f.witness})
+
+    for y in base:
+        check_anchor(y, screened)
+    images = _threshold_images(graph.ctx, Fraction(1, 1000))
+    for g in screened:
+        ginv = inverse(g)
+        for x in images:
+            check_anchor(apply(ginv, x), [g])
     return {
         "ball_radius": ball_radius,
         "ball_size": len(elements),
-        "elements_checked": elements_checked,
-        "checks": checks,
+        "elements_checked": sum(n > 0 for n in checks.values()),
+        "checks": sum(checks.values()),
         "samples": n_samples,
         "seed": seed,
         "max_dist_by_b": {str(k): max_dist_by_b[k] for k in sorted(max_dist_by_b)},
         "max_path_len_by_b": {str(k): max_len_by_b[k] for k in sorted(max_len_by_b)},
-        "violations": violations,
+        "violations": [v for listed in violations.values() for v in listed],
     }

@@ -422,6 +422,15 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     assert str(taken) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("taken", ["figure.svg", "figure.svg.tmp"])
+def test_output_name_taken_by_a_directory_exits_2(tmp_path, capsys, taken):
+    # the write leaves nothing behind but the directory in its way
+    (tmp_path / taken).mkdir()
+    assert main(["--out", str(tmp_path), "figure"]) == 2
+    assert str(tmp_path / "figure.svg") in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
+
+
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"seed = \xff\n")

@@ -1,4 +1,6 @@
+import itertools
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -377,21 +379,34 @@ def test_walks_keep_the_bare_adjacency(graph, built_frames):
         assert not hasattr(frame, "memo")
 
 
-def test_anchor_memo_stays_bounded_and_immutable(graph, built_frames):
-    # y + alpha is on y's frame but never in y's component (every element
-    # shifts by an even multiple of alpha), and 0's component is an infinite
-    # path, so this BFS expands its whole budget through the sweep's frame
+def test_anchor_memo_stays_bounded_and_immutable(graph, monkeypatch):
+    # each anchor's frame is gone before the next anchor's is remembered, so
+    # a sweep holds one anchor's memo and BFS at a time
+    remembered, alive = [], []
+    remember = Frame.remember
+
+    def tracked(self, origin):
+        alive.append(sum(ref() is not None for ref in remembered))
+        remembered.append(weakref.ref(self))
+        remember(self, origin)
+
+    monkeypatch.setattr(Frame, "remember", tracked)
     radius = 3
     verify_lemma(graph, radius, 2, seed=0, bfs_budget=16 * radius + 64)
-    anchor_frame = built_frames[0]
-    assert anchor_frame.den == 1
+    assert len(remembered) > 2 and max(alive) == 0
+    assert all(ref() is None for ref in remembered)
+    # y + alpha is on y's frame but never in y's component (every element
+    # shifts by an even multiple of alpha), and 0's component is an infinite
+    # path, so this BFS expands its whole budget, each key once
     y = GVertex(Side.I, ZERO)
+    anchor_frame = graph.frame(y)
+    assert anchor_frame.den == 1
+    key = anchor_frame.key(y)
+    anchor_frame.remember(key)
     far = GVertex(Side.I, ALPHA)
     assert graph.bfs_distance(y, far, 10_000, anchor_frame) is None
-    assert len(anchor_frame.memo) == 4 * radius + 2
-    assert anchor_frame.bfs.start == anchor_frame.key(y)
-    assert len(anchor_frame.bfs.reached) <= 4 * radius + 2
-    key = anchor_frame.key(y)
+    assert anchor_frame.bfs.start == key
+    assert len(anchor_frame.memo) == anchor_frame.bfs.expanded == 10_000
     edges = anchor_frame.adjacent(key)
     assert edges is anchor_frame.memo[key]
     assert edges == tuple(graph_module._integer_step(graph.ctx.sign_scaled, 1, key))
@@ -400,6 +415,42 @@ def test_anchor_memo_stays_bounded_and_immutable(graph, built_frames):
         edges[0] = edges[-1]
     with pytest.raises(AttributeError):
         edges.append(edges[0])
+
+
+@pytest.mark.parametrize("far_goal", [False, True], ids=["graph", "far-goal"])
+def test_sweep_expands_each_key_once_per_anchor_frame(graph, monkeypatch, far_goal):
+    # with far goals each BFS goal is y +- alpha, on y's frame but never in
+    # y's component, so every search runs its whole budget: the anchor's
+    # later checks must resume its search, not expand its keys again
+    steps, tags = Counter(), itertools.count()
+    remember, bfs_distance = Frame.remember, IntervalGraph.bfs_distance
+
+    def counted(self, origin):
+        step, tag = self.adjacent, next(tags)
+
+        def adjacent(key):
+            steps[tag, key] += 1
+            return step(key)
+
+        self.adjacent = adjacent
+        remember(self, origin)
+
+    def far(self, u, v, budget, frame):
+        y = u.point + ALPHA
+        if not graph.ctx.in_interval(y, ZERO, ONE):
+            y = u.point - ALPHA
+        return bfs_distance(self, u, GVertex(Side.I, y), budget, frame)
+
+    monkeypatch.setattr(Frame, "remember", counted)
+    if far_goal:
+        monkeypatch.setattr(IntervalGraph, "bfs_distance", far)
+    report = verify_lemma(graph, 3, 5, seed=0, bfs_budget=200)
+    assert report["checks"] > 0
+    bfs = [v for v in report["violations"] if v["defect"] == "bfs"]
+    assert report["violations"] == bfs
+    assert len(bfs) == (report["checks"] if far_goal else 0)
+    assert all(v["distance"] is None for v in bfs)
+    assert max(steps.values()) == 1
 
 
 @pytest.mark.parametrize("spec", KERNEL_ALPHAS)
@@ -433,19 +484,17 @@ def test_sweep_reduces_each_element_once_per_anchor(monkeypatch, spec):
         assert len(known) <= min(4 * radius, report["ball_size"])
 
 
-@pytest.mark.parametrize("limit", [4 * 8 + 2, 5])
-def test_remembered_bfs_answers_each_budget_as_a_new_search(graph, limit):
+def test_remembered_bfs_answers_each_budget_as_a_new_search(graph):
     # the goal lies at distance 6, found past the second expansion: budget 2
     # must miss it whether the kept search ran further before or not.  The
-    # runs of budgets up and down cross the expansion that finds the goal;
-    # the small limit makes the search go on in a copy past its cap
+    # runs of budgets up and down cross the expansion that finds the goal
     y = point(Fraction(1, 10))
     origin = GVertex(Side.I, y)
     goal = GVertex(Side.I, apply(GroupElement(1, 3, -1), y))
 
     def kept_frame():
         frame = graph.frame(origin)
-        frame.remember(limit, frame.key(origin))
+        frame.remember(frame.key(origin))
         return frame
 
     runs = [(100, 2), (2, 100), (2, 2, 100, 100), range(1, 21), range(20, 0, -1)]
@@ -454,7 +503,6 @@ def test_remembered_bfs_answers_each_budget_as_a_new_search(graph, limit):
         for budget in budgets:
             fresh = graph.bfs_distance(origin, goal, budget)
             assert graph.bfs_distance(origin, goal, budget, frame) == fresh
-            assert len(frame.bfs.reached) <= limit
     assert graph.bfs_distance(origin, goal, 2) is None
     assert graph.bfs_distance(origin, goal, 100) == 6
     # a start other than the kept one gets a new search
