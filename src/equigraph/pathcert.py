@@ -2,13 +2,13 @@
 
 For any group element g = (a, b, c) and anchor y with both y and g(y)
 in [0, 1], the two I-vertices are within graph distance 2|b|.  The
-construction works by induction on |b|: pick an intermediate point z
-that a reduced element (with |b| smaller by one) sends y to, then close
-the gap from z to g(y) with a connector of at most two edges.  The
-connector is discovered by bounded search, never hard-coded, so a
-missing connector is a loud Finding rather than a silent wrong path.
-The construction runs on the integer keys of y's frame (graph.Frame): a
-point is a pair (u, v) of ints for (u + v*alpha)/den, den fixed by y.
+construction is the proof's induction on |b|, and its connectors come
+from the proof's table of the inductive step, _STEP, not from a search.
+A wrong row is still loud: validate() checks each edge on the frame's
+adjacency, and a connector vertex outside J raises a CONNECTOR_MISSING
+Finding.  The construction runs on the integer keys of y's frame
+(graph.Frame): a point is a pair (u, v) of ints for (u + v*alpha)/den,
+den fixed by y.
 """
 
 from __future__ import annotations
@@ -20,9 +20,41 @@ from fractions import Fraction
 from .algebra import ONE, ZERO, AlgebraicPoint, AlphaContext, point
 from .errors import CONNECTOR_MISSING, EquigraphError, Finding
 from .graph import Frame, GVertex, IntervalGraph, Side, VertexChain
-from .group import GroupElement, apply, enumerate_ball, inverse
+from .group import (
+    GENERATOR_ELEMENTS,
+    GroupElement,
+    apply,
+    compose,
+    enumerate_ball,
+    inverse,
+)
 
-THRESHOLDS = (point(0, 2), point(1, -2))  # 2*alpha, 1 - 2*alpha: the case splits
+ID, T, R2, R2A = GENERATOR_ELEMENTS.values()
+
+
+def _case(split, signs, m, *h2s):
+    return split, signs, m, inverse(m), h2s  # build_path applies m^-1
+
+
+# The inductive step of the 2|b| lemma, three cases for b > 0 and then three
+# for b < 0, none depending on b.  A case takes s = g(y) when the sign of
+# s - split, split = (U, V) for U + V*alpha, is in signs (the last case takes
+# every s left); then z = m^-1(s) lies in [0, 1] and m^-1 g has |b| one less.
+# Each h2 in turn gives the connector (h2 m, h2), joining (I, z) and (I, s)
+# through the J-vertex h2(s), where that lies in J.
+_STEP = (
+    (
+        _case((0, 2), (1,), GroupElement(1, 1, 0), ID),  # s > 2a: x + 2a
+        _case((-1, 2), (0, 1), GroupElement(-1, 1, 0), ID, R2A),  # s >= 2a - 1: 2a - x
+        _case(None, (), GroupElement(1, 1, -1), R2A),  # s < 2a - 1: x + 2a - 2
+    ),
+    (
+        _case((1, -2), (-1, 0), GroupElement(1, -1, 0), T),  # s <= 1 - 2a: x - 2a
+        _case((2, -2), (-1, 0), GroupElement(-1, -1, 1), T, R2),  # 2 - 2a - x
+        _case(None, (), GroupElement(1, -1, 1), R2),  # s > 2 - 2a: x - 2a + 2
+    ),
+)
+THRESHOLDS = tuple(point(*cases[0][0]) for cases in _STEP)  # 2a and 1 - 2a
 
 
 @dataclass(frozen=True)
@@ -70,32 +102,6 @@ class CertifiedPath:
         return problems
 
 
-def _reduced_step(
-    frame: Frame, g: GroupElement, u: int, v: int
-) -> tuple[tuple[int, int], GroupElement]:
-    """Pick the intermediate z and the element sending y to z; g(y) is (u, v).
-
-    The inequality splits follow the inductive construction verbatim.
-    For alpha > 1/2 the prescribed z can leave [0, 1]; the complementary
-    translate two units away is then forced, and still lowers |b|.
-    """
-    a, b, c = g.a, g.b, g.c
-    sign, den, two = frame.sign, frame.den, 2 * frame.den
-    if b < 0:
-        if sign(u - den, v + two) <= 0:  # g(y) <= 1 - 2*alpha
-            return (u, v + two), GroupElement(a, b + 1, c)
-        z = (two - u, -v - two)  # 2 - g(y) - 2*alpha
-        if frame.inside(0, *z):
-            return z, GroupElement(-a, -(b + 1), 1 - c)
-        return (u - two, v + two), GroupElement(a, b + 1, c - 1)
-    if sign(-u, two - v) < 0:  # 2*alpha < g(y)
-        return (u, v - two), GroupElement(a, b - 1, c)
-    z = (-u, two - v)  # 2*alpha - g(y)
-    if frame.inside(0, *z):
-        return z, GroupElement(-a, 1 - b, -c)
-    return (u + two, v - two), GroupElement(a, b - 1, c + 1)
-
-
 def build_path(
     graph: IntervalGraph,
     g: GroupElement,
@@ -105,11 +111,13 @@ def build_path(
 ) -> CertifiedPath:
     """Certificate that (I, y) and (I, g(y)) are within distance 2|b|.
 
-    Reduces g one step of |b| at a time down to b = 0, then closes each
-    step's gap with a connector, innermost first, so the path grows from
-    (I, y) outwards; nothing here depends on the recursion limit.
-    It runs on frame, y's frame, built here when not given, and the
-    certificate keeps its keys; points are built only for errors.
+    Reduces g one step of |b| at a time down to b = 0, by _STEP's case
+    for s = g(y), then closes each step's gap with its connector,
+    innermost first, so the path grows from (I, y) outwards; nothing here
+    depends on the recursion limit.  Only y and g(y) are tested for
+    [0, 1]: each case keeps z there, and then b = 0 fixes y.  It runs on
+    frame, y's frame, built here when not given, and the certificate
+    keeps its keys; points are built only for errors.
 
     known maps elements to the keys of their certificates from y on frame.
     The reduction stops at the first element known there: the certificate
@@ -118,53 +126,44 @@ def build_path(
     """
     frame = frame or graph.frame(GVertex(Side.I, y))
     known = {} if known is None else known
-    adjacent, vertex_of = frame.adjacent, frame.vertex
+    sign, den, vertex_of = frame.sign, frame.den, frame.vertex
     _, yu, yv = frame.key(GVertex(Side.I, y))
     if not frame.inside(0, yu, yv):
         raise EquigraphError(f"anchor {y} outside [0, 1]")
-    steps: list[tuple[GroupElement, tuple[int, int], tuple[int, int]]] = []
-    element, gy = g, frame.image(g, yu, yv)
-    while True:
-        keys = known.get(element)
-        if keys is not None:
-            break
-        if not frame.inside(0, *gy):
-            raise EquigraphError(f"image {vertex_of((0, *gy)).point} outside [0, 1]")
+    element, s = g, frame.image(g, yu, yv)
+    if g not in known and not frame.inside(0, *s):
+        raise EquigraphError(f"image {vertex_of((0, *s)).point} outside [0, 1]")
+    steps: list[tuple[GroupElement, tuple[int, int], tuple[int, int], tuple]] = []
+    while (keys := known.get(element)) is None:
         if element.b == 0:
-            # With both y and g(y) in [0, 1] and no alpha shift, the element
-            # fixes y: the identity, or a reflection anchored at y in {0, 1}.
-            if gy != (yu, yv):  # pragma: no cover - impossible under the precondition
-                raise EquigraphError(
-                    f"b=0 element moved {y} to {vertex_of((0, *gy)).point}"
-                )
             keys = ((0, yu, yv),)
             break
-        z, reduced = _reduced_step(frame, element, *gy)
-        if abs(reduced.b) != abs(element.b) - 1 or frame.image(reduced, yu, yv) != z:
-            raise EquigraphError(
-                f"reduction of {element} produced inconsistent step {reduced}"
-            )  # pragma: no cover - construction is checked by tests
-        steps.append((element, z, gy))
-        element, gy = reduced, z
-    for element, z, gy in reversed(steps):
-        if z != gy:
-            # far keys come sorted by far point, so the first one at (I, g(y))
-            # that (I, z) shares is the lowest J-vertex joining them
-            z_far = {far for far, _labels in adjacent((0, *z))}
-            shared = next((far for far, _ in adjacent((0, *gy)) if far in z_far), None)
-            if shared is None:
-                zp, gp = vertex_of((0, *z)).point, vertex_of((0, *gy)).point
+        u, v = s
+        for split, signs, _m, back, h2s in _STEP[element.b < 0]:
+            if split is None or sign(u - split[0] * den, v - split[1] * den) in signs:
+                break
+        z = frame.image(back, u, v)
+        steps.append((element, z, s, h2s))
+        element, s = compose(back, element), z
+    for element, z, s, h2s in reversed(steps):
+        if z != s:  # z = s only in a reflection case, at s = alpha or 1 - alpha
+            for h2 in h2s:
+                far = frame.image(h2, *s)
+                if frame.inside(1, *far):
+                    break
+            else:
+                zp, sp = vertex_of((0, *z)).point, vertex_of((0, *s)).point
                 raise Finding(
                     CONNECTOR_MISSING,
-                    f"no <=2-edge connection from {zp} to {gp}",
+                    f"no <=2-edge connection from {zp} to {sp}",
                     witness={
                         "element": [element.a, element.b, element.c],
                         "anchor": str(y),
                         "z": str(zp),
-                        "image": str(gp),
+                        "image": str(sp),
                     },
                 )
-            keys += (shared, (0, *gy))
+            keys += ((1, *far), (0, *s))
         known[element] = keys
     return CertifiedPath(VertexChain(keys, frame), g, y)
 

@@ -321,8 +321,8 @@ def kernel_keys(monkeypatch):
 
 def test_integer_step_only_sees_keys_inside_their_interval(graph, kernel_keys):
     seen, outside = kernel_keys
-    graph.explore_component(graph.vertex(Side.I, point(Fraction(2, 7))), 300)
-    graph.explore_component(graph.vertex(Side.J, point(Fraction(2, 7), 1)), 300)
+    graph.explore_component(graph.vertex(Side.I, point(Fraction(2, 7))), 400)
+    graph.explore_component(graph.vertex(Side.J, point(Fraction(2, 7), 1)), 400)
     origin = graph.vertex(Side.I, ZERO)
     assert graph.bfs_distance(origin, graph.vertex(Side.I, TWO_ALPHA), 100) == 2
     cert = build_path(graph, GroupElement(1, 3, -1), point(Fraction(1, 10)))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from equigraph.algebra import ALPHA, ONE, ZERO, AlphaContext, point
 from equigraph import graph as graph_module
-from equigraph.errors import EquigraphError
+from equigraph.errors import CONNECTOR_MISSING, EquigraphError, Finding
 from equigraph.graph import Frame, GVertex, IntervalGraph, Side, VertexChain
 from equigraph.group import (
     GENERATOR_ELEMENTS,
@@ -18,13 +18,19 @@ from equigraph.group import (
     IDENTITY,
     Generator,
     apply,
+    compose,
     enumerate_ball,
     inverse,
 )
 from equigraph import pathcert as pathcert_module
 from equigraph.pathcert import CertifiedPath, build_path, verify_lemma
 
-from conftest import KERNEL_ALPHAS, SEVEN_MINUS_TWO_SQRT5_OVER_3
+from conftest import (
+    GOLDEN_CONJUGATE,
+    KERNEL_ALPHAS,
+    SEVEN_MINUS_TWO_SQRT5_OVER_3,
+    SQRT2_MINUS_1,
+)
 from oracles import build_path_points, verify_lemma_reference
 
 TWO_ALPHA = point(0, 2)
@@ -107,6 +113,122 @@ def test_wide_alpha_fallback_cases(golden_graph):
         assert cert == build_path_points(golden_graph, el, point(y))
 
 
+@pytest.mark.parametrize(
+    "spec, g, y, reduced",
+    [
+        # s = 2a: the reflection 2a - x, not the shift
+        (SQRT2_MINUS_1, (-1, 2, 0), TWO_ALPHA, (1, -1, 0)),
+        # s = 1 - 2a: the shift x - 2a, not the reflection
+        (SQRT2_MINUS_1, (-1, -2, 1), ONE - TWO_ALPHA, (-1, -1, 1)),
+        # s = 2a - 1: the reflection 2a - x, not the fallback
+        (GOLDEN_CONJUGATE, (-1, 2, -1), TWO_ALPHA - ONE, (1, -1, 1)),
+        # s = 2 - 2a: the reflection 2 - 2a - x, not the fallback
+        (GOLDEN_CONJUGATE, (-1, -2, 2), point(2) - TWO_ALPHA, (1, 1, -1)),
+    ],
+    ids=["2a", "1-2a", "2a-1", "2-2a"],
+)
+def test_case_splits_decide_the_reduced_element(spec, g, y, reduced):
+    # on a split both cases give the same z and connector, so only the
+    # element entering known tells them apart; each split keeps the side
+    # that the point oracle's branches give it
+    graph = IntervalGraph(AlphaContext(spec))
+    g, known = GroupElement(*g), {}
+    assert apply(g, y) == y
+    cert = build_path(graph, g, y, known=known)
+    assert cert.validate() == []
+    assert cert == build_path_points(graph, g, y)
+    assert set(known) == {g, GroupElement(*reduced)}
+
+
+def test_reflection_fixing_its_image_adds_no_connector(graph):
+    # z = s at s = alpha (b > 0) and s = 1 - alpha (b < 0): no J-vertex
+    for g, y in [((-1, 1, 0), ALPHA), ((-1, -1, 1), ONE - ALPHA)]:
+        g = GroupElement(*g)
+        assert apply(g, y) == y
+        assert build_path(graph, g, y).vertices == (GVertex(Side.I, y),)
+
+
+GENERATOR_OF = {el: gen for gen, el in GENERATOR_ELEMENTS.items()}
+G = Generator
+# ROADMAP Baseline's connector pairs (h1, h2), for b > 0 and for b < 0
+BASELINE_PAIRS = [
+    {(G.T, G.ID), (G.ID, G.R2A), (G.R2A, G.ID), (G.R2, G.R2A)},
+    {(G.ID, G.T), (G.T, G.R2), (G.R2, G.T), (G.R2A, G.R2)},
+]
+STEP_PAIRS = [
+    (side, k, h2)
+    for side, cases in enumerate(pathcert_module._STEP)
+    for k, (*_, h2s) in enumerate(cases)
+    for h2 in h2s
+]
+
+
+def test_step_cases_lower_b_by_one_through_generator_connectors():
+    assert pathcert_module.THRESHOLDS == (TWO_ALPHA, ONE - TWO_ALPHA)
+    for sign, cases in zip((1, -1), pathcert_module._STEP):
+        for _split, _signs, m, back, h2s in cases:
+            assert back == inverse(m)
+            assert all(compose(h2, m) in GENERATOR_OF for h2 in h2s)
+            for a, b, c in itertools.product((1, -1), range(1, 60), range(-5, 6)):
+                assert abs(compose(inverse(m), GroupElement(a, sign * b, c)).b) == b - 1
+
+
+def test_step_connectors_are_the_baseline_pairs():
+    pairs = [
+        [
+            (GENERATOR_OF[compose(h2, m)], GENERATOR_OF[h2])
+            for *_, m, _back, h2s in cases
+            for h2 in h2s
+        ]
+        for cases in pathcert_module._STEP
+    ]
+    assert list(map(len, pairs)) == [4, 4]
+    assert list(map(set, pairs)) == BASELINE_PAIRS
+
+
+@pytest.mark.parametrize(
+    "side, k, h2",
+    STEP_PAIRS,
+    ids=[
+        f"b{'><'[side]}0-{('shift', 'reflect', 'fallback')[k]}-{GENERATOR_OF[h2].value}"
+        for side, k, h2 in STEP_PAIRS
+    ],
+)
+def test_dropping_any_connector_pair_raises(monkeypatch, side, k, h2):
+    # g = m and y = m^-1(s) for s on a grid of [0, 1]: where the case takes s
+    # and the pair gives its connector, the table without the pair raises.
+    # The fallback cases take some s only for alpha > 1/2
+    step = pathcert_module._STEP
+    split, signs, m, back, h2s = step[side][k]
+    dropped = split, signs, m, back, tuple(h for h in h2s if h != h2)
+    mutant = list(step)
+    mutant[side] = step[side][:k] + (dropped,) + step[side][k + 1 :]
+    mutant = tuple(mutant)
+    hits = []
+    for spec in KERNEL_ALPHAS:
+        graph = IntervalGraph(AlphaContext(spec))
+        for n in range(41):
+            s = point(Fraction(n, 40))
+            y = apply(back, s)
+            if not graph.ctx.in_interval(y, ZERO, ONE):
+                continue
+            with monkeypatch.context() as patched:
+                patched.setattr(pathcert_module, "_STEP", mutant)
+                try:
+                    build_path(graph, m, y)
+                    continue
+                except Finding as f:
+                    assert f.kind == CONNECTOR_MISSING
+                    assert f.witness["image"] == str(s)
+            cert = build_path(graph, m, y)
+            assert cert.validate() == []
+            assert cert.vertices[1] == GVertex(Side.J, apply(h2, s))
+            hits.append(spec)
+    assert hits
+    if k == 2:
+        assert SQRT2_MINUS_1 not in hits
+
+
 class _SparseGraph(IntervalGraph):
     """The graph without its translation-only edges: some connectors go missing."""
 
@@ -144,9 +266,11 @@ def _outcome(build, graph, g, y):
 @example(b=-1, threshold=None, t=Fraction(1, 10), v=0, eps=0, nudge=0)
 def test_build_path_matches_point_oracle(spec, sparse, b, threshold, t, v, eps, nudge):
     # the integer construction against the earlier one on points, vertex for
-    # vertex or error for error; the sparse graph makes connectors go missing.
-    # a and c are picked (in floats) to put y and g(y) in [0, 1]; a nonzero
-    # nudge of c moves one of them out.
+    # vertex or error for error.  The sparse graph makes connectors go missing:
+    # the earlier search raises, and the proof's connector, taken without a
+    # search, makes validate() report the missing edge.  a and c are picked
+    # (in floats) to put y and g(y) in [0, 1]; a nonzero nudge of c moves one
+    # of them out.
     graph = (_SparseGraph if sparse else IntervalGraph)(AlphaContext(spec))
     alpha = graph.ctx.to_float(ALPHA)
     if threshold is None:
@@ -168,9 +292,15 @@ def test_build_path_matches_point_oracle(spec, sparse, b, threshold, t, v, eps, 
                 break
         g = GroupElement(a, b, c + nudge)
         y = apply(inverse(g), image)
-    assert _outcome(build_path, graph, g, y) == _outcome(
-        build_path_points, graph, g, y
-    )
+    want = _outcome(build_path_points, graph, g, y)
+    if sparse and want[0] is Finding and want[1].startswith(CONNECTOR_MISSING):
+        cert = build_path(graph, g, y)
+        missing = {
+            f"vertices {k} and {k + 1} are not adjacent" for k in range(cert.length)
+        }
+        assert cert.validate() and set(cert.validate()) <= missing
+    else:
+        assert _outcome(build_path, graph, g, y) == want
 
 
 def test_anchor_preconditions(graph):
@@ -455,22 +585,26 @@ def test_sweep_expands_each_key_once_per_anchor_frame(graph, monkeypatch, far_go
 
 @pytest.mark.parametrize("spec", KERNEL_ALPHAS)
 def test_sweep_reduces_each_element_once_per_anchor(monkeypatch, spec):
-    # an anchor's certificates share their reduction chain: _reduced_step
-    # runs at most once per (anchor frame, element), and each anchor's table
+    # an anchor's certificates share their reduction chain: build_path looks
+    # each element up in the anchor's known table and reduces it on a miss,
+    # at most once per (anchor frame, element), and each anchor's table
     # holds at most one element per (a, b) with b != 0, fewer than the ball
+    # (counted in a table that stands in for the sweep's own, which must be
+    # one per anchor frame)
     graph = IntervalGraph(AlphaContext(spec))
-    steps, tables = Counter(), {}
-    reduced_step, build = pathcert_module._reduced_step, pathcert_module.build_path
+    steps, tables, passed = Counter(), {}, {}
+    build = pathcert_module.build_path
 
-    def counted_step(frame, g, u, v):
-        steps[frame, g] += 1
-        return reduced_step(frame, g, u, v)
+    class CountedTable(dict):
+        def get(self, g, default=None):
+            if g not in self and g.b != 0:
+                steps[id(self), g] += 1
+            return super().get(g, default)
 
     def recorded_build(graph, g, y, frame, known):
-        tables[id(known)] = known
-        return build(graph, g, y, frame, known)
+        assert passed.setdefault(frame, known) is known
+        return build(graph, g, y, frame, tables.setdefault(frame, CountedTable()))
 
-    monkeypatch.setattr(pathcert_module, "_reduced_step", counted_step)
     monkeypatch.setattr(pathcert_module, "build_path", recorded_build)
     radius = 6
     report = verify_lemma(graph, radius, 20, seed=0, bfs_budget=16 * radius + 64)

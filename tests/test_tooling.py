@@ -98,6 +98,33 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md", "exec"), {})
 
 
+def test_readme_code_names_resolve():
+    # every private name and Class.method that README puts in backticks is
+    # found in an equigraph module, so a rename cannot leave README stale
+    import pkgutil
+
+    import equigraph
+
+    modules = [equigraph] + [
+        importlib.import_module(f"equigraph.{info.name}")
+        for info in pkgutil.iter_modules(equigraph.__path__)
+    ]
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    names = {
+        name
+        for span in re.findall(r"`([^`]+)`", readme)
+        for name in re.findall(r"(?<![\w.])(_\w+|[A-Z][a-z]\w*\.[a-z_]\w*)", span)
+    }
+
+    def resolves(name):
+        head, *attrs = name.split(".")
+        found = [getattr(module, head) for module in modules if hasattr(module, head)]
+        return any(all(hasattr(obj, attr) for attr in attrs) for obj in found)
+
+    assert {"AlphaContext.sign_scaled", "__all__"} <= names
+    assert sorted(name for name in names if not resolves(name)) == []
+
+
 def test_readme_configuration_table_lists_the_settings(tmp_path):
     # every key of RunConfig in its field order, each default read as
     # config-file text giving back RunConfig's own default
