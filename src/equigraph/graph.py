@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key, partial
+from itertools import product
 from math import lcm
 from typing import Callable, Hashable, Optional
 
@@ -359,16 +360,9 @@ def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView
             cur, via = onward[0]
 
     edge_count = len(chain_labels)
-    if cycle:
-        kind = "even_cycle"
-        if edge_count % 2 != 0:
-            raise EquigraphError(
-                f"odd cycle of length {edge_count} at {vertex_of(origin)}"
-            )
-    elif frontier:
-        kind = "partial"
-    else:
-        kind = "finite_path"
+    kind = "even_cycle" if cycle else "partial" if frontier else "finite_path"
+    if cycle and edge_count % 2 != 0:
+        raise EquigraphError(f"odd cycle of length {edge_count} at {vertex_of(origin)}")
     visited = VertexChain(chain, frame)
     if kind == "finite_path" and edge_count % 2 == 0:
         raise Finding(
@@ -398,38 +392,68 @@ _LABELS = tuple(
 )
 
 
+def _least(e: int, f: int, h: int, side: int) -> int:
+    """Least e*x + f + h*alpha over x = side*alpha + t; t, alpha in [0, 1]."""
+    return f + min(e, 0) + min(e * side + h, 0)
+
+
 def _side_tables(side: int) -> tuple[tuple, tuple]:
     """The side's thresholds, and (bit, a, 2c, 2b, k, direction) per generator.
 
     The map is the generator's for I, its inverse's for J: x -> a*x + 2c +
     2b*alpha.  With x = side*alpha + t, t in [0, 1], and s = 1 - side, the
     image lies in [s*alpha, 1 + s*alpha] iff both bounds e*x + f + h*alpha >=
-    0, (e, f, h) = (a, 2c, 2b - s) and (-a, 1 - 2c, s - 2b), hold.  A bound
-    is linear in t and alpha, so its least value over t, alpha in [0, 1] is
-    f + min(e, 0) + min(e*side + h, 0); when that is >= 0 it always holds.
-    The other bound is the map's test: direction*(x - threshold) >= 0, with
-    threshold (-e*f, -e*h) and direction e.
+    0, (e, f, h) = (a, 2c, 2b - s) and (-a, 1 - 2c, s - 2b), hold.  One bound
+    always holds: its _least is >= 0.  The other is the map's test:
+    direction*(x - threshold) >= 0, with threshold (-e*f, -e*h), direction e.
     """
-    s, thresholds, maps = 1 - side, [], []
+    s, thresholds, maps = 1 - side, {}, []
     for n, el in enumerate(GENERATOR_ELEMENTS.values()):
         el = inverse(el) if side else el
         a, c2, b2 = el.a, 2 * el.c, 2 * el.b
         ((threshold, direction),) = [  # unpacking fails unless one bound is open
             ((-e * f, -e * h), e)
             for e, f, h in ((a, c2, b2 - s), (-a, 1 - c2, s - b2))
-            if f + min(e, 0) + min(e * side + h, 0) < 0
+            if _least(e, f, h, side) < 0
         ]
-        if threshold not in thresholds:
-            thresholds.append(threshold)
-        k = thresholds.index(threshold)
+        k = thresholds.setdefault(threshold, len(thresholds))
         maps.append((1 << n, a, c2, b2, k, direction))
     return tuple(thresholds), tuple(maps)
 
 
-# per side: the image of a map lies in the far interval iff direction times
-# the sign of x - _THRESHOLDS[side][k] is >= 0; the thresholds come out as
-# alpha and 1 - alpha on I, and 1 and 2*alpha on J
+def _sign_table(side: int, thresholds: tuple, maps: tuple) -> tuple:
+    """The side's _TABLES item: one entry per pair of threshold signs.
+
+    Entry 3*s0 + s1 is (edge, edge, union).  An edge is (a, 2c, 2b, labels)
+    of the maps facing one threshold: both at a sign of 0, which must agree
+    there, and the other threshold's edge again where none does.  The edges
+    are in far-point order, which _least must fix for every pair of maps on
+    the two thresholds and every alpha; union labels the one edge they make
+    where the images coincide.  A derivation that fails raises.
+    """
+    on = [[m for m in maps if m[4] == k] for k in (0, 1)]
+    for (p, q), ms in zip(thresholds, on):
+        if len({(a * p + c2, a * q + b2) for _, a, c2, b2, *_ in ms}) > 1:
+            raise EquigraphError(f"side {side}: maps disagree at threshold {p, q}")
+    up = [[y - x for x, y in zip(m0[1:4], m1[1:4])] for m0 in on[0] for m1 in on[1]]
+    # 1 when threshold 0's images never exceed threshold 1's, -1 when never below
+    orders = [
+        o for o in (1, -1) if min(_least(*(o * n for n in d), side) for d in up) >= 0
+    ]
+    if not orders:
+        raise EquigraphError(f"side {side}: far-point order of the edges not fixed")
+    table = [None] * 9
+    for s0, s1 in product((-1, 0, 1), repeat=2):
+        facing = [[m for m in ms if m[5] * s >= 0] for ms, s in zip(on, (s0, s1))]
+        edges = [(*ms[0][1:4], _LABELS[sum(m[0] for m in ms)]) for ms in facing if ms]
+        union = _LABELS[sum(m[0] for ms in facing for m in ms)]
+        table[3 * s0 + s1] = (*(edges[0], edges[-1])[:: orders[0]], union)
+    return tuple(table)
+
+
+# the thresholds come out as alpha and 1 - alpha on I, 1 and 2*alpha on J
 _THRESHOLDS, _MAPS = zip(_side_tables(0), _side_tables(1))
+_TABLES = tuple(map(_sign_table, (0, 1), _THRESHOLDS, _MAPS))
 
 
 def _integer_step(
@@ -443,27 +467,19 @@ def _integer_step(
     edge carrying every generator that realizes them.  sign(U, V) is the
     exact sign of U + V*alpha.
 
-    key must lie in its side's interval (Frame.check).  Then one sign per
-    threshold decides every map's far-interval test, and there are at most
-    two edges: the two maps that share a threshold face opposite ways and
-    agree on it.
+    key must lie in its side's interval (Frame.check).  Then its two signs
+    against the side's thresholds pick its _TABLES item, and the two edges
+    are in order unless their images coincide, at the four endpoints.
     """
     side, u, v = key
-    # _THRESHOLDS has two a side; unrolled, as a loop over them costs ~10% here
     (p0, q0), (p1, q1) = _THRESHOLDS[side]
-    signs = sign(u - p0 * den, v - q0 * den), sign(u - p1 * den, v - q1 * den)
-    found: dict[tuple[int, int], int] = {}
-    for bit, a, c2, b2, k, direction in _MAPS[side]:
-        if direction * signs[k] >= 0:
-            xy = a * u + c2 * den, a * v + b2 * den
-            found[xy] = found.get(xy, 0) | bit
+    (a0, c0, b0, l0), (a1, c1, b1, l1), union = _TABLES[side][
+        3 * sign(u - p0 * den, v - q0 * den) + sign(u - p1 * den, v - q1 * den)
+    ]
     far = 1 - side
-    out = [((far, x, y), _LABELS[mask]) for (x, y), mask in found.items()]
-    if len(out) == 2:
-        (x1, y1), (x2, y2) = found
-        if sign(x1 - x2, y1 - y2) > 0:
-            out.reverse()
-    return out
+    k0 = far, a0 * u + c0 * den, a0 * v + b0 * den
+    k1 = far, a1 * u + c1 * den, a1 * v + b1 * den
+    return [(k0, l0), (k1, l1)] if k0 != k1 else [(k0, union)]
 
 
 # ----------------------------------------------------------------------
@@ -483,16 +499,11 @@ def chain_element(view: ComponentView, i: int, j: int) -> GroupElement:
         raise EquigraphError(f"indices ({i}, {j}) outside view of size {n}")
     step = 1 if j >= i else -1
     acc = IDENTITY
-    pos = i
-    while pos != j:
-        nxt = pos + step
-        labels = view.labels[min(pos, nxt)]
+    for pos in range(i, j, step):
+        labels = view.labels[min(pos, pos + step)]
         el = GENERATOR_ELEMENTS[next(gen for gen in Generator if gen in labels)]
-        if keys[pos][0] == 0:
-            acc = compose(el, acc)  # I -> J applies the label
-        else:
-            acc = compose(inverse(el), acc)  # J -> I applies its inverse
-        pos = nxt
+        # I -> J applies the label, J -> I its inverse
+        acc = compose(el if keys[pos][0] == 0 else inverse(el), acc)
     return acc
 
 
@@ -535,8 +546,7 @@ def edge_polygon(ctx: AlphaContext) -> list[Corner]:
         raise EquigraphError(f"segments do not chain into a loop: {bad}")
 
     def exact_order(c1: Corner, c2: Corner) -> int:
-        first = ctx.compare(c1[0], c2[0])
-        return first if first != 0 else ctx.compare(c1[1], c2[1])
+        return ctx.compare(c1[0], c2[0]) or ctx.compare(c1[1], c2[1])
 
     start = min(ends, key=cmp_to_key(exact_order))
     loop: list[Corner] = []

@@ -127,7 +127,10 @@ def build_path(
     frame = frame or graph.frame(GVertex(Side.I, y))
     known = {} if known is None else known
     sign, den, vertex_of = frame.sign, frame.den, frame.vertex
-    _, yu, yv = frame.key(GVertex(Side.I, y))
+    key = frame.key(GVertex(Side.I, y))
+    if key is None:
+        raise EquigraphError(f"anchor {y} is not on the frame over 1/{den}")
+    _, yu, yv = key
     if not frame.inside(0, yu, yv):
         raise EquigraphError(f"anchor {y} outside [0, 1]")
     element, s = g, frame.image(g, yu, yv)

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 from types import SimpleNamespace
 
 import pytest
@@ -287,20 +288,70 @@ def _kernel_keys(spec, den: int, n_random: int, rng: random.Random) -> list:
     return [key for key in keys if frame.inside(*key)]
 
 
+def _reference_keys(spec) -> list:
+    """(den, key) for each key test_integer_step_matches_eight_test_reference
+    checks."""
+    rng = random.Random(23)
+    dens = (1, 7, 10**6)
+    return [(den, key) for den in dens for key in _kernel_keys(spec, den, 2000, rng)]
+
+
 @pytest.mark.parametrize("spec", KERNEL_ALPHAS)
 def test_integer_step_matches_eight_test_reference(spec):
     # far keys, label sets and their order, on keys inside their interval
     sign = AlphaContext(spec).sign_scaled
-    rng = random.Random(23)
     checked = Counter()
-    for den in (1, 7, 10**6):
-        for key in _kernel_keys(spec, den, 2000, rng):
-            want = integer_step_reference(sign, den, key)
-            assert graph_module._integer_step(sign, den, key) == want, (den, key)
-            checked[den, len(want)] += 1
+    for den, key in _reference_keys(spec):
+        want = integer_step_reference(sign, den, key)
+        assert graph_module._integer_step(sign, den, key) == want, (den, key)
+        checked[den, len(want)] += 1
     # degree one occurs only at the four endpoints, all special points
     assert {degree for _den, degree in checked} == {1, 2}
     assert sum(checked.values()) > 7000
+
+
+@pytest.mark.parametrize("spec", KERNEL_ALPHAS)
+def test_reference_keys_meet_every_sign_pattern(spec):
+    # the kernel's _TABLES entry is picked by the signs of x minus the side's
+    # two thresholds; every pattern that occurs on a side, found from its
+    # endpoints, thresholds and the midpoints between them, must be met by
+    # the keys compared with the reference at each denominator
+    ctx = AlphaContext(spec)
+    met = {}
+    for den, (side, u, v) in _reference_keys(spec):
+        signs = tuple(
+            ctx.sign_scaled(u - p * den, v - q * den)
+            for p, q in graph_module._THRESHOLDS[side]
+        )
+        met.setdefault((den, side), set()).add(signs)
+    for side in (0, 1):
+        lo = point(0, side)
+        thresholds = [point(*t) for t in graph_module._THRESHOLDS[side]]
+        cuts = sorted([lo, lo + ONE, *thresholds], key=cmp_to_key(ctx.compare))
+        halves = [
+            point((x.u + y.u) / 2, (x.v + y.v) / 2) for x, y in zip(cuts, cuts[1:])
+        ]
+        occurs = {tuple(ctx.sign(x - t) for t in thresholds) for x in cuts + halves}
+        # both thresholds lie inside: three pieces, two thresholds
+        assert len(occurs) == 5
+        for den in (1, 7, 10**6):
+            assert occurs <= met[den, side], (den, side)
+
+
+def test_sign_table_derivation_raises_where_it_does_not_hold():
+    thresholds, maps = graph_module._THRESHOLDS[0], graph_module._MAPS[0]
+    # Id shifted by 2 no longer meets R2a at their threshold alpha
+    bit, a, c2, *rest = maps[0]
+    shifted = ((bit, a, c2 + 2, *rest), *maps[1:])
+    with pytest.raises(EquigraphError, match=r"maps disagree at threshold \(0, 1\)"):
+        graph_module._sign_table(0, thresholds, shifted)
+    # I's maps on J's interval [alpha, 1 + alpha]: R2 minus Id is 2 - 2x,
+    # which changes sign at 1, so their images have no fixed order
+    with pytest.raises(EquigraphError, match="far-point order of the edges not fixed"):
+        graph_module._sign_table(1, thresholds, maps)
+    # the real maps derive, to the tables the kernel reads
+    derived = zip((0, 1), graph_module._THRESHOLDS, graph_module._MAPS)
+    assert tuple(graph_module._sign_table(*d) for d in derived) == graph_module._TABLES
 
 
 @pytest.fixture

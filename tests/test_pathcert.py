@@ -310,6 +310,14 @@ def test_anchor_preconditions(graph):
         build_path(graph, GroupElement(1, 3, 0), point(Fraction(1, 2)))
 
 
+def test_anchor_off_the_given_frame_is_named(graph):
+    # 1/3 has no key over 1/2: the error names the anchor, not a failed unpack
+    half = graph.frame(GVertex(Side.I, point(Fraction(1, 2))))
+    with pytest.raises(EquigraphError) as err:
+        build_path(graph, T, point(Fraction(1, 3)), half)
+    assert str(err.value) == "anchor 1/3 is not on the frame over 1/2"
+
+
 def test_verify_lemma_makes_no_point_interval_tests(graph, monkeypatch):
     # every anchor, image and certificate vertex is decided on integer keys
     calls = []
@@ -667,11 +675,14 @@ def test_verify_lemma_matches_reference_when_budget_binds(spec, radius, budget):
 @pytest.mark.parametrize("mutant", [False, True], ids=["graph", "no-T"])
 def test_verify_lemma_matches_fresh_frame_reference(monkeypatch, mutant, spec, seed):
     # the mutant drops the translation T from both sides' adjacency, so BFS
-    # distances and connectors go missing and the violation path runs too
+    # distances and connectors go missing and the violation path runs too;
+    # the kernel reads only the sign tables, so they are rebuilt from its maps
     if mutant:
         t = list(GENERATOR_ELEMENTS).index(Generator.T)
         maps = tuple(side[:t] + side[t + 1 :] for side in graph_module._MAPS)
         monkeypatch.setattr(graph_module, "_MAPS", maps)
+        tables = map(graph_module._sign_table, (0, 1), graph_module._THRESHOLDS, maps)
+        monkeypatch.setattr(graph_module, "_TABLES", tuple(tables))
     graph = IntervalGraph(AlphaContext(spec))
     args = (graph, 5, 10, seed, 16 * 5 + 64)
     report = verify_lemma(*args)
