@@ -194,23 +194,17 @@ class _Search:
 
     def distance(self, goal: Key, budget: int) -> Optional[int]:
         """The distance to goal, or None if budget expansions do not find it."""
-        found = self.reached.get(goal) or self._resume(goal, budget)
-        return found[0] if found is not None and found[1] <= budget else None
-
-    def _resume(self, goal: Key, budget: int) -> Optional[tuple[int, int]]:
         adjacent, reached, queue = self.adjacent, self.reached, self.queue
-        expanded = self.expanded
-        while queue and expanded < budget:
+        while goal not in reached and queue and self.expanded < budget:
             cur = queue.popleft()
-            self.expanded = expanded = expanded + 1
+            self.expanded = expanded = self.expanded + 1
             dist = reached[cur][0] + 1
-            new = [w for w, _labels in adjacent(cur) if w not in reached]
-            for w in new:
-                reached[w] = dist, expanded
-                queue.append(w)
-            if goal in new:
-                return dist, expanded
-        return None
+            for w, _labels in adjacent(cur):
+                if w not in reached:
+                    reached[w] = dist, expanded
+                    queue.append(w)
+        found = reached.get(goal)
+        return found[0] if found is not None and found[1] <= budget else None
 
 
 class IntervalGraph:
@@ -262,6 +256,8 @@ class IntervalGraph:
         """
         frame = frame or self.frame(u)
         start, goal = frame.key(u), frame.key(v)
+        if start is None:
+            raise EquigraphError(f"start {u.point} not on the frame over 1/{frame.den}")
         frame.check(start)
         if goal is None:
             self.check_vertex(v)
@@ -313,11 +309,10 @@ def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView
     if budget <= 0:
         visited = VertexChain((origin,), frame)
         return ComponentView("partial", visited, (), 0, (visited[0],), 0)
-    chain: deque[Hashable] = deque([origin])
-    chain_labels: deque[frozenset[Generator]] = deque()
+    arms: tuple[tuple[list, list], ...] = (([], []), ([], []))  # keys, labels
     frontier: list[Hashable] = []
     seen = {origin}
-    cycle = False
+    closing: list[frozenset[Generator]] = []
     origin_edges = adjacent(origin)
     expanded = 1
     if len(origin_edges) > 2:
@@ -327,26 +322,20 @@ def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView
     # give the first direction half the budget so the view is centered on
     # the origin; the second direction takes whatever remains
     limits = ((budget + 1) // 2 if len(origin_edges) == 2 else budget, budget)
-    for direction, (cur, via) in enumerate(origin_edges):
-        if cycle:
+    for (keys, labels), limit, (cur, via) in zip(arms, limits, origin_edges):
+        if closing:
             break
         prev = origin
         while True:
             if cur in seen:
                 # met the explored region again: the closing edge of a
-                # cycle (2-regularity leaves no other way back); it joins
-                # the two chain ends, so it always goes last
-                chain_labels.append(via)
-                cycle = True
+                # cycle (2-regularity leaves no other way back)
+                closing.append(via)
                 break
             seen.add(cur)
-            if direction == 0:
-                chain.append(cur)
-                chain_labels.append(via)
-            else:
-                chain.appendleft(cur)
-                chain_labels.appendleft(via)
-            if expanded >= limits[direction]:
+            keys.append(cur)
+            labels.append(via)
+            if expanded >= limit:
                 frontier.append(cur)
                 break
             edges = adjacent(cur)
@@ -359,11 +348,15 @@ def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView
             prev = cur
             cur, via = onward[0]
 
+    # the chain runs back along arm 1, through origin and out along arm 0;
+    # a cycle's closing edge joins the two chain ends, so it goes last
+    (keys0, labels0), (keys1, labels1) = arms
+    chain_labels = (*reversed(labels1), *labels0, *closing)
     edge_count = len(chain_labels)
-    kind = "even_cycle" if cycle else "partial" if frontier else "finite_path"
-    if cycle and edge_count % 2 != 0:
+    kind = "even_cycle" if closing else "partial" if frontier else "finite_path"
+    if closing and edge_count % 2 != 0:
         raise EquigraphError(f"odd cycle of length {edge_count} at {vertex_of(origin)}")
-    visited = VertexChain(chain, frame)
+    visited = VertexChain((*reversed(keys1), origin, *keys0), frame)
     if kind == "finite_path" and edge_count % 2 == 0:
         raise Finding(
             EVEN_PATH_COMPONENT,
@@ -375,9 +368,7 @@ def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView
             },
         )
     tips = tuple(map(vertex_of, frontier)) if kind == "partial" else ()
-    return ComponentView(
-        kind, visited, tuple(chain_labels), chain.index(origin), tips, expanded
-    )
+    return ComponentView(kind, visited, chain_labels, len(keys1), tips, expanded)
 
 
 # ----------------------------------------------------------------------
@@ -432,6 +423,8 @@ def _sign_table(side: int, thresholds: tuple, maps: tuple) -> tuple:
     where the images coincide.  A derivation that fails raises.
     """
     on = [[m for m in maps if m[4] == k] for k in (0, 1)]
+    if not all(on):
+        raise EquigraphError(f"side {side}: a threshold has no map")
     for (p, q), ms in zip(thresholds, on):
         if len({(a * p + c2, a * q + b2) for _, a, c2, b2, *_ in ms}) > 1:
             raise EquigraphError(f"side {side}: maps disagree at threshold {p, q}")
@@ -446,6 +439,8 @@ def _sign_table(side: int, thresholds: tuple, maps: tuple) -> tuple:
     for s0, s1 in product((-1, 0, 1), repeat=2):
         facing = [[m for m in ms if m[5] * s >= 0] for ms, s in zip(on, (s0, s1))]
         edges = [(*ms[0][1:4], _LABELS[sum(m[0] for m in ms)]) for ms in facing if ms]
+        if not edges:
+            raise EquigraphError(f"side {side}: no map faces signs {s0, s1}")
         union = _LABELS[sum(m[0] for ms in facing for m in ms)]
         table[3 * s0 + s1] = (*(edges[0], edges[-1])[:: orders[0]], union)
     return tuple(table)

@@ -16,8 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 
-from .algebra import ONE, ZERO, AlgebraicPoint, AlphaContext, point
+from .algebra import ONE, ZERO, AlgebraicPoint, point
 from .errors import CONNECTOR_MISSING, EquigraphError, Finding
 from .graph import Frame, GVertex, IntervalGraph, Side, VertexChain
 from .group import (
@@ -55,6 +56,11 @@ _STEP = (
     ),
 )
 THRESHOLDS = tuple(point(*cases[0][0]) for cases in _STEP)  # 2a and 1 - 2a
+# the sweep's threshold anchors are g^-1(x) for these x, on and next to each
+# threshold, where x lies in [0, 1]
+_THRESHOLD_IMAGES = tuple(
+    t + point(Fraction(k, 1000)) for t in THRESHOLDS for k in (-1, 0, 1)
+)
 
 
 @dataclass(frozen=True)
@@ -175,19 +181,6 @@ def build_path(
 # sweep verification
 
 
-def _threshold_images(ctx: AlphaContext, wiggle: Fraction) -> list[AlgebraicPoint]:
-    """The points on and next to the case-split thresholds that lie in [0, 1].
-
-    An anchor g^-1(x) yields a check only when its image x lies in [0, 1].
-    """
-    images = [
-        threshold + point(eps)
-        for threshold in THRESHOLDS
-        for eps in (-wiggle, Fraction(0), wiggle)
-    ]
-    return [x for x in images if ctx.sign(x) >= 0 and ctx.sign(ONE - x) >= 0]
-
-
 def verify_lemma(
     graph: IntervalGraph,
     ball_radius: int,
@@ -202,9 +195,9 @@ def verify_lemma(
     the 2|b| bound.  Violations are collected with full witnesses rather
     than raised, so one failure does not hide the rest of the sweep.
 
-    The sweep runs anchor by anchor: each base anchor (0, 1 and the samples)
-    against every screened element, then each threshold anchor g^-1(x)
-    against its g alone.  An anchor's checks share its frame's memo and BFS
+    The sweep runs one stream of anchors: each base anchor (0, 1 and the
+    samples) against every screened element, then each threshold anchor
+    g^-1(x) against its g alone.  An anchor's checks share its frame's memo and BFS
     and known, the table of its certificates, and all three go with the
     anchor, so the sweep holds one anchor's state at a time: O(bfs_budget)
     keys.  Each element lists its violations in anchor order, and the
@@ -230,21 +223,23 @@ def verify_lemma(
     max_len_by_b: dict[int, int] = {}
 
     def check_anchor(y: AlgebraicPoint, targets: list[GroupElement]) -> None:
-        frame = graph.frame(GVertex(Side.I, y))
-        key = frame.key(GVertex(Side.I, y))
+        origin = GVertex(Side.I, y)
+        frame = graph.frame(origin)
+        key = frame.key(origin)
         if not frame.inside(*key):
             return
         frame.remember(key)
         known: dict[GroupElement, tuple] = {}
+        anchor = str(y)
         for g in targets:
             gu, gv = frame.image(g, *key[1:])
             if not frame.inside(0, gu, gv):
                 continue  # screened on ints; the vertex g(y) is built past here
             checks[g] += 1
             found, k = violations[g], abs(g.b)
-            witness = {"element": [g.a, g.b, g.c], "anchor": str(y), "bound": 2 * k}
+            witness = {"element": [g.a, g.b, g.c], "anchor": anchor, "bound": 2 * k}
             dist = graph.bfs_distance(
-                GVertex(Side.I, y), frame.vertex((0, gu, gv)), bfs_budget, frame
+                origin, frame.vertex((0, gu, gv)), bfs_budget, frame
             )
             if dist is None or dist > 2 * k:
                 found.append({**witness, "defect": "bfs", "distance": dist})
@@ -262,13 +257,13 @@ def verify_lemma(
             except Finding as f:
                 found.append({**witness, "defect": f.kind, "finding": f.witness})
 
-    for y in base:
-        check_anchor(y, screened)
-    images = _threshold_images(graph.ctx, Fraction(1, 1000))
-    for g in screened:
-        ginv = inverse(g)
-        for x in images:
-            check_anchor(apply(ginv, x), [g])
+    ctx = graph.ctx
+    images = [
+        x for x in _THRESHOLD_IMAGES if ctx.sign(x) >= 0 and ctx.sign(ONE - x) >= 0
+    ]
+    threshold_anchors = ((apply(inverse(g), x), [g]) for g in screened for x in images)
+    for y, targets in chain(zip(base, repeat(screened)), threshold_anchors):
+        check_anchor(y, targets)
     return {
         "ball_radius": ball_radius,
         "ball_size": len(elements),

@@ -142,6 +142,9 @@ def test_bfs_checks_origin_then_goal_then_budget(graph):
         graph.bfs_distance(half, GVertex(Side.J, point(Fraction(1, 3))), 0)
     with pytest.raises(EquigraphError, match="^budget must be positive, got 0$"):
         graph.bfs_distance(half, third, 0)
+    # a given frame must key the origin
+    with pytest.raises(EquigraphError, match="^start 1/3 not on the frame over 1/2$"):
+        graph.bfs_distance(third, half, 0, graph.frame(half))
 
 
 def test_bfs_builds_one_frame_for_a_goal_on_the_origin_frame(graph, monkeypatch):
@@ -349,6 +352,13 @@ def test_sign_table_derivation_raises_where_it_does_not_hold():
     # which changes sign at 1, so their images have no fixed order
     with pytest.raises(EquigraphError, match="far-point order of the edges not fixed"):
         graph_module._sign_table(1, thresholds, maps)
+    # every map facing up leaves no edge below both thresholds
+    up = tuple((*m[:5], 1) for m in maps)
+    with pytest.raises(EquigraphError, match=r"side 0: no map faces signs \(-1, -1\)"):
+        graph_module._sign_table(0, thresholds, up)
+    # Id alone leaves the threshold 1 - alpha with no map
+    with pytest.raises(EquigraphError, match="^side 0: a threshold has no map$"):
+        graph_module._sign_table(0, thresholds, maps[:1])
     # the real maps derive, to the tables the kernel reads
     derived = zip((0, 1), graph_module._THRESHOLDS, graph_module._MAPS)
     assert tuple(graph_module._sign_table(*d) for d in derived) == graph_module._TABLES
