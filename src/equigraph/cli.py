@@ -126,7 +126,7 @@ def load_config(
         if not path.is_file():
             raise ConfigError(f"config file not found: {config_path}")
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
+            lines = path.read_text(encoding="utf-8-sig").splitlines()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {config_path} is not UTF-8: {exc}") from exc
         keys = {f.name for f in fields(RunConfig)}

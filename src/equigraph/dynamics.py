@@ -82,10 +82,6 @@ class KMatching:
         return f"KMatching(k={self.k}, deviations={self.deviations})"
 
 
-def _even_ceil(x: int) -> int:
-    return x if x % 2 == 0 else x + 1
-
-
 def _canonical_window(
     dev: Mapping[int, int], fallback: tuple[int, int]
 ) -> tuple[int, int]:
@@ -234,7 +230,9 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
     check refuses).  The cost moves by the exact per-pair drops, and
     only the written entries are checked.  The result is built and fully
     validated once, and equals that of replaying improve(), window and
-    trace included.
+    trace included: a run that empties the path keeps the input window
+    after one round, and otherwise takes (x_first, x_last + 3) of its
+    last round's pairs (x, x + 2).
     """
     initial = m.cost()
     trace = DynamicsTrace(initial_cost=initial)
@@ -264,20 +262,14 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
         done = None
         for x, _ in pairs:
             for c in (x, x + 4) if done != x else (x + 4,):
-                t = get(c)
-                if t is not None and t < c and get(c - 2, c - 1) > c - 2:
+                if get(c, c + 1) < c and get(c - 2, c - 1) > c - 2:
                     nxt.append((c - 2, c))
             done = x + 4
-        # A round that empties the path keeps, under improve(), the window
-        # of its previous state: the input window after round 1, else the
-        # canonical window of that state.  Every entry of that state was
-        # rewired to standard, so it held x -> x + 3 and x + 2 -> x + 1
-        # for each pair (x, x + 2).
+        # A later round that empties the path keeps, under improve(), the
+        # canonical window of the state before it, which held x -> x + 3
+        # and x + 2 -> x + 1 for each sorted pair (x, x + 2).
         if n and not dev:
-            last = {}
-            for x, _ in pairs:
-                last[x], last[x + 2] = x + 3, x + 1
-            window = _canonical_window(last, window)
+            window = pairs[0][0], pairs[-1][0] + 3
         pairs = nxt
     final = KMatching(m.k, window, dev)
     final.validate()
@@ -399,7 +391,7 @@ def kmatching_from_assignment(
     k = bridge_k_bound(max((abs(el.b) for _, _, el in assignment), default=0))
     targets: dict[int, int] = {}
     for lo, hi, el in assignment:
-        for a in range(_even_ceil(lo), hi + 1, 2):
+        for a in range(lo + lo % 2, hi + 1, 2):
             if a in targets:
                 raise EquigraphError(f"pieces overlap at coordinate {a}")
             y = point_at.get(a)
@@ -433,15 +425,11 @@ def assignment_from_targets(
     coordinates that share an element into one piece.
     """
     origin = view.origin_index
-    per_coord: list[tuple[int, GroupElement]] = []
+    pieces: list[tuple[int, int, GroupElement]] = []
     for a in sorted(targets):
         el = chain_element(view, origin + a, origin + targets[a])
-        per_coord.append((a, el))
-    pieces: list[tuple[int, int, GroupElement]] = []
-    for a, el in per_coord:
         if pieces and pieces[-1][2] == el and pieces[-1][1] == a - 2:
-            lo, _, _ = pieces[-1]
-            pieces[-1] = (lo, a, el)
+            pieces[-1] = (pieces[-1][0], a, el)
         else:
             pieces.append((a, a, el))
     return pieces

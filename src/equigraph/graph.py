@@ -265,8 +265,6 @@ class IntervalGraph:
             frame.check(goal)
         if budget <= 0:
             raise EquigraphError(f"budget must be positive, got {budget}")
-        if u == v:
-            return 0
         if goal is None:
             return None  # off u's denominators, so off u's component
         search = frame.bfs

@@ -431,6 +431,13 @@ def test_output_name_taken_by_a_directory_exits_2(tmp_path, capsys, taken):
     assert [p.name for p in tmp_path.iterdir()] == [taken]
 
 
+def test_config_with_a_byte_order_mark_loads(tmp_path):
+    # Windows editors may start a UTF-8 file with one
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("\ufeffseed = 3\n".encode())
+    assert load_config(str(cfg)).seed == 3
+
+
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"seed = \xff\n")

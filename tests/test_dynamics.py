@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,30 @@ def test_run_dynamics_equals_improve_replay_on_paths_converging_apart():
     assert trace.iterations == 2
     assert trace.records[0].rewired == ((0, 2),)
     assert final.window == (2, 5)
+
+
+def test_run_dynamics_equals_improve_replay_on_every_small_matching():
+    # every K-matching of the A-vertices 0, 2, .., 2n - 2 onto the
+    # B-vertices 1, 3, .., 2n - 1, on its canonical window and on one
+    # widened by 2 a side, since the window a path keeps when the dynamics
+    # empty it depends on both the last round and the input window
+    matchings = multi_round = 0
+    for k in (3, 5, 7):
+        for n in range(1, 8):
+            for targets in itertools.permutations(range(1, 2 * n, 2)):
+                if any(abs(t - 2 * i) > k for i, t in enumerate(targets)):
+                    continue
+                matchings += 1
+                dev = {2 * i: t for i, t in enumerate(targets) if t != 2 * i + 1}
+                ends = [*dev, *(t - 1 for t in dev.values())] or [0]
+                lo, hi = min(ends), max(ends) + 1
+                for window in ((lo, hi), (lo - 2, hi + 2)):
+                    m = KMatching(k, window, dev)
+                    m.validate()
+                    _, trace = _assert_matches_replay(m)
+                    multi_round += trace.iterations >= 2
+    assert matchings == 2109
+    assert multi_round == 3900
 
 
 def test_run_dynamics_equals_improve_replay_on_bridge(graph):

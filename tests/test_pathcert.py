@@ -654,6 +654,8 @@ def test_remembered_bfs_answers_each_budget_as_a_new_search(graph):
         other, goal, 100
     )
     assert frame.bfs.reached == {frame.key(origin): (0, 0)}
+    # the kept start is at distance 0 from itself at the smallest budget
+    assert graph.bfs_distance(origin, origin, 1, kept_frame()) == 0
 
 
 @pytest.mark.parametrize("radius, budget", [(4, 3), (6, 7), (8, 12)])
