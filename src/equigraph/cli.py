@@ -284,8 +284,9 @@ def _assert_converged(label: str, final: KMatching, trace: DynamicsTrace) -> KMa
     """Check the converged matching and its extraction; return the latter.
 
     The cost bounds on iterations and on the sum of |S| need no check
-    here: run_dynamics caps the rounds at the initial cost and raises a
-    Finding on any round that drops the cost by less than |S|.
+    here: run_dynamics caps the rounds at the initial cost, raises a
+    Finding on any rewired pair that drops the cost by less than 2, so
+    each round drops it by at least |S|, and recounts the cost at the end.
     """
     witness = {
         "instance": label,

@@ -23,9 +23,10 @@ from .group import GroupElement, apply
 class KMatching:
     """Eventually-standard matching on one path with displacement bound K.
 
-    Stored sparsely: a window (lo, hi) with lo even and hi odd, and only
-    the pairs that differ from standard.  partner() answers for every
-    coordinate, implicit standard included.
+    Stored sparsely as one dict: a window (lo, hi) with lo even and hi
+    odd, and only the pairs that differ from standard.  partner() answers
+    for every coordinate, implicit standard included; an odd coordinate
+    is answered by a scan of the deviations.
     """
 
     def __init__(self, k: int, window: tuple[int, int], deviations: Mapping[int, int]):
@@ -34,7 +35,6 @@ class KMatching:
         self.k = k
         self.window = (int(window[0]), int(window[1]))
         self.deviations: dict[int, int] = dict(sorted(deviations.items()))
-        self._inverse: dict[int, int] = {t: a for a, t in self.deviations.items()}
 
     # ------------------------------------------------------------------
 
@@ -42,7 +42,7 @@ class KMatching:
         """Matched coordinate; standard outside the stored deviations."""
         if coord % 2 == 0:
             return self.deviations.get(coord, coord + 1)
-        return self._inverse.get(coord, coord - 1)
+        return next((a for a, t in self.deviations.items() if t == coord), coord - 1)
 
     def direction(self, coord: int) -> int:
         """Ray direction at coord: sign of (partner - coord), never 0."""
@@ -113,22 +113,18 @@ def phi_pairs(m: KMatching) -> list[tuple[int, int]]:
     ]
 
 
-def _rewire(
-    dev: dict[int, int],
-    inv: dict[int, int],
-    k: int,
-    pairs: Sequence[tuple[int, int]],
-) -> int:
+def _rewire(dev: dict[int, int], k: int, pairs: Sequence[tuple[int, int]]) -> int:
     """Swap the partners of every facing pair of one round, in place.
 
-    dev holds the deviations and inv their inverse (target -> A-vertex).
-    Returns the round's cost drop.  Each rewired pair must lower its
-    combined displacement by at least 2 and stay within K; a failure is
-    raised as a Finding.  Each written entry is then checked for parity
-    and injectivity as validate() would; it is stored only when it is
-    not standard, and its K bound is the Finding's.
+    Returns the round's cost drop.  Before a pair is written, an old
+    partner beyond K is raised as the input's EquigraphError, and a new
+    partner beyond K or a combined displacement that drops by less than
+    2 as a Finding, so a returned drop is at least |S|.  A written entry
+    is stored only when it is not standard, and its parity is checked.
+    Ends that share a partner keep their displacements, so the drop test
+    refuses them; injectivity as a whole is left to validate().
     """
-    get, iget, pop, ipop = dev.get, inv.get, dev.pop, inv.pop
+    get, pop = dev.get, dev.pop
     drop = 0
     for x, y in pairs:
         mx = get(x, x + 1)
@@ -137,6 +133,9 @@ def _rewire(
         ndy = mx - y if mx > y else y - mx
         odx = mx - x if mx > x else x - mx
         ody = my - y if my > y else y - my
+        if odx > k or ody > k:
+            a, t = (x, mx) if odx > k else (y, my)
+            raise EquigraphError(f"pair {a}->{t} exceeds K={k}")
         if ndx > k or ndy > k:
             raise Finding(
                 CLAIM1_VIOLATION,
@@ -149,22 +148,16 @@ def _rewire(
                 f"rewiring ({x}, {y}) dropped cost by less than 2",
                 witness={"pair": [x, y], "old": [odx, ody], "new": [ndx, ndy]},
             )
-        ipop(mx, None)
-        ipop(my, None)
         if my == x + 1:
             pop(x, None)
         else:
-            inv[my] = x
             dev[x] = my
         if mx == y + 1:
             pop(y, None)
         else:
-            inv[mx] = y
             dev[y] = mx
         if x % 2 or y % 2 or not (mx % 2 and my % 2):
             raise EquigraphError(f"pair {x}->{my} or {y}->{mx} breaks parity")
-        if iget(my, my - 1) != x or iget(mx, mx - 1) != y:
-            raise EquigraphError("matching is not injective")
         drop += odx + ody - ndx - ndy
     return drop
 
@@ -179,8 +172,8 @@ def improve(m: KMatching) -> KMatching:
     pairs = phi_pairs(m)
     if not pairs:
         raise EquigraphError("no facing pairs to rewire")
-    dev, inv = dict(m.deviations), dict(m._inverse)
-    _rewire(dev, inv, m.k, pairs)
+    dev = dict(m.deviations)
+    _rewire(dev, m.k, pairs)
     result = KMatching(m.k, _canonical_window(dev, m.window), dev)
     result.validate()
     drop_needed = 2 * len(pairs)
@@ -226,17 +219,19 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
     costs O(|S|): after rewiring (x, x + 2), only (x - 2, x) and
     (x + 2, x + 4) are re-tested, since a pair whose entries did not
     change cannot start facing and the rewired pair cannot face again
-    (that needs x -> x + 1 and x + 2 -> x + 1, which the injectivity
-    check refuses).  The cost moves by the exact per-pair drops, and
-    only the written entries are checked.  The result is built and fully
-    validated once, and equals that of replaying improve(), window and
-    trace included: a run that empties the path keeps the input window
-    after one round, and otherwise takes (x_first, x_last + 3) of its
-    last round's pairs (x, x + 2).
+    (that needs x -> x + 1 and x + 2 -> x + 1, which the drop test
+    refuses).  Each pair is checked as _rewire writes it: a drop of at
+    least 2, so a round drops by at least |S|, new displacements within
+    K, and parity.  The cost moves by the exact per-pair drops; after the
+    run it is recounted, and the result is built and fully validated,
+    injectivity included, once.  The result equals that of replaying
+    improve(), window and trace included: a run that empties the path
+    keeps the input window after one round, and otherwise takes
+    (x_first, x_last + 3) of its last round's pairs (x, x + 2).
     """
     initial = m.cost()
     trace = DynamicsTrace(initial_cost=initial)
-    dev, inv = dict(m.deviations), dict(m._inverse)
+    dev = dict(m.deviations)
     get = dev.get
     window = m.window
     cost = initial
@@ -245,16 +240,8 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
         n = len(trace.records)
         if n >= initial:
             raise EquigraphError(f"dynamics exceeded {initial} iterations")
-        before = cost
-        cost -= _rewire(dev, inv, m.k, pairs)
-        s_size = 2 * len(pairs)
-        if cost > before - s_size:
-            raise Finding(
-                CLAIM1_VIOLATION,
-                "improvement round dropped cost by less than |S|",
-                witness={"before": before, "after": cost, "s": s_size},
-            )
-        trace.records.append(IterationRecord(n + 1, s_size, before, tuple(pairs)))
+        trace.records.append(IterationRecord(n + 1, 2 * len(pairs), cost, tuple(pairs)))
+        cost -= _rewire(dev, m.k, pairs)
         # Pairs come sorted and lie at least 4 apart, so the re-tested
         # right ends x and x + 4 come sorted as well, with x repeating
         # the previous pair's x + 4 at most.

@@ -195,13 +195,14 @@ def verify_lemma(
     the 2|b| bound.  Violations are collected with full witnesses rather
     than raised, so one failure does not hide the rest of the sweep.
 
-    The sweep runs one stream of anchors: each base anchor (0, 1 and the
-    samples) against every screened element, then each threshold anchor
-    g^-1(x) against its g alone.  An anchor's checks share its frame's memo and BFS
-    and known, the table of its certificates, and all three go with the
-    anchor, so the sweep holds one anchor's state at a time: O(bfs_budget)
+    The sweep runs one stream of anchors: each base anchor against every
+    screened element, then each threshold anchor g^-1(x) against its g
+    alone.  An anchor's checks share its frame's memo and BFS and known,
+    the table of its certificates, and all three go with the anchor,
+    so the sweep holds one anchor's state at a time: O(bfs_budget)
     keys.  Each element lists its violations in anchor order, and the
-    report joins the lists in ball order.
+    report joins the lists in ball order.  The base anchors are 0, 1 and
+    max(n_samples, 2) - 2 random ones, so n_samples counts 0 and 1.
     """
     elements = sorted(enumerate_ball(ball_radius))
     rng = random.Random(seed)

@@ -18,7 +18,7 @@ from equigraph.dynamics import (
     run_dynamics,
 )
 from equigraph import dynamics as dynamics_module
-from equigraph.errors import EquigraphError
+from equigraph.errors import CLAIM1_VIOLATION, EquigraphError, Finding
 from equigraph.graph import Frame, Side, chain_element
 from equigraph.group import GroupElement, IDENTITY
 
@@ -80,6 +80,10 @@ def test_partner_and_pairs_accessors():
     assert m.deviations == {0: 3, 2: 1}
     assert m.window == (0, 3)
     assert not m.is_standard
+    # odd coordinates are answered by a scan of the deviations
+    m = random_kmatching(60, 7, 0)
+    lo, hi = m.window
+    assert all(m.partner(m.partner(c)) == c for c in range(lo, hi + 1))
 
 
 def test_standard_matching_shape():
@@ -288,6 +292,36 @@ def test_run_dynamics_checks_the_entries_it_writes():
     m = KMatching(5, (1, 6), {1: 6, 3: 2})
     with pytest.raises(EquigraphError, match="breaks parity"):
         run_dynamics(m)
+
+
+def test_run_dynamics_refuses_an_input_pair_beyond_k():
+    # 6 -> 1 exceeds K=3 before any rewiring: the input's defect, not a
+    # failed claim, in the words of validate()
+    m = KMatching(3, (0, 7), {0: 7, 6: 1})
+    for run in (run_dynamics, improve):
+        with pytest.raises(EquigraphError, match=r"pair 6->1 exceeds K=3") as info:
+            run(m)
+        assert not isinstance(info.value, Finding)
+
+
+def test_facing_ends_sharing_a_partner_fail_the_drop_test():
+    # 0 -> 1 and 2 -> 1 face; swapping their shared partner keeps both
+    # displacements, so no injectivity check is needed to refuse them
+    m = KMatching(5, (0, 15), {2: 1, 10: 15, 14: 11})
+    assert phi_pairs(m)[0] == (0, 2)
+    for run in (run_dynamics, improve):
+        with pytest.raises(Finding, match=r"\(0, 2\) dropped cost by less than 2"):
+            run(m)
+
+
+def test_run_dynamics_catches_a_short_reported_drop(monkeypatch):
+    # a round that reports one less than its drop leaves the tracked cost
+    # off the final matching's
+    rewire = dynamics_module._rewire
+    monkeypatch.setattr(dynamics_module, "_rewire", lambda *args: rewire(*args) - 1)
+    with pytest.raises(Finding) as info:
+        run_dynamics(random_kmatching(40, 5, 3))
+    assert info.value.kind == CLAIM1_VIOLATION
 
 
 def test_run_dynamics_on_standard_is_a_noop():
