@@ -24,7 +24,6 @@ from .graph import GVertex, IntervalGraph, Side
 from .pathcert import CertifiedPath, build_path, verify_lemma
 from .dynamics import (
     KMatching,
-    extract_matching,
     kmatching_from_assignment,
     random_kmatching,
     run_dynamics,
@@ -50,7 +49,6 @@ __all__ = [
     "build_path",
     "compose",
     "enumerate_ball",
-    "extract_matching",
     "inverse",
     "kmatching_from_assignment",
     "point",

@@ -24,9 +24,7 @@ class KMatching:
     """Eventually-standard matching on one path with displacement bound K.
 
     Stored sparsely as one dict: a window (lo, hi) with lo even and hi
-    odd, and only the pairs that differ from standard.  partner() answers
-    for every coordinate, implicit standard included; an odd coordinate
-    is answered by a scan of the deviations.
+    odd, and only the pairs that differ from standard.
     """
 
     def __init__(self, k: int, window: tuple[int, int], deviations: Mapping[int, int]):
@@ -37,16 +35,6 @@ class KMatching:
         self.deviations: dict[int, int] = dict(sorted(deviations.items()))
 
     # ------------------------------------------------------------------
-
-    def partner(self, coord: int) -> int:
-        """Matched coordinate; standard outside the stored deviations."""
-        if coord % 2 == 0:
-            return self.deviations.get(coord, coord + 1)
-        return next((a for a, t in self.deviations.items() if t == coord), coord - 1)
-
-    def direction(self, coord: int) -> int:
-        """Ray direction at coord: sign of (partner - coord), never 0."""
-        return 1 if self.partner(coord) > coord else -1
 
     @property
     def is_standard(self) -> bool:
@@ -268,30 +256,6 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
         )
     trace.final_cost = cost
     return final, trace
-
-
-def check_nested_rays(m: KMatching) -> bool:
-    """Whether every A-ray points the same way.
-
-    Outside the window all rays point +1, so on a bi-infinite path the
-    directions are uniform iff no stored pair points left.
-    """
-    return all(t > a for a, t in m.deviations.items())
-
-
-def extract_matching(m: KMatching) -> KMatching:
-    """Collapse a converged matching to distance-1 pairs a -> a + dir(a).
-
-    Requires the facing-pair set to be empty; for an eventually-standard
-    matching that forces every direction to +1, so the result is the
-    standard matching, returned as a K=1 matching.
-    """
-    if phi_pairs(m):
-        raise EquigraphError("facing pairs remain; run the dynamics first")
-    dev = {a: a - 1 for a in m.deviations if m.direction(a) == -1}
-    result = KMatching(1, _canonical_window(dev, m.window), dev)
-    result.validate()
-    return result
 
 
 # ----------------------------------------------------------------------

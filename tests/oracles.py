@@ -6,7 +6,10 @@ per-generator rules, interval membership is decided with 60-digit Decimal
 arithmetic (exact equality detected on the rational/irrational parts first),
 signs are also decided in plain Fraction arithmetic, the facing-pair
 set is recomputed by a literal all-pairs ray walk, and random matchings
-are drawn through Random.randrange and Random.randint.
+are drawn through Random.randrange and Random.randint.  A matching's
+partners, ray directions, nested-ray test and extraction to the unit
+matching are plain functions of a package KMatching here: the package
+checks convergence by is_standard alone.
 
 The exceptions are build_path_points, the package's earlier distance
 certificate construction on exact points (apply, compare, in_interval and
@@ -27,6 +30,7 @@ from functools import cmp_to_key
 from typing import Callable, Optional
 
 from equigraph.algebra import ALPHA, ONE, ZERO, AlgebraicPoint, point
+from equigraph.dynamics import KMatching, _canonical_window, phi_pairs
 from equigraph.errors import CONNECTOR_MISSING, EquigraphError, Finding
 from equigraph.graph import GVertex, IntervalGraph, Side
 from equigraph.group import (
@@ -184,13 +188,56 @@ def bfs_distance(
 
 
 # ----------------------------------------------------------------------
+# rays of a matching, and its extraction
+
+
+def partner(m: KMatching, coord: int) -> int:
+    """Matched coordinate; standard outside the stored deviations.
+
+    An odd coordinate is answered by a scan of the deviations.
+    """
+    if coord % 2 == 0:
+        return m.deviations.get(coord, coord + 1)
+    return next((a for a, t in m.deviations.items() if t == coord), coord - 1)
+
+
+def direction(m: KMatching, coord: int) -> int:
+    """Ray direction at coord: sign of (partner - coord), never 0."""
+    return 1 if partner(m, coord) > coord else -1
+
+
+def check_nested_rays(m: KMatching) -> bool:
+    """Whether every A-ray points the same way.
+
+    Outside the window all rays point +1, so on a bi-infinite path the
+    directions are uniform iff no stored pair points left.
+    """
+    return all(t > a for a, t in m.deviations.items())
+
+
+def extract_matching(m: KMatching) -> KMatching:
+    """Collapse a converged matching to distance-1 pairs a -> a + dir(a).
+
+    Requires the facing-pair set to be empty; for an eventually-standard
+    matching that forces every direction to +1, so the result is the
+    standard matching, returned as a K=1 matching.
+    """
+    if phi_pairs(m):
+        raise EquigraphError("facing pairs remain; run the dynamics first")
+    dev = {a: a - 1 for a in m.deviations if direction(m, a) == -1}
+    result = KMatching(1, _canonical_window(dev, m.window), dev)
+    result.validate()
+    return result
+
+
+# ----------------------------------------------------------------------
 # facing-pair oracle
 
 
-def facing_pairs_bruteforce(m) -> set[int]:
+def facing_pairs_bruteforce(m: KMatching) -> set[int]:
     """All members of facing pairs by a literal all-pairs ray walk.
 
-    m is a package KMatching; only its window and partner() are used.
+    m is a package KMatching; only its window and direction() are used.
     For every ordered pair of even coordinates in (a margin around) the
     window, the two rays are walked step by step and mutual containment
     is tested literally.
@@ -202,12 +249,12 @@ def facing_pairs_bruteforce(m) -> set[int]:
     evens = [c for c in range(lo - 4, hi + 5) if c % 2 == 0]
 
     def ray_contains(start: int, target: int) -> bool:
-        direction = 1 if m.partner(start) > start else -1
+        step = direction(m, start)
         coord = start
         for _ in range(span + 4):
             if coord == target:
                 return True
-            coord += direction
+            coord += step
         return False
 
     members: set[int] = set()

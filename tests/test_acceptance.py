@@ -16,19 +16,18 @@ import pytest
 
 from equigraph.algebra import ALPHA, ONE, ZERO, AlphaContext, point
 from equigraph.cli import main, render_figure
-from equigraph.dynamics import (
-    check_nested_rays,
-    extract_matching,
-    improve,
-    phi_pairs,
-    random_kmatching,
-)
+from equigraph.dynamics import improve, phi_pairs, random_kmatching
 from equigraph.errors import EVEN_PATH_COMPONENT, Finding
 from equigraph.graph import IntervalGraph, Side, edge_polygon
 from equigraph.pathcert import verify_lemma
 
 from conftest import ALL_ALPHAS
-from oracles import facing_pairs_bruteforce
+from oracles import (
+    check_nested_rays,
+    extract_matching,
+    facing_pairs_bruteforce,
+    partner,
+)
 from test_dynamics import compute_S
 from test_graph import extreme_vertices
 
@@ -161,7 +160,7 @@ def test_criterion_5_convergence_and_extraction(capsys, suite):
         extracted = extract_matching(final)
         ok &= extracted.k == 1 and extracted.is_standard
         lo, hi = extracted.window
-        ok &= all(extracted.partner(a) == a + 1 for a in range(lo + lo % 2, hi, 2))
+        ok &= all(partner(extracted, a) == a + 1 for a in range(lo + lo % 2, hi, 2))
     _verdict(
         capsys,
         5,

@@ -13,7 +13,9 @@ from equigraph.cli import (
     parse_alpha_spec,
     parse_point_text,
 )
+from equigraph.dynamics import improve, run_dynamics
 from equigraph.errors import (
+    CLAIM1_VIOLATION,
     EVEN_PATH_COMPONENT,
     ConfigError,
     Finding,
@@ -265,6 +267,31 @@ def test_dynamics_outputs(tmp_path):
             assert len(cells) == 5
             int(cells[0]), int(cells[1]), int(cells[2]), int(cells[3])
             assert re.fullmatch(r"(-?\d+:-?\d+:-?\d+)(;-?\d+:-?\d+:-?\d+)*", cells[4])
+
+
+@pytest.mark.parametrize(
+    "instances, label", [(6, "0"), (0, "bridge")], ids=["random", "bridge"]
+)
+def test_dynamics_stopping_one_round_early_exits_3(
+    tmp_path, monkeypatch, capsys, instances, label
+):
+    # instance 0 takes 2 rounds and the bridge 1, so the mutant hands
+    # back a matching one round short of standard: m0 for the bridge
+    def one_round_short(m0):
+        _, trace = run_dynamics(m0)
+        m = m0
+        for _ in range(trace.iterations - 1):
+            m = improve(m)
+        trace.records.pop()
+        return m, trace
+
+    monkeypatch.setattr("equigraph.cli.run_dynamics", one_round_short)
+    text = SMALL.replace("instances = 6", f"instances = {instances}")
+    cfg = _write_config(tmp_path, text)
+    assert main(["--out", str(tmp_path), "--config", cfg, "dynamics"]) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["finding"] == CLAIM1_VIOLATION
+    assert payload["witness"]["instance"] == label
 
 
 def test_figure_svg_shape(tmp_path):

@@ -9,8 +9,6 @@ from equigraph.dynamics import (
     KMatching,
     assignment_from_targets,
     bridge_k_bound,
-    check_nested_rays,
-    extract_matching,
     improve,
     kmatching_from_assignment,
     phi_pairs,
@@ -22,7 +20,15 @@ from equigraph.errors import CLAIM1_VIOLATION, EquigraphError, Finding
 from equigraph.graph import Frame, Side, chain_element
 from equigraph.group import GroupElement, IDENTITY
 
-from oracles import chain_element_points, facing_pairs_bruteforce, random_deviations
+from oracles import (
+    chain_element_points,
+    check_nested_rays,
+    direction,
+    extract_matching,
+    facing_pairs_bruteforce,
+    partner,
+    random_deviations,
+)
 
 
 def compute_S(m):
@@ -71,19 +77,19 @@ def test_validate_rejects_structural_defects():
 
 def test_partner_and_pairs_accessors():
     m = _swapped()
-    assert m.partner(0) == 3
-    assert m.partner(2) == 1
-    assert m.partner(3) == 0
-    assert m.partner(1) == 2
-    assert m.partner(100) == 101  # standard beyond the window
-    assert m.partner(101) == 100
+    assert partner(m, 0) == 3
+    assert partner(m, 2) == 1
+    assert partner(m, 3) == 0
+    assert partner(m, 1) == 2
+    assert partner(m, 100) == 101  # standard beyond the window
+    assert partner(m, 101) == 100
     assert m.deviations == {0: 3, 2: 1}
     assert m.window == (0, 3)
     assert not m.is_standard
     # odd coordinates are answered by a scan of the deviations
     m = random_kmatching(60, 7, 0)
     lo, hi = m.window
-    assert all(m.partner(m.partner(c)) == c for c in range(lo, hi + 1))
+    assert all(partner(m, partner(m, c)) == c for c in range(lo, hi + 1))
 
 
 def test_standard_matching_shape():
@@ -91,7 +97,7 @@ def test_standard_matching_shape():
     m.validate()
     assert m.is_standard
     assert m.cost() == 0
-    assert m.partner(42) == 43
+    assert partner(m, 42) == 43
 
 
 # ----------------------------------------------------------------------
@@ -101,12 +107,12 @@ def test_standard_matching_shape():
 def test_ray_of_matching():
     # a ray leaves each vertex toward its partner, standard outside the window
     m = _swapped()
-    assert m.direction(0) == 1
-    assert m.direction(2) == -1
-    assert m.direction(50) == 1
-    assert m.direction(3) == -1
-    assert m.direction(1) == 1
-    assert m.direction(-7) == -1
+    assert direction(m, 0) == 1
+    assert direction(m, 2) == -1
+    assert direction(m, 50) == 1
+    assert direction(m, 3) == -1
+    assert direction(m, 1) == 1
+    assert direction(m, -7) == -1
 
 
 def test_phi_pairs_worked_example():
@@ -243,6 +249,7 @@ def test_run_dynamics_equals_improve_replay_on_every_small_matching():
     # widened by 2 a side, since the window a path keeps when the dynamics
     # empty it depends on both the last round and the input window
     matchings = multi_round = 0
+    most_rounds: dict[int, int] = {}
     for k in (3, 5, 7):
         for n in range(1, 8):
             for targets in itertools.permutations(range(1, 2 * n, 2)):
@@ -257,8 +264,24 @@ def test_run_dynamics_equals_improve_replay_on_every_small_matching():
                     m.validate()
                     _, trace = _assert_matches_replay(m)
                     multi_round += trace.iterations >= 2
+                    most_rounds[k] = max(most_rounds.get(k, 0), trace.iterations)
     assert matchings == 2109
     assert multi_round == 3900
+    assert most_rounds == {3: 2, 5: 5, 7: 9}
+
+
+@pytest.mark.parametrize(
+    "k, dev, rounds",
+    [
+        (3, {0: 3, 2: 5, 4: 1}, 2),
+        (5, {0: 5, 2: 7, 4: 3, 6: 1}, 5),
+        (7, {0: 7, 2: 9, 6: 3, 8: 1}, 9),
+    ],
+)
+def test_small_matching_enumeration_witnesses_its_most_rounds(k, dev, rounds):
+    # a matching that takes the enumeration's largest round count for its K
+    _, trace = _assert_matches_replay(_swapped(k, dev))
+    assert trace.iterations == rounds
 
 
 def test_run_dynamics_equals_improve_replay_on_bridge(graph):
@@ -389,7 +412,7 @@ def test_extract_matching_yields_unit_matching():
     assert out.cost() == 0
     lo, hi = final.window
     for a in range(lo if lo % 2 == 0 else lo + 1, hi, 2):
-        assert out.partner(a) == a + 1
+        assert partner(out, a) == a + 1
 
 
 # ----------------------------------------------------------------------

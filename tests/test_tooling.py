@@ -3,8 +3,9 @@
 A deleted or renamed function would otherwise blank a per-layer metric
 (the tracer reports it only as `not_traced`) or leave README's example
 and the package's `__all__` pointing at nothing.  Nor does any module
-import a name it never reads, and README's configuration table lists
-the run settings and their defaults.
+import a name it never reads, nor does `src/` define a helper that only
+the tests use, and README's configuration table lists the run settings
+and their defaults.
 """
 
 import ast
@@ -87,6 +88,41 @@ def test_module_level_imports_are_read():
     files = sorted((ROOT / "src" / "equigraph").glob("*.py"))
     files += sorted((ROOT / "tests").glob("*.py"))
     assert [name for path in files for name in _unread_imports(path)] == []
+
+
+def _definitions(node: ast.AST, prefix: str = ""):
+    """(qualified name, name) of every function, method and class under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child.name
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def test_every_source_definition_is_read_in_src():
+    # test-only helpers live in tests/.  A name counts as read when src/
+    # loads it, reads it as an attribute, or spells it as a string, as
+    # cli.COMMANDS does for its handlers and __all__ for the public names.
+    # improve and AlphaContext.in_interval are read only by the tests and
+    # by bench/tracing.py's SPANS, which times them.
+    files = (ROOT / "src" / "equigraph").glob("*.py")
+    trees = [ast.parse(path.read_text()) for path in files]
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    unread = {
+        qualified
+        for tree in trees
+        for qualified, name in _definitions(tree)
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert unread == {"improve", "AlphaContext.in_interval"}
 
 
 def test_readme_library_example_runs():
