@@ -3,6 +3,8 @@
 alpha is a fixed quadratic irrational (p + q*sqrt(d)) / r in (0, 1).
 Every quantity the rest of the package compares or hashes is kept as a
 pair of rationals (u, v); no decision anywhere is made in floating point.
+AlphaContext.approx, a float within an exactly checked 2**-48 of alpha,
+serves only as a filter in front of the exact sign (graph.Frame).
 """
 
 from __future__ import annotations
@@ -87,6 +89,12 @@ class AlphaContext:
 
     The constructor checks irrationality and the open-interval bound
     0 < alpha < 1 exactly, raising EquigraphError on a bad spec.
+
+    approx is a float with |approx - alpha| < 2**-48, for Frame's filter.
+    It is found from integers alone, by isqrt and one correctly rounded
+    int division, so no libm call takes part and no valid spec overflows;
+    the constructor then checks the enclosure exactly, with sign_scaled
+    on its two dyadic endpoints.
     """
 
     def __init__(self, spec: AlphaSpec):
@@ -101,6 +109,20 @@ class AlphaContext:
             raise EquigraphError(
                 f"alpha = ({spec.p}+{spec.q}*sqrt({spec.d}))/{spec.r} is not in (0, 1)"
             )
+        # (p + q*sqrt(d)) * 2**64 to within 1, by isqrt, then one correctly
+        # rounded division by r * 2**64: within 2**-52 of alpha
+        root = isqrt(spec.q * spec.q * spec.d << 128)
+        num = (spec.p << 64) + (root if spec.q > 0 else -root)
+        self.approx = num / (spec.r << 64)
+        # alpha must lie strictly between (mid -+ half) / one, where one is a
+        # power of 2 that clears approx's and 2**-48's denominators
+        n, power = self.approx.as_integer_ratio()
+        one = max(power, 1 << 48)
+        mid, half = n * one // power, one >> 48
+        if self.sign_scaled(half - mid, one) <= 0 or (
+            self.sign_scaled(-half - mid, one) >= 0
+        ):
+            raise EquigraphError(f"approx {self.approx!r} misses alpha by 2**-48")
 
     def sign_scaled(self, u: int, v: int) -> int:
         """Exact sign of u + v*alpha for integers u, v.

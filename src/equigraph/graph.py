@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key, partial
+from functools import cmp_to_key
 from itertools import product
 from math import lcm
 from typing import Callable, Hashable, Optional
@@ -121,13 +121,14 @@ class Frame:
     The generator maps have integer coefficients, so the frame of a vertex
     keys its whole component.  adjacent(key) lists (far key, generator
     labels) sorted by far point; sign(U, V) is the exact sign of U + V*alpha.
+    adjacent is the frame's step, built once by _frame_step: a float
+    filter that decides both threshold signs of most keys, in front of
+    the exact sign, which decides the rest.
     """
 
-    def __init__(self, sign: Callable[[int, int], int], den: int):
-        self.sign, self.den = sign, den
-        # a bound partial: a method reading self.den and self.sign costs
-        # 4-5% more per call, and a walk makes one call per vertex
-        self.adjacent = partial(_integer_step, sign, den)
+    def __init__(self, ctx: AlphaContext, den: int):
+        self.sign, self.den = ctx.sign_scaled, den
+        self.adjacent = _frame_step(ctx, den)
         self.bfs: Optional[_Search] = None  # kept by remember
 
     def key(self, v: GVertex) -> Optional[Key]:
@@ -231,7 +232,7 @@ class IntervalGraph:
     def frame(self, *vertices: GVertex) -> Frame:
         """The integer frame over the lcm of the vertices' denominators."""
         den = lcm(*(x.denominator for v in vertices for x in (v.point.u, v.point.v)))
-        return Frame(self.ctx.sign_scaled, den)
+        return Frame(self.ctx, den)
 
     def neighbors(self, v: GVertex) -> list[tuple[GVertex, frozenset[Generator]]]:
         """(far vertex, labels) of each edge at v, sorted by far point."""
@@ -449,30 +450,74 @@ _THRESHOLDS, _MAPS = zip(_side_tables(0), _side_tables(1))
 _TABLES = tuple(map(_sign_table, (0, 1), _THRESHOLDS, _MAPS))
 
 
-def _integer_step(
-    sign: Callable[[int, int], int], den: int, key: Key
-) -> list[tuple[Key, frozenset[Generator]]]:
-    """Adjacency on keys (side, U, V), side 0 for I and 1 for J.
+def _frame_step(
+    ctx: AlphaContext, den: int
+) -> Callable[[Key], list[tuple[Key, frozenset[Generator]]]]:
+    """Adjacency on the keys (side, U, V) of the frame over den.
 
     An I-vertex steps by each generator x -> a*x + 2b*alpha + 2c, a
     J-vertex by its inverse; an image is kept when it lies in the far
     interval, all in units of 1/den, and coinciding images merge into one
-    edge carrying every generator that realizes them.  sign(U, V) is the
-    exact sign of U + V*alpha.
+    edge carrying every generator that realizes them.
 
-    key must lie in its side's interval (Frame.check).  Then its two signs
-    against the side's thresholds pick its _TABLES item, and the two edges
-    are in order unless their images coincide, at the four endpoints.
+    A key must lie in its side's interval (Frame.check).  Then its two
+    signs against the side's thresholds T = (p + q*alpha)*den pick its
+    _TABLES item, and the two edges are in order unless their images
+    coincide, at the four endpoints.
+
+    Each sign is that of D = X - T, X = U + V*alpha, and one float
+    position x = fl(U + V*a), a = ctx.approx, decides both: the sign of
+    d = fl(x - fl((p + q*a)*den)) is D's when |d| > e, where
+
+        e = (|U| + |V| + 2*den) * 2**-46,
+
+    and sign_scaled decides it otherwise.  With eps = 2**-53, |a - alpha|
+    < 2**-48 = 32eps (checked exactly by AlphaContext) and |p| + |q| <= 2
+    for all four thresholds, so |q| <= 2 and |a| <= 1 + 32eps:
+      - x is off X by 32eps*|V| from a, and by 2eps*|U| + 3eps*|a|*|V| +
+        O(eps**2) from rounding U, V, V*a and the sum;
+      - T's float is off by 32eps*|q|*den from a (q*a itself is exact),
+        and by 3eps*(|p| + |q|*|a|)*den + O(eps**2) from rounding p + q*a,
+        den and the product;
+      - the subtraction adds eps*|x - T| <= 1.01eps*(|U| + |V| + 2*den).
+    So |d - D| < 37eps*(|U| + |V| + 2*den), under e = 128eps*(...) even
+    after e's own rounding, and |d| > e leaves D nonzero with d's sign; a
+    tie D = 0, at a threshold, always takes the exact path.  Underflow
+    adds at most 2**-1070 in all, far under e >= 2*den*2**-46.  e is
+    formed as float(4*(|U| + |V| + 2*den)) * 2**-48, and that conversion
+    raises OverflowError from 2**1024 on; below it every float above is
+    finite.  A key that raises takes the exact path for both signs.
     """
-    side, u, v = key
-    (p0, q0), (p1, q1) = _THRESHOLDS[side]
-    (a0, c0, b0, l0), (a1, c1, b1, l1), union = _TABLES[side][
-        3 * sign(u - p0 * den, v - q0 * den) + sign(u - p1 * den, v - q1 * den)
-    ]
-    far = 1 - side
-    k0 = far, a0 * u + c0 * den, a0 * v + b0 * den
-    k1 = far, a1 * u + c1 * den, a1 * v + b1 * den
-    return [(k0, l0), (k1, l1)] if k0 != k1 else [(k0, union)]
+    sign, approx, den2 = ctx.sign_scaled, ctx.approx, 2 * den
+    sides = []
+    for side in (0, 1):
+        (p0, q0), (p1, q1) = _THRESHOLDS[side]
+        try:
+            floats = (p0 + q0 * approx) * den, (p1 + q1 * approx) * den
+        except OverflowError:  # every key's e overflows too: never read
+            floats = 0, 0
+        sides.append((p0 * den, q0 * den, p1 * den, q1 * den, *floats, _TABLES[side]))
+
+    def step(key: Key) -> list[tuple[Key, frozenset[Generator]]]:
+        side, u, v = key
+        p0, q0, p1, q1, t0, t1, table = sides[side]
+        try:
+            x = u + v * approx
+            e = (abs(u) + abs(v) + den2 << 2) * 2**-48
+        except OverflowError:
+            s0, s1 = sign(u - p0, v - q0), sign(u - p1, v - q1)
+        else:
+            d = x - t0
+            s0 = 1 if d > e else -1 if d < -e else sign(u - p0, v - q0)
+            d = x - t1
+            s1 = 1 if d > e else -1 if d < -e else sign(u - p1, v - q1)
+        (a0, c0, b0, l0), (a1, c1, b1, l1), union = table[3 * s0 + s1]
+        far = 1 - side
+        k0 = far, a0 * u + c0 * den, a0 * v + b0 * den
+        k1 = far, a1 * u + c1 * den, a1 * v + b1 * den
+        return [(k0, l0), (k1, l1)] if k0 != k1 else [(k0, union)]
+
+    return step
 
 
 # ----------------------------------------------------------------------

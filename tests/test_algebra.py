@@ -45,6 +45,23 @@ def test_bad_specs_rejected():
         AlphaContext(AlphaSpec(1, -1, 2, 1))  # 1 - sqrt(2) < 0
 
 
+@pytest.mark.parametrize(
+    "spec",
+    KERNEL_ALPHAS
+    + (
+        AlphaSpec(-(10**400), 10**400, 2, 10**400),  # sqrt(2) - 1 again
+        AlphaSpec(-(10**300), 1, 10**600 + 1, 1),  # about 5e-301
+        AlphaSpec(1 + 10**300, -1, 10**600 + 1, 1),  # 1 minus about 5e-301
+    ),
+)
+def test_approx_lies_within_2_to_the_minus_48_of_alpha(spec):
+    # the filter's premise, checked in plain Fraction arithmetic: alpha
+    # lies strictly inside approx -+ 2**-48, whatever the coefficients
+    approx, half = Fraction(AlphaContext(spec).approx), Fraction(1, 2**48)
+    for end, above in ((approx - half, 1), (approx + half, -1)):
+        assert sign_fraction(spec.p, spec.q, spec.d, spec.r, -end, Fraction(1)) == above
+
+
 def test_point_arithmetic():
     x = point(Fraction(1, 2), 3)
     y = point(Fraction(1, 3), -1)

@@ -2,12 +2,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
+from math import isqrt
 from types import SimpleNamespace
 
 import pytest
 
 from equigraph import graph as graph_module
-from equigraph.algebra import ALPHA, ONE, ZERO, AlphaContext, point
+from equigraph.algebra import ALPHA, ONE, ZERO, AlphaContext, AlphaSpec, point
 from equigraph.cli import _bridge_suite, load_config
 from equigraph.errors import EVEN_PATH_COMPONENT, EquigraphError, Finding
 from equigraph.graph import (
@@ -30,7 +31,7 @@ from equigraph.group import (
 )
 from equigraph.pathcert import build_path, verify_lemma
 
-from conftest import ALL_ALPHAS, KERNEL_ALPHAS
+from conftest import ALL_ALPHAS, KERNEL_ALPHAS, SQRT2_MINUS_1
 import oracles
 from oracles import (
     alpha_decimal,
@@ -275,7 +276,7 @@ def _kernel_keys(spec, den: int, n_random: int, rng: random.Random) -> list:
     """Keys of den's frame inside their interval: special points, their
     neighbours 1/den away, and random keys anywhere along the component."""
     ctx = AlphaContext(spec)
-    frame = Frame(ctx.sign_scaled, den)
+    frame = Frame(ctx, den)
     approx = ctx.to_float(ALPHA)
     keys = [
         (side, u * den + nudge, v * den)
@@ -299,18 +300,95 @@ def _reference_keys(spec) -> list:
     return [(den, key) for den in dens for key in _kernel_keys(spec, den, 2000, rng)]
 
 
+def _floor_times_alpha(spec, v: int) -> int:
+    """floor(v * alpha), exactly: w*sqrt(d) is irrational for w = v*q != 0."""
+    w = v * spec.q
+    root = isqrt(w * w * spec.d)
+    return (v * spec.p + (root if w >= 0 else -root - 1)) // spec.r
+
+
+def _far_keys(spec, den: int, n: int, rng: random.Random) -> list:
+    """Keys of den's frame inside their interval with |V| up to 2**40*den,
+    half of them within 2/den of a threshold or an endpoint, where a float
+    position of U + V*alpha cannot tell the sign."""
+    frame = Frame(AlphaContext(spec), den)
+    keys = []
+    for k in range(n):
+        side = k % 2
+        v = rng.randint(-(2**40) * den, 2**40 * den)
+        if k % 4 < 2:  # anywhere in the interval
+            (p, q), nudge = (0, side), rng.randint(-1, den + 1)
+        else:  # next to an endpoint or a threshold
+            near = [(0, side), (1, side), *graph_module._THRESHOLDS[side]]
+            (p, q), nudge = rng.choice(near), rng.randint(-2, 2)
+        u = p * den + _floor_times_alpha(spec, q * den - v) + nudge
+        keys.append((side, u, v))
+    return [key for key in keys if frame.inside(*key)]
+
+
 @pytest.mark.parametrize("spec", KERNEL_ALPHAS)
 def test_integer_step_matches_eight_test_reference(spec):
-    # far keys, label sets and their order, on keys inside their interval
-    sign = AlphaContext(spec).sign_scaled
+    # far keys, label sets and their order, on keys inside their interval:
+    # 1/den from the special points, far along the component next to the
+    # thresholds, where the frame step's float filter must leave the sign
+    # to sign_scaled, and a key and a frame too large for a float, which
+    # take the exact path for both signs
+    ctx = AlphaContext(spec)
+    sign = ctx.sign_scaled
+    rng = random.Random(29)
+    cases = _reference_keys(spec)
+    for den in (1, 7, 10**6, 2**40 + 1):
+        cases += [(den, key) for key in _far_keys(spec, den, 1000, rng)]
+    v = -(10**400)
+    huge = (0, -_floor_times_alpha(spec, v), v)
+    assert Frame(ctx, 1).inside(*huge)
     checked = Counter()
-    for den, key in _reference_keys(spec):
+    for den, key in [*cases, (1, huge), (2**1100, (0, 2**1099, 0))]:
         want = integer_step_reference(sign, den, key)
-        assert graph_module._integer_step(sign, den, key) == want, (den, key)
+        assert Frame(ctx, den).adjacent(key) == want, (den, key)
         checked[den, len(want)] += 1
     # degree one occurs only at the four endpoints, all special points
     assert {degree for _den, degree in checked} == {1, 2}
-    assert sum(checked.values()) > 7000
+    assert sum(checked.values()) > 7000 + 1500
+
+
+@pytest.mark.parametrize("spec", ALL_ALPHAS)
+def test_walks_take_the_exact_sign_only_where_the_filter_cannot_decide(
+    monkeypatch, spec
+):
+    # beyond check_vertex's two signs, a walk from 1/2 decides every
+    # threshold sign by the float filter, and a walk from 0 falls back once,
+    # at (J, 2*alpha) on the frame over 1, whose sign against the threshold
+    # 2*alpha is sign_scaled(0, 0)
+    g = IntervalGraph(AlphaContext(spec))
+    calls = []
+    sign_scaled = AlphaContext.sign_scaled
+
+    def recorded(self, u, v):
+        calls.append((u, v))
+        return sign_scaled(self, u, v)
+
+    monkeypatch.setattr(AlphaContext, "sign_scaled", recorded)
+    for y, fallbacks in ((Fraction(1, 2), []), (Fraction(0), [(0, 0)])):
+        calls.clear()
+        view = g.explore_component(GVertex(Side.I, point(y)), 4000)
+        assert view.budget_used == 4000
+        assert len(calls) == 2 + len(fallbacks)
+        assert calls[2:] == fallbacks
+        assert fallbacks == [] or view.visited[1] == GVertex(Side.J, TWO_ALPHA)
+
+
+def test_huge_coefficient_spec_walks_like_its_reduced_form():
+    # sqrt(2) - 1 with every coefficient times 10**400: approx comes from
+    # integers, so nothing overflows, and every walk keys the same vertices
+    huge = IntervalGraph(AlphaContext(AlphaSpec(-(10**400), 10**400, 2, 10**400)))
+    small = IntervalGraph(AlphaContext(SQRT2_MINUS_1))
+    for side, pt in ((Side.I, ZERO), (Side.I, point(Fraction(2, 7))), (Side.J, ONE)):
+        walks = [
+            g.explore_component(GVertex(side, pt), 400) for g in (huge, small)
+        ]
+        assert walks[0].visited.keys == walks[1].visited.keys
+        assert walks[0].labels == walks[1].labels
 
 
 @pytest.mark.parametrize("spec", KERNEL_ALPHAS)
@@ -366,17 +444,22 @@ def test_sign_table_derivation_raises_where_it_does_not_hold():
 
 @pytest.fixture
 def kernel_keys(monkeypatch):
-    """Every key _integer_step receives, and those outside their interval."""
-    step = graph_module._integer_step
+    """Every key a frame's step receives, and those outside their interval."""
+    frame_step = graph_module._frame_step
     seen, outside = [], []
 
-    def guarded(sign, den, key):
-        seen.append(key)
-        if not Frame(sign, den).inside(*key):
-            outside.append((den, key))
-        return step(sign, den, key)
+    def guarded_step(ctx, den):
+        step = frame_step(ctx, den)
 
-    monkeypatch.setattr(graph_module, "_integer_step", guarded)
+        def guarded(key):
+            seen.append(key)
+            if not Frame(ctx, den).inside(*key):
+                outside.append((den, key))
+            return step(key)
+
+        return guarded
+
+    monkeypatch.setattr(graph_module, "_frame_step", guarded_step)
     return seen, outside
 
 

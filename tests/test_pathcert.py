@@ -349,7 +349,7 @@ def built_frames(monkeypatch):
 
 def _keyed_chain(graph, vertices, scale):
     """vertices keyed on the frame over their denominators' lcm times scale."""
-    frame = Frame(graph.ctx.sign_scaled, scale * graph.frame(*vertices).den)
+    frame = Frame(graph.ctx, scale * graph.frame(*vertices).den)
     return VertexChain([frame.key(v) for v in vertices], frame)
 
 
@@ -464,13 +464,18 @@ def test_sweep_builds_one_frame_per_anchor_and_expands_each_key_once(
     graph, monkeypatch
 ):
     # no check builds a frame of its own, and the checks of one anchor share
-    # its adjacency: _integer_step runs once per (anchor frame, key)
+    # its adjacency: a frame's step runs once per (anchor frame, key)
     total = Counter()
-    integer_step = graph_module._integer_step
+    frame_step = graph_module._frame_step
 
-    def counted_step(*args):
-        total["calls"] += 1
-        return integer_step(*args)
+    def counted_frame_step(ctx, den):
+        step = frame_step(ctx, den)
+
+        def counted_step(key):
+            total["calls"] += 1
+            return step(key)
+
+        return counted_step
 
     frames, steps = [], Counter()
     make_frame = IntervalGraph.frame
@@ -487,7 +492,7 @@ def test_sweep_builds_one_frame_per_anchor_and_expands_each_key_once(
         frame.adjacent = adjacent
         return frame
 
-    monkeypatch.setattr(graph_module, "_integer_step", counted_step)
+    monkeypatch.setattr(graph_module, "_frame_step", counted_frame_step)
     monkeypatch.setattr(IntervalGraph, "frame", tagged)
     report = verify_lemma(graph, 4, 10, seed=0, bfs_budget=16 * 4 + 64)
     assert report["checks"] > 0
@@ -507,13 +512,21 @@ def test_sweep_builds_one_frame_per_anchor_and_expands_each_key_once(
     assert total["calls"] == len(steps)
 
 
-def test_walks_keep_the_bare_adjacency(graph, built_frames):
+def test_walks_keep_the_bare_adjacency(graph, built_frames, monkeypatch):
+    steps = []
+    frame_step = graph_module._frame_step
+
+    def recorded(ctx, den):
+        steps.append(frame_step(ctx, den))
+        return steps[-1]
+
+    monkeypatch.setattr(graph_module, "_frame_step", recorded)
     v = GVertex(Side.I, point(Fraction(1, 3)))
     assert graph.explore_component(v, 50).budget_used == 50
     graph.neighbors(v)
     assert len(built_frames) == 2
-    for frame in built_frames:
-        assert frame.adjacent.func is graph_module._integer_step
+    for frame, step in zip(built_frames, steps, strict=True):
+        assert frame.adjacent is step
         assert not hasattr(frame, "memo")
 
 
@@ -547,7 +560,7 @@ def test_anchor_memo_stays_bounded_and_immutable(graph, monkeypatch):
     assert len(anchor_frame.memo) == anchor_frame.bfs.expanded == 10_000
     edges = anchor_frame.adjacent(key)
     assert edges is anchor_frame.memo[key]
-    assert edges == tuple(graph_module._integer_step(graph.ctx.sign_scaled, 1, key))
+    assert edges == tuple(graph_module._frame_step(graph.ctx, 1)(key))
     assert all(isinstance(labels, frozenset) for _far, labels in edges)
     with pytest.raises(TypeError):
         edges[0] = edges[-1]

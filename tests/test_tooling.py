@@ -5,7 +5,7 @@ A deleted or renamed function would otherwise blank a per-layer metric
 and the package's `__all__` pointing at nothing.  Nor does any module
 import a name it never reads, nor does `src/` define a helper that only
 the tests use, and README's configuration table lists the run settings
-and their defaults.
+and their defaults.  Floats stay where the exact design allows them.
 """
 
 import ast
@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 import re
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -228,3 +229,49 @@ def test_walk_makes_two_signs_per_vertex(monkeypatch, graph):
     view = graph.explore_component(v, 500)
     assert view.budget_used == 500
     assert calls["sign"] <= 2 * view.budget_used + 4
+
+
+def _float_uses(code: types.CodeType, where: str = ""):
+    """(dotted name, what) of each float constant, float name or sqrt in a
+    module's code and the functions and classes nested in it, after
+    constant folding, which turns 2**-48 into a float."""
+
+    def floats(const):
+        if isinstance(const, float):
+            yield repr(const)
+        elif isinstance(const, (tuple, frozenset)):
+            for item in const:
+                yield from floats(item)
+
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _float_uses(const, f"{where}{const.co_name}.")
+        else:
+            yield from ((where[:-1], f) for f in floats(const))
+    for name in code.co_names:
+        if name in ("float", "sqrt"):
+            yield where[:-1], name
+
+
+def test_floats_only_filter_or_render():
+    # a float only filters an exact decision or draws the figure: alpha's
+    # enclosure, the frame step's filter, to_float and render_figure
+    allowed = (
+        "AlphaContext.__init__",
+        "_frame_step",
+        "AlphaContext.to_float",
+        "render_figure",
+    )
+    uses = {
+        (path.name, where, what)
+        for path in sorted((ROOT / "src" / "equigraph").glob("*.py"))
+        for where, what in _float_uses(compile(path.read_text(), path.name, "exec"))
+    }
+    stray = sorted(
+        use
+        for use in uses
+        if not any(use[1] == ok or use[1].startswith(ok + ".") for ok in allowed)
+    )
+    assert stray == []
+    # the search sees folded constants: the filter's 2**-48
+    assert ("graph.py", "_frame_step.step", repr(2**-48)) in uses
