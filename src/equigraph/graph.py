@@ -120,15 +120,17 @@ class Frame:
 
     The generator maps have integer coefficients, so the frame of a vertex
     keys its whole component.  adjacent(key) lists (far key, generator
-    labels) sorted by far point; sign(U, V) is the exact sign of U + V*alpha.
-    adjacent is the frame's step, built once by _frame_step: a float
-    filter that decides both threshold signs of most keys, in front of
-    the exact sign, which decides the rest.
+    labels) sorted by far point; inside(side, U, V) tells whether (U, V)
+    lies in side's interval [side*alpha, 1 + side*alpha]; sign(U, V) is the
+    exact sign of U + V*alpha.  adjacent and inside are built once by
+    _frame_step: a float filter that decides most keys' threshold and
+    endpoint signs, in front of the exact sign, which decides a key on or
+    next to a threshold or an endpoint, and a key too large for a float.
     """
 
     def __init__(self, ctx: AlphaContext, den: int):
         self.sign, self.den = ctx.sign_scaled, den
-        self.adjacent = _frame_step(ctx, den)
+        self.adjacent, self.inside = _frame_step(ctx, den)
         self.bfs: Optional[_Search] = None  # kept by remember
 
     def key(self, v: GVertex) -> Optional[Key]:
@@ -144,11 +146,6 @@ class Frame:
         side, u, v = key
         pt = AlgebraicPoint(Fraction(u, self.den), Fraction(v, self.den))
         return GVertex(_SIDES[side], pt)
-
-    def inside(self, side: int, u: int, v: int) -> bool:
-        """Whether (u, v) lies in side's interval [side*alpha, 1 + side*alpha]."""
-        sign, den, shift = self.sign, self.den, side * self.den
-        return sign(u, v - shift) >= 0 and sign(den - u, shift - v) >= 0
 
     def check(self, key: Key) -> None:
         """Raise unless key's vertex lies in its side's interval."""
@@ -450,30 +447,34 @@ _THRESHOLDS, _MAPS = zip(_side_tables(0), _side_tables(1))
 _TABLES = tuple(map(_sign_table, (0, 1), _THRESHOLDS, _MAPS))
 
 
-def _frame_step(
-    ctx: AlphaContext, den: int
-) -> Callable[[Key], list[tuple[Key, frozenset[Generator]]]]:
-    """Adjacency on the keys (side, U, V) of the frame over den.
+def _frame_step(ctx: AlphaContext, den: int) -> tuple[Callable, Callable]:
+    """Adjacency and the interval test on the keys (side, U, V) of the
+    frame over den: the pair (step, inside) that Frame binds.
 
-    An I-vertex steps by each generator x -> a*x + 2b*alpha + 2c, a
-    J-vertex by its inverse; an image is kept when it lies in the far
-    interval, all in units of 1/den, and coinciding images merge into one
-    edge carrying every generator that realizes them.
-
-    A key must lie in its side's interval (Frame.check).  Then its two
-    signs against the side's thresholds T = (p + q*alpha)*den pick its
-    _TABLES item, and the two edges are in order unless their images
+    step(key) lists key's edges.  An I-vertex steps by each generator
+    x -> a*x + 2b*alpha + 2c, a J-vertex by its inverse; an image is kept
+    when it lies in the far interval, all in units of 1/den, and
+    coinciding images merge into one edge carrying every generator that
+    realizes them.  A key must lie in its side's interval (inside).  Then
+    its two signs against the side's thresholds T = (p + q*alpha)*den pick
+    its _TABLES item, and the two edges are in order unless their images
     coincide, at the four endpoints.
 
-    Each sign is that of D = X - T, X = U + V*alpha, and one float
-    position x = fl(U + V*a), a = ctx.approx, decides both: the sign of
-    d = fl(x - fl((p + q*a)*den)) is D's when |d| > e, where
+    inside(side, U, V) is X >= lo and X <= hi for the side's endpoints
+    side*alpha*den and (1 + side*alpha)*den, which are forms (p + q*alpha)*den
+    as well: (0, 0) and (1, 0) on I, (0, 1) and (1, 1) on J.
+
+    Each sign is that of D = X - T, X = U + V*alpha, T a threshold or an
+    endpoint, and one float position x = fl(U + V*a), a = ctx.approx,
+    decides them all: the sign of d = fl(x - fl((p + q*a)*den)) is D's
+    when |d| > e, where
 
         e = (|U| + |V| + 2*den) * 2**-46,
 
     and sign_scaled decides it otherwise.  With eps = 2**-53, |a - alpha|
     < 2**-48 = 32eps (checked exactly by AlphaContext) and |p| + |q| <= 2
-    for all four thresholds, so |q| <= 2 and |a| <= 1 + 32eps:
+    for all four thresholds and all four endpoints, so |q| <= 2 and
+    |a| <= 1 + 32eps:
       - x is off X by 32eps*|V| from a, and by 2eps*|U| + 3eps*|a|*|V| +
         O(eps**2) from rounding U, V, V*a and the sum;
       - T's float is off by 32eps*|q|*den from a (q*a itself is exact),
@@ -482,21 +483,25 @@ def _frame_step(
       - the subtraction adds eps*|x - T| <= 1.01eps*(|U| + |V| + 2*den).
     So |d - D| < 37eps*(|U| + |V| + 2*den), under e = 128eps*(...) even
     after e's own rounding, and |d| > e leaves D nonzero with d's sign; a
-    tie D = 0, at a threshold, always takes the exact path.  Underflow
-    adds at most 2**-1070 in all, far under e >= 2*den*2**-46.  e is
-    formed as float(4*(|U| + |V| + 2*den)) * 2**-48, and that conversion
-    raises OverflowError from 2**1024 on; below it every float above is
-    finite.  A key that raises takes the exact path for both signs.
+    tie D = 0, at a threshold or on an endpoint, always takes the exact
+    path.  Underflow adds at most 2**-1070 in all, far under e >=
+    2*den*2**-46.  e is formed as float(4*(|U| + |V| + 2*den)) * 2**-48,
+    and that conversion raises OverflowError from 2**1024 on; below it
+    every float above is finite.  A key that raises takes the exact path
+    for every sign.
     """
     sign, approx, den2 = ctx.sign_scaled, ctx.approx, 2 * den
-    sides = []
+    sides, ends = [], []  # per side: the step's thresholds, inside's endpoints
     for side in (0, 1):
-        (p0, q0), (p1, q1) = _THRESHOLDS[side]
+        (p0, q0), (p1, q1) = forms = _THRESHOLDS[side]
         try:
-            floats = (p0 + q0 * approx) * den, (p1 + q1 * approx) * den
+            t0, t1, lo, hi = [
+                (p + q * approx) * den for p, q in (*forms, (0, side), (1, side))
+            ]
         except OverflowError:  # every key's e overflows too: never read
-            floats = 0, 0
-        sides.append((p0 * den, q0 * den, p1 * den, q1 * den, *floats, _TABLES[side]))
+            t0 = t1 = lo = hi = 0
+        sides.append((p0 * den, q0 * den, p1 * den, q1 * den, t0, t1, _TABLES[side]))
+        ends.append((side * den, lo, hi))
 
     def step(key: Key) -> list[tuple[Key, frozenset[Generator]]]:
         side, u, v = key
@@ -517,7 +522,19 @@ def _frame_step(
         k1 = far, a1 * u + c1 * den, a1 * v + b1 * den
         return [(k0, l0), (k1, l1)] if k0 != k1 else [(k0, union)]
 
-    return step
+    def inside(side: int, u: int, v: int) -> bool:
+        shift, lo, hi = ends[side]
+        try:
+            x = u + v * approx
+            e = (abs(u) + abs(v) + den2 << 2) * 2**-48
+        except OverflowError:
+            return sign(u, v - shift) >= 0 and sign(den - u, shift - v) >= 0
+        d0, d1 = x - lo, hi - x  # hi - x is -(x - hi), exactly
+        return (d0 > e or d0 >= -e and sign(u, v - shift) >= 0) and (
+            d1 > e or d1 >= -e and sign(den - u, shift - v) >= 0
+        )
+
+    return step, inside
 
 
 # ----------------------------------------------------------------------

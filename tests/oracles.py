@@ -5,8 +5,9 @@ are fingerprinted by their images of two rational points under hand-written
 per-generator rules, interval membership is decided with 60-digit Decimal
 arithmetic (exact equality detected on the rational/irrational parts first),
 signs are also decided in plain Fraction arithmetic, the facing-pair
-set is recomputed by a literal all-pairs ray walk, and random matchings
-are drawn through Random.randrange and Random.randint.  A matching's
+set is recomputed by a literal all-pairs ray walk, random matchings
+are drawn through Random.randrange and Random.randint, and every small
+K-matching is enumerated by a depth-first search.  A matching's
 partners, ray directions, nested-ray test and extraction to the unit
 matching are plain functions of a package KMatching here: the package
 checks convergence by is_standard alone.
@@ -16,7 +17,8 @@ certificate construction on exact points (apply, compare, in_interval and
 neighbors), kept verbatim as the reference for the integer construction,
 verify_lemma_reference, the sweep with no frame shared between calls,
 integer_step_reference, the package's earlier adjacency kernel, which tests
-both far-interval bounds of all four generator maps, and
+both far-interval bounds of all four generator maps, inside_reference, the
+earlier interval test, with an exact sign for each endpoint, and
 chain_element_points, the earlier chain_element, which reads each step's
 side from its vertex.
 """
@@ -27,7 +29,7 @@ import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from equigraph.algebra import ALPHA, ONE, ZERO, AlgebraicPoint, point
 from equigraph.dynamics import KMatching, _canonical_window, phi_pairs
@@ -270,6 +272,33 @@ def facing_pairs_bruteforce(m: KMatching) -> set[int]:
 
 # ----------------------------------------------------------------------
 # random matching oracle
+
+
+def kmatching_targets(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Every bijection of A-vertices 0, 2, ..., 2n - 2 onto B-vertices 1, 3,
+    ..., 2n - 1 with |t[i] - 2i| <= k, as its targets t, once each and in
+    lexicographic order.
+
+    A depth-first search gives A-vertex 2i each unused B-vertex within k in
+    turn (Lehmer's permutations with restricted displacements), so it walks
+    only the matchings, not all n! orders.
+    """
+    targets: list[int] = []
+    used: set[int] = set()
+
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(targets)
+            return
+        for t in range(max(1, (2 * i - k) | 1), min(2 * n, 2 * i + k + 1), 2):
+            if t not in used:
+                targets.append(t)
+                used.add(t)
+                yield from extend(i + 1)
+                used.remove(t)
+                targets.pop()
+
+    return extend(0)
 
 
 def random_deviations(window: int, k: int, seed: int) -> dict[int, int]:
@@ -520,6 +549,17 @@ _MAPS = (
 )
 
 
+def inside_reference(
+    sign: Callable[[int, int], int], den: int, key: tuple[int, int, int]
+) -> bool:
+    """Whether key (side, U, V) lies in side's interval [side*alpha, 1 +
+    side*alpha], in units of 1/den, by two exact signs: the package's
+    earlier Frame.inside."""
+    side, u, v = key
+    shift = side * den
+    return sign(u, v - shift) >= 0 and sign(den - u, shift - v) >= 0
+
+
 def integer_step_reference(
     sign: Callable[[int, int], int], den: int, key: tuple[int, int, int]
 ) -> list[tuple[tuple[int, int, int], frozenset[Generator]]]:
@@ -533,7 +573,7 @@ def integer_step_reference(
     """
     side, u, v = key
     # the far interval is [s*alpha, 1 + s*alpha]: s = 1 for J, 0 for I.
-    # Frame.inside's test, inlined: a call per image costs about 7% here
+    # inside_reference's test, inlined: a call per image costs about 7% here
     shift = den if side == 0 else 0
     found: dict[tuple[int, int], int] = {}
     for bit, a, c2, b2 in _MAPS[side]:

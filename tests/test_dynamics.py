@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -26,6 +25,7 @@ from oracles import (
     direction,
     extract_matching,
     facing_pairs_bruteforce,
+    kmatching_targets,
     partner,
     random_deviations,
 )
@@ -252,9 +252,7 @@ def test_run_dynamics_equals_improve_replay_on_every_small_matching():
     most_rounds: dict[int, int] = {}
     for k in (3, 5, 7):
         for n in range(1, 8):
-            for targets in itertools.permutations(range(1, 2 * n, 2)):
-                if any(abs(t - 2 * i) > k for i, t in enumerate(targets)):
-                    continue
+            for targets in kmatching_targets(n, k):
                 matchings += 1
                 dev = {2 * i: t for i, t in enumerate(targets) if t != 2 * i + 1}
                 ends = [*dev, *(t - 1 for t in dev.values())] or [0]

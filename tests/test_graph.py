@@ -1,7 +1,9 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import product
 from math import isqrt
 from types import SimpleNamespace
 
@@ -36,6 +38,7 @@ import oracles
 from oracles import (
     alpha_decimal,
     bfs_distance as oracle_bfs,
+    inside_reference,
     integer_step_reference,
     neighbors as oracle_neighbors,
     point_decimal,
@@ -272,12 +275,17 @@ def test_far_tests_are_derived_once_per_generator():
 SPECIAL_POINTS = ((0, 0), (1, 0), (0, 1), (1, -1), (0, 2), (1, 1), (-1, 2), (2, -2))
 
 
+def _inside_keys(spec, den: int, keys: list) -> list:
+    """The keys of den's frame that lie inside their interval."""
+    sign = AlphaContext(spec).sign_scaled
+    return [key for key in keys if inside_reference(sign, den, key)]
+
+
 def _kernel_keys(spec, den: int, n_random: int, rng: random.Random) -> list:
-    """Keys of den's frame inside their interval: special points, their
-    neighbours 1/den away, and random keys anywhere along the component."""
-    ctx = AlphaContext(spec)
-    frame = Frame(ctx, den)
-    approx = ctx.to_float(ALPHA)
+    """Keys of den's frame, inside their interval or next to it: special
+    points, their neighbours 1/den away, and random keys anywhere along
+    the component."""
+    approx = AlphaContext(spec).to_float(ALPHA)
     keys = [
         (side, u * den + nudge, v * den)
         for side in (0, 1)
@@ -289,15 +297,18 @@ def _kernel_keys(spec, den: int, n_random: int, rng: random.Random) -> list:
             v = rng.randint(-50 * den, 50 * den)
             u = round((side * den - v) * approx) + rng.randint(-1, den + 1)
             keys.append((side, u, v))
-    return [key for key in keys if frame.inside(*key)]
+    return keys
 
 
 def _reference_keys(spec) -> list:
     """(den, key) for each key test_integer_step_matches_eight_test_reference
     checks."""
     rng = random.Random(23)
-    dens = (1, 7, 10**6)
-    return [(den, key) for den in dens for key in _kernel_keys(spec, den, 2000, rng)]
+    return [
+        (den, key)
+        for den in (1, 7, 10**6)
+        for key in _inside_keys(spec, den, _kernel_keys(spec, den, 2000, rng))
+    ]
 
 
 def _floor_times_alpha(spec, v: int) -> int:
@@ -308,10 +319,9 @@ def _floor_times_alpha(spec, v: int) -> int:
 
 
 def _far_keys(spec, den: int, n: int, rng: random.Random) -> list:
-    """Keys of den's frame inside their interval with |V| up to 2**40*den,
-    half of them within 2/den of a threshold or an endpoint, where a float
-    position of U + V*alpha cannot tell the sign."""
-    frame = Frame(AlphaContext(spec), den)
+    """Keys of den's frame, inside their interval or next to it, with |V|
+    up to 2**40*den, half of them within 2/den of a threshold or an
+    endpoint, where a float position of U + V*alpha cannot tell the sign."""
     keys = []
     for k in range(n):
         side = k % 2
@@ -323,7 +333,7 @@ def _far_keys(spec, den: int, n: int, rng: random.Random) -> list:
             (p, q), nudge = rng.choice(near), rng.randint(-2, 2)
         u = p * den + _floor_times_alpha(spec, q * den - v) + nudge
         keys.append((side, u, v))
-    return [key for key in keys if frame.inside(*key)]
+    return keys
 
 
 @pytest.mark.parametrize("spec", KERNEL_ALPHAS)
@@ -338,10 +348,11 @@ def test_integer_step_matches_eight_test_reference(spec):
     rng = random.Random(29)
     cases = _reference_keys(spec)
     for den in (1, 7, 10**6, 2**40 + 1):
-        cases += [(den, key) for key in _far_keys(spec, den, 1000, rng)]
+        far = _far_keys(spec, den, 1000, rng)
+        cases += [(den, key) for key in _inside_keys(spec, den, far)]
     v = -(10**400)
     huge = (0, -_floor_times_alpha(spec, v), v)
-    assert Frame(ctx, 1).inside(*huge)
+    assert inside_reference(sign, 1, huge)
     checked = Counter()
     for den, key in [*cases, (1, huge), (2**1100, (0, 2**1099, 0))]:
         want = integer_step_reference(sign, den, key)
@@ -352,29 +363,66 @@ def test_integer_step_matches_eight_test_reference(spec):
     assert sum(checked.values()) > 7000 + 1500
 
 
+@pytest.mark.parametrize("spec", KERNEL_ALPHAS)
+def test_filtered_inside_matches_the_two_sign_test(spec):
+    # Frame.inside decides by the frame's float filter, and by sign_scaled
+    # where it cannot: on the step test's keys before they are screened, on
+    # keys within 2/den of each endpoint on both sides, near and far along
+    # the component, and on a key and a frame too large for a float, it
+    # answers as two exact signs do
+    ctx = AlphaContext(spec)
+    sign = ctx.sign_scaled
+    rng, far_rng, near_rng = random.Random(23), random.Random(29), random.Random(31)
+    cases = [
+        (den, key)
+        for den in (1, 7, 10**6)
+        for key in _kernel_keys(spec, den, 2000, rng)
+    ]
+    for den in (1, 7, 10**6, 2**40 + 1):
+        cases += [(den, key) for key in _far_keys(spec, den, 1000, far_rng)]
+        # the endpoint (p + side*alpha)*den, from V = side*den and far along
+        for side, p in product((0, 1), (0, 1)):
+            far_vs = [near_rng.randint(-(2**40), 2**40) * den for _ in range(3)]
+            for v in (side * den, *far_vs):
+                u = p * den + _floor_times_alpha(spec, side * den - v)
+                cases += [(den, (side, u + nudge, v)) for nudge in range(-2, 3)]
+    v = -(10**400)
+    huge = -_floor_times_alpha(spec, v)
+    cases += [(1, (0, huge, v)), (1, (0, huge - 1, v))]
+    cases += [(2**1100, (0, 2**1099, 0)), (2**1100, (0, 2**1100 + 1, 0))]
+    frames = {den: Frame(ctx, den) for den in {den for den, _key in cases}}
+    answers = Counter()
+    for den, key in cases:
+        want = inside_reference(sign, den, key)
+        assert frames[den].inside(*key) == want, (den, key)
+        answers[want] += 1
+    assert answers[True] > 10000 and answers[False] > 5000
+
+
 @pytest.mark.parametrize("spec", ALL_ALPHAS)
 def test_walks_take_the_exact_sign_only_where_the_filter_cannot_decide(
     monkeypatch, spec
 ):
-    # beyond check_vertex's two signs, a walk from 1/2 decides every
-    # threshold sign by the float filter, and a walk from 0 falls back once,
-    # at (J, 2*alpha) on the frame over 1, whose sign against the threshold
-    # 2*alpha is sign_scaled(0, 0)
+    # a walk from 1/2 decides check_vertex's interval test and every
+    # threshold sign by the float filter; a walk from 0 falls back twice on
+    # the frame over 1: the interval test at the origin, on the endpoint 0,
+    # and the step at (J, 2*alpha), on its threshold 2*alpha, each with
+    # sign_scaled(0, 0)
     g = IntervalGraph(AlphaContext(spec))
     calls = []
     sign_scaled = AlphaContext.sign_scaled
 
     def recorded(self, u, v):
-        calls.append((u, v))
+        calls.append((sys._getframe(1).f_code.co_name, u, v))
         return sign_scaled(self, u, v)
 
     monkeypatch.setattr(AlphaContext, "sign_scaled", recorded)
-    for y, fallbacks in ((Fraction(1, 2), []), (Fraction(0), [(0, 0)])):
+    at_zero = [("inside", 0, 0), ("step", 0, 0)]
+    for y, fallbacks in ((Fraction(1, 2), []), (Fraction(0), at_zero)):
         calls.clear()
         view = g.explore_component(GVertex(Side.I, point(y)), 4000)
         assert view.budget_used == 4000
-        assert len(calls) == 2 + len(fallbacks)
-        assert calls[2:] == fallbacks
+        assert calls == fallbacks
         assert fallbacks == [] or view.visited[1] == GVertex(Side.J, TWO_ALPHA)
 
 
@@ -449,15 +497,15 @@ def kernel_keys(monkeypatch):
     seen, outside = [], []
 
     def guarded_step(ctx, den):
-        step = frame_step(ctx, den)
+        step, inside = frame_step(ctx, den)
 
         def guarded(key):
             seen.append(key)
-            if not Frame(ctx, den).inside(*key):
+            if not inside_reference(ctx.sign_scaled, den, key):
                 outside.append((den, key))
             return step(key)
 
-        return guarded
+        return guarded, inside
 
     monkeypatch.setattr(graph_module, "_frame_step", guarded_step)
     return seen, outside

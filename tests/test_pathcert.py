@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equigraph.algebra import ALPHA, ONE, ZERO, AlphaContext, point
+from equigraph.cli import load_config
 from equigraph import graph as graph_module
 from equigraph.errors import CONNECTOR_MISSING, EquigraphError, Finding
 from equigraph.graph import Frame, GVertex, IntervalGraph, Side, VertexChain
@@ -460,6 +462,28 @@ def test_sweep_builds_only_its_bfs_goals_as_points(monkeypatch, spec):
     assert signs[0] == signs[1] <= 12  # two signs for each of six images
 
 
+def test_sweep_leaves_few_interval_tests_to_the_exact_sign(monkeypatch):
+    # the default sweep tests keys against their interval about 35,000
+    # times; the frame's float filter decides all but those on or next to
+    # an endpoint, such as the anchors 0 and 1
+    cfg = load_config(None)
+    assert cfg.alpha == SQRT2_MINUS_1
+    calls = Counter()
+    sign_scaled = AlphaContext.sign_scaled
+
+    def counted(self, u, v):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return sign_scaled(self, u, v)
+
+    monkeypatch.setattr(AlphaContext, "sign_scaled", counted)
+    graph = IntervalGraph(AlphaContext(cfg.alpha))
+    report = verify_lemma(
+        graph, cfg.ball_radius, cfg.samples, cfg.seed, bfs_budget=cfg.bfs_budget
+    )
+    assert report["checks"] == 2485
+    assert 0 < calls["inside"] <= 120
+
+
 def test_sweep_builds_one_frame_per_anchor_and_expands_each_key_once(
     graph, monkeypatch
 ):
@@ -469,13 +493,13 @@ def test_sweep_builds_one_frame_per_anchor_and_expands_each_key_once(
     frame_step = graph_module._frame_step
 
     def counted_frame_step(ctx, den):
-        step = frame_step(ctx, den)
+        step, inside = frame_step(ctx, den)
 
         def counted_step(key):
             total["calls"] += 1
             return step(key)
 
-        return counted_step
+        return counted_step, inside
 
     frames, steps = [], Counter()
     make_frame = IntervalGraph.frame
@@ -517,8 +541,9 @@ def test_walks_keep_the_bare_adjacency(graph, built_frames, monkeypatch):
     frame_step = graph_module._frame_step
 
     def recorded(ctx, den):
-        steps.append(frame_step(ctx, den))
-        return steps[-1]
+        built = frame_step(ctx, den)
+        steps.append(built[0])
+        return built
 
     monkeypatch.setattr(graph_module, "_frame_step", recorded)
     v = GVertex(Side.I, point(Fraction(1, 3)))
@@ -560,7 +585,8 @@ def test_anchor_memo_stays_bounded_and_immutable(graph, monkeypatch):
     assert len(anchor_frame.memo) == anchor_frame.bfs.expanded == 10_000
     edges = anchor_frame.adjacent(key)
     assert edges is anchor_frame.memo[key]
-    assert edges == tuple(graph_module._frame_step(graph.ctx, 1)(key))
+    step, _inside = graph_module._frame_step(graph.ctx, 1)
+    assert edges == tuple(step(key))
     assert all(isinstance(labels, frozenset) for _far, labels in edges)
     with pytest.raises(TypeError):
         edges[0] = edges[-1]

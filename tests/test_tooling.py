@@ -273,5 +273,7 @@ def test_floats_only_filter_or_render():
         if not any(use[1] == ok or use[1].startswith(ok + ".") for ok in allowed)
     )
     assert stray == []
-    # the search sees folded constants: the filter's 2**-48
+    # the search sees folded constants: the filter's 2**-48, in the step
+    # and in the interval test
     assert ("graph.py", "_frame_step.step", repr(2**-48)) in uses
+    assert ("graph.py", "_frame_step.inside", repr(2**-48)) in uses
