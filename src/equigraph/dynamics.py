@@ -267,46 +267,41 @@ def random_kmatching(window: int, k: int, seed: int) -> KMatching:
 
     window counts the A-vertices allowed to deviate (coords 0..2*window-1).
     Starting from standard, tries one partner transposition per A-vertex,
-    keeping only those that respect the K bound.
+    keeping only those that respect the K bound.  The shuffle runs on a
+    partner list, partner[i] the B-vertex of A-vertex 2*i, so a kept
+    transposition is one swap; the deviations are read off it at the end.
+    The random stream is that of Random.randrange and Random.randint, which
+    tests/oracles.py's random_deviations pins.
     """
     if k <= 0 or k % 2 == 0:
         raise EquigraphError(f"K must be an odd positive integer, got {k}")
     if window < k:
         raise EquigraphError(f"window {window} smaller than K={k}")
     getrandbits = random.Random(seed).getrandbits
-    top = 2 * (window - 1)
     half = (k + 1) // 2
     wbits, hbits = window.bit_length(), half.bit_length()
-    cur: dict[int, int] = {}
-    get, pop = cur.get, cur.pop
+    partner = list(range(1, 2 * window, 2))
     # Each loop is Random.randrange(n) without its argument checks, so the
     # stream is the same: n.bit_length() random bits, redrawn while >= n.
     for _ in range(window):
-        a1 = getrandbits(wbits)
-        while a1 >= window:
-            a1 = getrandbits(wbits)
+        i = getrandbits(wbits)
+        while i >= window:
+            i = getrandbits(wbits)
         delta = getrandbits(hbits)  # rng.randint(1, half) - 1
         while delta >= half:
             delta = getrandbits(hbits)
         coin = getrandbits(2)  # rng.randrange(2)
         while coin >= 2:
             coin = getrandbits(2)
-        a1, delta = 2 * a1, 2 * delta + 2
-        a2 = a1 + delta if coin else a1 - delta
-        if a2 < 0 or a2 > top:
+        j = i + delta + 1 if coin else i - delta - 1
+        if not 0 <= j < window:
             continue
-        p1, p2 = get(a1, a1 + 1), get(a2, a2 + 1)
-        if abs(a1 - p2) > k or abs(a2 - p1) > k:
+        p1, p2 = partner[i], partner[j]
+        if abs(2 * i - p2) > k or abs(2 * j - p1) > k:
             continue
-        if p2 == a1 + 1:
-            pop(a1, None)
-        else:
-            cur[a1] = p2
-        if p1 == a2 + 1:
-            pop(a2, None)
-        else:
-            cur[a2] = p1
-    result = KMatching(k, _canonical_window(cur, (0, -1)), cur)
+        partner[i], partner[j] = p2, p1
+    dev = {2 * i: t for i, t in enumerate(partner) if t != 2 * i + 1}
+    result = KMatching(k, _canonical_window(dev, (0, -1)), dev)
     result.validate()
     return result
 

@@ -428,17 +428,25 @@ def test_random_kmatching_is_valid_and_deterministic():
 
 
 def test_random_kmatching_draws_as_randrange_did():
-    # K = 11 and 15 draw from half = 6 and 8; (9, 9) and (11, 11) have
-    # window == k
-    cases = [(9, 9), (11, 11)] + [
+    # K = 11 and 15 draw from half = 6 and 8; (1, 1), (3, 3), (5, 5),
+    # (9, 9) and (11, 11) have window == k
+    cases = [(1, 1), (3, 3), (5, 5), (9, 9), (11, 11)] + [
         (window, k)
         for window in (15, 16, 17, 63, 64, 65, 1000)
         for k in (1, 3, 5, 7, 9, 11, 15)
     ]
+    first_moved = last_moved = False
     for window, k in cases:
         for seed in range(20):
             m = random_kmatching(window, k, seed)
-            assert m.deviations == random_deviations(window, k, seed)
+            dev = random_deviations(window, k, seed)
+            # phi_pairs reads the deviations in increasing order
+            assert list(m.deviations.items()) == list(dev.items())
+            assert m.window == dynamics_module._canonical_window(dev, (0, -1))
+            # a deviation at either end of the window was made by a kept swap
+            first_moved |= 0 in dev
+            last_moved |= 2 * (window - 1) in dev
+    assert first_moved and last_moved
 
 
 def test_random_kmatching_edge_cases():
