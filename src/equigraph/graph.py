@@ -140,7 +140,8 @@ class Frame:
         sw, rw = divmod(self.den, w.denominator)
         if ru or rw:
             return None
-        return _SIDE_INDEX[v.side], u.numerator * su, w.numerator * sw
+        # tuple.index compares by identity first, so no Enum hash is taken
+        return _SIDES.index(v.side), u.numerator * su, w.numerator * sw
 
     def vertex(self, key: Key) -> GVertex:
         side, u, v = key
@@ -334,15 +335,19 @@ def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView
             if expanded >= limit:
                 frontier.append(cur)
                 break
-            edges = adjacent(cur)
             expanded += 1
-            onward = [e for e in edges if e[0] != prev]
-            if len(onward) > 1:
-                raise EquigraphError(f"vertex of degree >2 at {vertex_of(cur)}")
-            if not onward:
+            onward = None  # the one edge at cur that does not lead back
+            for edge in adjacent(cur):
+                if edge[0] != prev:
+                    if onward is not None:
+                        raise EquigraphError(
+                            f"vertex of degree >2 at {vertex_of(cur)}"
+                        )
+                    onward = edge
+            if onward is None:
                 break  # degree-one endpoint
             prev = cur
-            cur, via = onward[0]
+            cur, via = onward
 
     # the chain runs back along arm 1, through origin and out along arm 0;
     # a cycle's closing edge joins the two chain ends, so it goes last
@@ -371,7 +376,6 @@ def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView
 # adjacency in integer coordinates
 
 _SIDES = (Side.I, Side.J)
-_SIDE_INDEX = {side: k for k, side in enumerate(_SIDES)}
 # _LABELS[mask] holds the generators whose bits are set in mask
 _LABELS = tuple(
     frozenset(gen for k, gen in enumerate(GENERATOR_ELEMENTS) if mask >> k & 1)

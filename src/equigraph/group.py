@@ -10,8 +10,8 @@ operations below work purely on (a, b, c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, NamedTuple
 
 from .algebra import AlgebraicPoint
 from .errors import EquigraphError
@@ -26,17 +26,33 @@ class Generator(Enum):
     R2A = "R2a"
 
 
-@dataclass(frozen=True, order=True)
-class GroupElement:
-    """The isometry x -> a*x + 2*alpha*b + 2*c in normal form."""
-
+class _Triple(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        if self.a not in (1, -1):
-            raise EquigraphError(f"a must be +1 or -1, got {self.a}")
+
+class GroupElement(_Triple):
+    """The isometry x -> a*x + 2*alpha*b + 2*c in normal form.
+
+    A validated int triple (a, b, c): equality, hashing and order are the
+    tuple's, which run in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int) -> GroupElement:
+        return cls._make((a, b, c))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> GroupElement:
+        """Every element is built here, by the constructor and by _replace."""
+        g = tuple.__new__(cls, iterable)
+        if len(g) != 3:
+            raise TypeError(f"expected 3 arguments, got {len(g)}")
+        if g[0] not in (1, -1):
+            raise EquigraphError(f"a must be +1 or -1, got {g[0]}")
+        return g
 
 
 IDENTITY = GroupElement(1, 0, 0)

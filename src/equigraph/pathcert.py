@@ -98,8 +98,12 @@ class CertifiedPath:
             frame.check(key)
             if key[0] != k % 2:
                 problems.append(f"vertex {k} breaks I/J alternation")
-        for k in range(len(keys) - 1):
-            if keys[k + 1] not in [far for far, _labels in frame.adjacent(keys[k])]:
+        adjacent = frame.adjacent
+        for k, (key, nxt) in enumerate(zip(keys, keys[1:])):
+            for far, _labels in adjacent(key):
+                if far == nxt:
+                    break
+            else:
                 problems.append(f"vertices {k} and {k + 1} are not adjacent")
         if self.length > 2 * abs(self.element.b):
             problems.append(
@@ -223,6 +227,11 @@ def verify_lemma(
     max_dist_by_b: dict[int, int] = {}
     max_len_by_b: dict[int, int] = {}
 
+    def violation(g: GroupElement, y: AlgebraicPoint, **defect) -> None:
+        """Record g's defect at anchor y; built only when a check finds one."""
+        witness = {"element": [g.a, g.b, g.c], "anchor": str(y), "bound": 2 * abs(g.b)}
+        violations[g].append(witness | defect)
+
     def check_anchor(y: AlgebraicPoint, targets: list[GroupElement]) -> None:
         origin = GVertex(Side.I, y)
         frame = graph.frame(origin)
@@ -231,32 +240,28 @@ def verify_lemma(
             return
         frame.remember(key)
         known: dict[GroupElement, tuple] = {}
-        anchor = str(y)
         for g in targets:
             gu, gv = frame.image(g, *key[1:])
             if not frame.inside(0, gu, gv):
                 continue  # screened on ints; the vertex g(y) is built past here
             checks[g] += 1
-            found, k = violations[g], abs(g.b)
-            witness = {"element": [g.a, g.b, g.c], "anchor": anchor, "bound": 2 * k}
+            k = abs(g.b)
             dist = graph.bfs_distance(
                 origin, frame.vertex((0, gu, gv)), bfs_budget, frame
             )
             if dist is None or dist > 2 * k:
-                found.append({**witness, "defect": "bfs", "distance": dist})
+                violation(g, y, defect="bfs", distance=dist)
             else:
                 max_dist_by_b[k] = max(max_dist_by_b.get(k, 0), dist)
             try:
                 cert = build_path(graph, g, y, frame, known)
                 defects = cert.validate()
                 if defects:
-                    found.append(
-                        {**witness, "defect": "certificate", "problems": defects}
-                    )
+                    violation(g, y, defect="certificate", problems=defects)
                 else:
                     max_len_by_b[k] = max(max_len_by_b.get(k, 0), cert.length)
             except Finding as f:
-                found.append({**witness, "defect": f.kind, "finding": f.witness})
+                violation(g, y, defect=f.kind, finding=f.witness)
 
     ctx = graph.ctx
     images = [

@@ -826,3 +826,28 @@ def test_fake_high_degree_is_structural_error(ctx):
     g = _FakeGraph(AlphaContext(ALL_ALPHAS[0]), adj)
     with pytest.raises(EquigraphError):
         g.explore_component(i0, 100)
+
+
+def test_fake_interior_high_degree_names_the_vertex(ctx):
+    # two edges besides the way back at an interior vertex: the walker must
+    # look past the first onward edge to see the second
+    g, vertices = _chain_graph(ctx, 5)  # I-J-I-J-I
+    extra = GVertex(Side.J, point(Fraction(99, 100)) + ALPHA)
+    g._adj[vertices[2]].append(extra)
+    g._adj[extra] = [vertices[2]]
+    with pytest.raises(EquigraphError) as exc:
+        g.explore_component(vertices[0], 100)
+    assert type(exc.value) is EquigraphError  # not the Finding of a cut walk
+    assert str(exc.value) == f"vertex of degree >2 at {vertices[2]}"
+
+
+def test_fake_doubled_way_back_is_an_endpoint(ctx):
+    # an interior vertex whose only edges are two copies of the way back
+    # ends its arm, as a degree-one endpoint would
+    g, vertices = _chain_graph(ctx, 5)
+    g._adj[vertices[3]] = [vertices[2], vertices[2]]
+    view = g.explore_component(vertices[0], 100)
+    assert view.kind == "finite_path"
+    assert view.visited == tuple(vertices[:4])
+    assert view.edge_count == 3
+    assert view.frontier == ()

@@ -165,6 +165,29 @@ def test_preconditions_raise_equigraph_error():
         is_member(0, Fraction(0), Fraction(0))
 
 
+def test_namedtuple_builders_keep_the_check():
+    # _replace builds through _make, which a plain NamedTuple leaves unchecked
+    with pytest.raises(EquigraphError, match="a must be \\+1 or -1, got 2"):
+        GroupElement(1, 0, 0)._replace(a=2)
+    with pytest.raises(EquigraphError, match="a must be \\+1 or -1, got 0"):
+        GroupElement._make((0, 0, 0))
+    assert GroupElement(1, 0, 0)._replace(b=3) == GroupElement(1, 3, 0)
+    assert GroupElement._make([-1, 2, 3]) == GroupElement(-1, 2, 3)
+
+
+def test_element_is_a_tuple_in_field_order():
+    g = GroupElement(-1, 2, 3)
+    assert tuple(g) == (-1, 2, 3)
+    assert repr(g) == "GroupElement(a=-1, b=2, c=3)"
+    ball = enumerate_ball(8)
+    assert sorted(ball) == sorted(ball, key=lambda g: (g.a, g.b, g.c))
+    # tuple's hash, equality and order run in C; a Python-level one would
+    # slow every set and dict of elements without failing anything else
+    assert type(g).__hash__ is tuple.__hash__
+    assert type(g).__eq__ is tuple.__eq__
+    assert type(g).__lt__ is tuple.__lt__
+
+
 def test_ball_radius_cap():
     with pytest.raises(EquigraphError, match="radius 11 exceeds maximum 10"):
         enumerate_ball(11)
