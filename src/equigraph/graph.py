@@ -244,28 +244,19 @@ class IntervalGraph:
     # traversal
 
     def bfs_distance(
-        self, u: GVertex, v: GVertex, budget: int, frame: Optional[Frame] = None
+        self, frame: Frame, start: Key, goal: Key, budget: int
     ) -> Optional[int]:
-        """Exact graph distance, or None if not reached within budget.
+        """Exact graph distance between two keys of frame, or None if goal
+        is not reached within budget.
 
         budget bounds the number of expanded vertices; exhaustion and
-        true unreachability both surface as None.  frame is u's frame,
-        built here when not given; a frame that remembers resumes the
-        search it keeps from u, with the answer of a new one.
+        true unreachability both surface as None.  A frame that remembers
+        resumes the search it keeps from start, with the answer of a new one.
         """
-        frame = frame or self.frame(u)
-        start, goal = frame.key(u), frame.key(v)
-        if start is None:
-            raise EquigraphError(f"start {u.point} not on the frame over 1/{frame.den}")
         frame.check(start)
-        if goal is None:
-            self.check_vertex(v)
-        else:
-            frame.check(goal)
+        frame.check(goal)
         if budget <= 0:
             raise EquigraphError(f"budget must be positive, got {budget}")
-        if goal is None:
-            return None  # off u's denominators, so off u's component
         search = frame.bfs
         if search is None or search.start != start:
             search = _Search(frame.adjacent, start)

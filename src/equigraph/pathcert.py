@@ -20,7 +20,7 @@ from itertools import chain, repeat
 
 from .algebra import ONE, ZERO, AlgebraicPoint, point
 from .errors import CONNECTOR_MISSING, EquigraphError, Finding
-from .graph import Frame, GVertex, IntervalGraph, Side, VertexChain
+from .graph import Frame, GVertex, IntervalGraph, Key, Side, VertexChain
 from .group import (
     GENERATOR_ELEMENTS,
     GroupElement,
@@ -69,12 +69,17 @@ class CertifiedPath:
 
     vertices alternates I/J, starts at (I, y), ends at (I, g(y)); for
     b = 0 the walk is the single vertex (I, y).  It keeps the keys of the
-    frame that built it, and builds a vertex only when one is read.
+    frame that built it, start the key of (I, y), and builds a vertex only
+    when one is read.
     """
 
     vertices: VertexChain
     element: GroupElement
-    anchor: AlgebraicPoint
+    start: Key
+
+    @property
+    def anchor(self) -> AlgebraicPoint:
+        return self.vertices.frame.vertex(self.start).point
 
     @property
     def length(self) -> int:
@@ -83,16 +88,13 @@ class CertifiedPath:
     def validate(self) -> list[str]:
         """Return a list of defects; empty means the certificate is good.
 
-        Every check is decided on the chain's keys and frame.  An element
-        keeps denominators, so an anchor off the frame (key None) is neither
-        the first vertex nor mapped onto the last.
+        Every check is decided on the chain's keys and frame.
         """
-        frame, keys = self.vertices.frame, self.vertices.keys
+        frame, keys, start = self.vertices.frame, self.vertices.keys, self.start
         problems: list[str] = []
-        anchor = frame.key(GVertex(Side.I, self.anchor))
-        if keys[0] != anchor:
+        if keys[0] != start:
             problems.append("first vertex is not the anchor")
-        if anchor is None or keys[-1] != (0, *frame.image(self.element, *anchor[1:])):
+        if keys[-1] != (0, *frame.image(self.element, *start[1:])):
             problems.append("last vertex is not the image of the anchor")
         for k, key in enumerate(keys):
             frame.check(key)
@@ -113,10 +115,9 @@ class CertifiedPath:
 
 
 def build_path(
-    graph: IntervalGraph,
+    frame: Frame,
     g: GroupElement,
-    y: AlgebraicPoint,
-    frame: Frame | None = None,
+    start: Key,
     known: dict[GroupElement, tuple] | None = None,
 ) -> CertifiedPath:
     """Certificate that (I, y) and (I, g(y)) are within distance 2|b|.
@@ -126,30 +127,28 @@ def build_path(
     innermost first, so the path grows from (I, y) outwards; nothing here
     depends on the recursion limit.  Only y and g(y) are tested for
     [0, 1]: each case keeps z there, and then b = 0 fixes y.  It runs on
-    frame, y's frame, built here when not given, and the certificate
-    keeps its keys; points are built only for errors.
+    the keys of frame, start the key of (I, y), and the certificate keeps
+    them; points are built only for errors.
 
-    known maps elements to the keys of their certificates from y on frame.
-    The reduction stops at the first element known there: the certificate
-    of an element is that of its reduced element plus one connector.  Each
-    element certified on the way is added to known.
+    known maps elements to the keys of their certificates from start on
+    frame.  The reduction stops at the first element known there: the
+    certificate of an element is that of its reduced element plus one
+    connector.  Each element certified on the way is added to known.
     """
-    frame = frame or graph.frame(GVertex(Side.I, y))
     known = {} if known is None else known
     sign, den, vertex_of = frame.sign, frame.den, frame.vertex
-    key = frame.key(GVertex(Side.I, y))
-    if key is None:
-        raise EquigraphError(f"anchor {y} is not on the frame over 1/{den}")
-    _, yu, yv = key
+    side, yu, yv = start
+    if side != 0:
+        raise EquigraphError(f"anchor key {start} is not on side I")
     if not frame.inside(0, yu, yv):
-        raise EquigraphError(f"anchor {y} outside [0, 1]")
+        raise EquigraphError(f"anchor {vertex_of(start).point} outside [0, 1]")
     element, s = g, frame.image(g, yu, yv)
     if g not in known and not frame.inside(0, *s):
         raise EquigraphError(f"image {vertex_of((0, *s)).point} outside [0, 1]")
     steps: list[tuple[GroupElement, tuple[int, int], tuple[int, int], tuple]] = []
     while (keys := known.get(element)) is None:
         if element.b == 0:
-            keys = ((0, yu, yv),)
+            keys = (start,)
             break
         u, v = s
         for split, signs, _m, back, h2s in _STEP[element.b < 0]:
@@ -171,14 +170,14 @@ def build_path(
                     f"no <=2-edge connection from {zp} to {sp}",
                     witness={
                         "element": [element.a, element.b, element.c],
-                        "anchor": str(y),
+                        "anchor": str(vertex_of(start).point),
                         "z": str(zp),
                         "image": str(sp),
                     },
                 )
             keys += ((1, *far), (0, *s))
         known[element] = keys
-    return CertifiedPath(VertexChain(keys, frame), g, y)
+    return CertifiedPath(VertexChain(keys, frame), g, start)
 
 
 # ----------------------------------------------------------------------
@@ -241,20 +240,18 @@ def verify_lemma(
         frame.remember(key)
         known: dict[GroupElement, tuple] = {}
         for g in targets:
-            gu, gv = frame.image(g, *key[1:])
-            if not frame.inside(0, gu, gv):
-                continue  # screened on ints; the vertex g(y) is built past here
+            goal = (0, *frame.image(g, *key[1:]))
+            if not frame.inside(*goal):
+                continue  # screened on ints; no vertex is built
             checks[g] += 1
             k = abs(g.b)
-            dist = graph.bfs_distance(
-                origin, frame.vertex((0, gu, gv)), bfs_budget, frame
-            )
+            dist = graph.bfs_distance(frame, key, goal, bfs_budget)
             if dist is None or dist > 2 * k:
                 violation(g, y, defect="bfs", distance=dist)
             else:
                 max_dist_by_b[k] = max(max_dist_by_b.get(k, 0), dist)
             try:
-                cert = build_path(graph, g, y, frame, known)
+                cert = build_path(frame, g, key, known)
                 defects = cert.validate()
                 if defects:
                     violation(g, y, defect="certificate", problems=defects)

@@ -16,6 +16,8 @@ The exceptions are build_path_points, the package's earlier distance
 certificate construction on exact points (apply, compare, in_interval and
 neighbors), kept verbatim as the reference for the integer construction,
 verify_lemma_reference, the sweep with no frame shared between calls,
+bfs_points and build_path_at, the point forms of bfs_distance and
+build_path, which key their vertices on a frame they build,
 integer_step_reference, the package's earlier adjacency kernel, which tests
 both far-interval bounds of all four generator maps, inside_reference, the
 earlier interval test, with an exact sign for each endpoint, and
@@ -34,7 +36,7 @@ from typing import Callable, Iterator, Optional
 from equigraph.algebra import ALPHA, ONE, ZERO, AlgebraicPoint, point
 from equigraph.dynamics import KMatching, _canonical_window, phi_pairs
 from equigraph.errors import CONNECTOR_MISSING, EquigraphError, Finding
-from equigraph.graph import GVertex, IntervalGraph, Side
+from equigraph.graph import Frame, GVertex, IntervalGraph, Side, VertexChain
 from equigraph.group import (
     GENERATOR_ELEMENTS,
     IDENTITY,
@@ -436,7 +438,53 @@ def build_path_points(
                 },
             )
         vertices.extend(tail)
-    return CertifiedPath(tuple(vertices), g, y)
+    frame = graph.frame(vertices[0])  # keyed as the package keeps certificates
+    chain = VertexChain(map(frame.key, vertices), frame)
+    return CertifiedPath(chain, g, chain.keys[0])
+
+
+# ----------------------------------------------------------------------
+# the point forms of bfs_distance and build_path
+
+
+def bfs_points(
+    graph: IntervalGraph,
+    u: GVertex,
+    v: GVertex,
+    budget: int,
+    frame: Optional[Frame] = None,
+) -> Optional[int]:
+    """graph.bfs_distance from the vertex u to the vertex v, on u's frame
+    unless frame is given.  A goal off the frame's denominators gets its
+    own interval check and is answered None at once: it cannot share u's
+    component."""
+    frame = frame or graph.frame(u)
+    start, goal = frame.key(u), frame.key(v)
+    if start is None:
+        raise EquigraphError(f"start {u.point} not on the frame over 1/{frame.den}")
+    if goal is not None:
+        return graph.bfs_distance(frame, start, goal, budget)
+    frame.check(start)
+    graph.check_vertex(v)
+    if budget <= 0:
+        raise EquigraphError(f"budget must be positive, got {budget}")
+    return None
+
+
+def build_path_at(
+    graph: IntervalGraph,
+    g: GroupElement,
+    y: AlgebraicPoint,
+    frame: Optional[Frame] = None,
+    known: Optional[dict] = None,
+) -> CertifiedPath:
+    """build_path from the anchor point y, on y's frame unless frame is given."""
+    anchor = GVertex(Side.I, y)
+    frame = frame or graph.frame(anchor)
+    start = frame.key(anchor)
+    if start is None:
+        raise EquigraphError(f"anchor {y} is not on the frame over 1/{frame.den}")
+    return build_path(frame, g, start, known)
 
 
 # ----------------------------------------------------------------------
@@ -448,8 +496,8 @@ def verify_lemma_reference(
 ) -> dict:
     """The report of verify_lemma, from the point API alone.
 
-    Anchors and images are screened with in_interval, and bfs_distance and
-    build_path each build their own frame, with no memo.
+    Anchors and images are screened with in_interval, and bfs_points and
+    build_path_at each build their own frame, with no memo.
     """
     ctx = graph.ctx
     elements = sorted(enumerate_ball(ball_radius))
@@ -479,13 +527,13 @@ def verify_lemma_reference(
             checks += 1
             witness = {"element": [g.a, g.b, g.c], "anchor": str(y), "bound": 2 * k}
             u, v = GVertex(Side.I, y), GVertex(Side.I, gy)
-            dist = graph.bfs_distance(u, v, bfs_budget)
+            dist = bfs_points(graph, u, v, bfs_budget)
             if dist is None or dist > 2 * k:
                 violations.append({**witness, "defect": "bfs", "distance": dist})
             else:
                 max_dist_by_b[k] = max(max_dist_by_b.get(k, 0), dist)
             try:
-                cert = build_path(graph, g, y)
+                cert = build_path_at(graph, g, y)
                 defects = cert.validate()
                 if defects:
                     violations.append(

@@ -500,6 +500,27 @@ def test_assignment_with_swaps_runs_to_standard(graph):
     assert trace.iterations <= trace.initial_cost
 
 
+@pytest.mark.parametrize("k", [3, 5, 7, 9])
+def test_random_kmatchings_round_trip_through_isometry_pieces(graph, k):
+    # a random K-matching on a window of 200 A-vertices, shifted to put its
+    # window around the origin of a view of the component through (I, 1/2),
+    # is realized as isometry pieces and read back: the same deviations up to
+    # the shift, pieces with largest |b| = (K + 1)/2, so K + 2 for the bridged
+    # matching, and the same number of rounds for the dynamics
+    window, shift = 200, 200
+    m0 = random_kmatching(window, k, seed=k)
+    view = graph.explore_component(graph.vertex(Side.I, point(Fraction(1, 2))), 420)
+    targets = {
+        a - shift: m0.deviations.get(a, a + 1) - shift for a in range(0, 2 * window, 2)
+    }
+    pieces = assignment_from_targets(view, targets)
+    assert max(abs(el.b) for _, _, el in pieces) == (k + 1) // 2
+    m = kmatching_from_assignment(view, pieces)
+    assert m.k == k + 2
+    assert m.deviations == {a - shift: t - shift for a, t in m0.deviations.items()}
+    assert run_dynamics(m)[1].iterations == run_dynamics(m0)[1].iterations > 0
+
+
 def test_bridge_reads_the_lazy_chain_as_its_tuple(graph, monkeypatch):
     # chain_element reads sides from the chain's keys and builds no vertex;
     # on the view read as a tuple, the vertex-reading oracle stands in for it

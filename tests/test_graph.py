@@ -31,13 +31,15 @@ from equigraph.group import (
     apply,
     inverse,
 )
-from equigraph.pathcert import build_path, verify_lemma
+from equigraph.pathcert import verify_lemma
 
 from conftest import ALL_ALPHAS, KERNEL_ALPHAS, SQRT2_MINUS_1
 import oracles
 from oracles import (
     alpha_decimal,
     bfs_distance as oracle_bfs,
+    bfs_points,
+    build_path_at,
     inside_reference,
     integer_step_reference,
     neighbors as oracle_neighbors,
@@ -124,31 +126,40 @@ def test_neighbors_match_decimal_oracle(graph):
 
 def test_bfs_distances(graph):
     origin = graph.vertex(Side.I, ZERO)
-    assert graph.bfs_distance(origin, graph.vertex(Side.J, TWO_ALPHA), 100) == 1
-    assert graph.bfs_distance(origin, graph.vertex(Side.I, TWO_ALPHA), 100) == 2
-    assert graph.bfs_distance(origin, origin, 100) == 0
+    assert bfs_points(graph, origin, graph.vertex(Side.J, TWO_ALPHA), 100) == 1
+    assert bfs_points(graph, origin, graph.vertex(Side.I, TWO_ALPHA), 100) == 2
+    assert bfs_points(graph, origin, origin, 100) == 0
     # a point outside the origin's orbit is never reached
     other = graph.vertex(Side.I, point(Fraction(1, 3)))
-    assert graph.bfs_distance(origin, other, 30) is None
+    assert bfs_points(graph, origin, other, 30) is None
     with pytest.raises(EquigraphError, match="budget must be positive"):
-        graph.bfs_distance(origin, other, 0)
+        bfs_points(graph, origin, other, 0)
 
 
 def test_bfs_checks_origin_then_goal_then_budget(graph):
     half = graph.vertex(Side.I, point(Fraction(1, 2)))
     third = GVertex(Side.I, point(Fraction(1, 3)))  # off half's denominators
     with pytest.raises(EquigraphError, match="^2 outside I interval$"):
-        graph.bfs_distance(GVertex(Side.I, point(2)), GVertex(Side.J, ZERO), 0)
+        bfs_points(graph, GVertex(Side.I, point(2)), GVertex(Side.J, ZERO), 0)
     with pytest.raises(EquigraphError, match="^0 outside J interval$"):
-        graph.bfs_distance(half, GVertex(Side.J, ZERO), 0)
+        bfs_points(graph, half, GVertex(Side.J, ZERO), 0)
     # a goal off the origin's frame still gets its own interval check
     with pytest.raises(EquigraphError, match="^1/3 outside J interval$"):
-        graph.bfs_distance(half, GVertex(Side.J, point(Fraction(1, 3))), 0)
+        bfs_points(graph, half, GVertex(Side.J, point(Fraction(1, 3))), 0)
     with pytest.raises(EquigraphError, match="^budget must be positive, got 0$"):
-        graph.bfs_distance(half, third, 0)
+        bfs_points(graph, half, third, 0)
     # a given frame must key the origin
     with pytest.raises(EquigraphError, match="^start 1/3 not on the frame over 1/2$"):
-        graph.bfs_distance(third, half, 0, graph.frame(half))
+        bfs_points(graph, third, half, 0, graph.frame(half))
+    # the key form checks its start, then its goal, then the budget
+    frame = graph.frame(half)
+    start = frame.key(half)
+    with pytest.raises(EquigraphError, match="^2 outside I interval$"):
+        graph.bfs_distance(frame, (0, 4, 0), (1, 0, 0), 0)
+    with pytest.raises(EquigraphError, match="^0 outside J interval$"):
+        graph.bfs_distance(frame, start, (1, 0, 0), 0)
+    with pytest.raises(EquigraphError, match="^budget must be positive, got 0$"):
+        graph.bfs_distance(frame, start, start, 0)
 
 
 def test_bfs_builds_one_frame_for_a_goal_on_the_origin_frame(graph, monkeypatch):
@@ -162,8 +173,13 @@ def test_bfs_builds_one_frame_for_a_goal_on_the_origin_frame(graph, monkeypatch)
     origin = graph.vertex(Side.I, ZERO)
     goal = graph.vertex(Side.I, TWO_ALPHA)
     monkeypatch.setattr(IntervalGraph, "frame", counted)
-    assert graph.bfs_distance(origin, goal, 100) == 2
+    assert bfs_points(graph, origin, goal, 100) == 2
     assert frames == [(origin,)]
+    # given its frame, the key form builds none
+    frame = graph.frame(origin)
+    frames.clear()
+    assert graph.bfs_distance(frame, frame.key(origin), frame.key(goal), 100) == 2
+    assert frames == []
 
 
 def test_bfs_off_origin_denominators_expands_nothing(graph, monkeypatch):
@@ -186,11 +202,11 @@ def test_bfs_off_origin_denominators_expands_nothing(graph, monkeypatch):
     monkeypatch.setattr(IntervalGraph, "frame", spied)
     origin = graph.vertex(Side.I, point(Fraction(1, 2)))
     third = graph.vertex(Side.I, point(Fraction(1, 3)))
-    assert graph.bfs_distance(origin, third, 10_000) is None
+    assert bfs_points(graph, origin, third, 10_000) is None
     assert calls == []
     # a goal on the origin's denominators is searched for, through the spy
     zero = graph.vertex(Side.I, ZERO)
-    assert graph.bfs_distance(origin, zero, 10) is None
+    assert bfs_points(graph, origin, zero, 10) is None
     assert len(calls) == 10
 
 
@@ -204,7 +220,7 @@ def test_bfs_against_decimal_oracle(graph):
         (Side.J, point(2 - y) - TWO_ALPHA, 3),
     ]
     for side, target, expected in cases:
-        got = graph.bfs_distance(origin, graph.vertex(side, target), 500)
+        got = bfs_points(graph, origin, graph.vertex(side, target), 500)
         want = oracle_bfs(
             alpha,
             ("I", (y, Fraction(0))),
@@ -516,8 +532,8 @@ def test_integer_step_only_sees_keys_inside_their_interval(graph, kernel_keys):
     graph.explore_component(graph.vertex(Side.I, point(Fraction(2, 7))), 400)
     graph.explore_component(graph.vertex(Side.J, point(Fraction(2, 7), 1)), 400)
     origin = graph.vertex(Side.I, ZERO)
-    assert graph.bfs_distance(origin, graph.vertex(Side.I, TWO_ALPHA), 100) == 2
-    cert = build_path(graph, GroupElement(1, 3, -1), point(Fraction(1, 10)))
+    assert bfs_points(graph, origin, graph.vertex(Side.I, TWO_ALPHA), 100) == 2
+    cert = build_path_at(graph, GroupElement(1, 3, -1), point(Fraction(1, 10)))
     assert cert.validate() == []
     assert verify_lemma(graph, 4, 10, seed=0, bfs_budget=16 * 4 + 64)["checks"] > 0
     assert _bridge_suite(load_config(None))["extracted_standard"]

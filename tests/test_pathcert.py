@@ -33,14 +33,19 @@ from conftest import (
     SEVEN_MINUS_TWO_SQRT5_OVER_3,
     SQRT2_MINUS_1,
 )
-from oracles import build_path_points, verify_lemma_reference
+from oracles import (
+    bfs_points,
+    build_path_at,
+    build_path_points,
+    verify_lemma_reference,
+)
 
 TWO_ALPHA = point(0, 2)
 T = GENERATOR_ELEMENTS[Generator.T]
 
 
 def test_single_shift_certificate(graph):
-    cert = build_path(graph, T, ZERO)
+    cert = build_path_at(graph, T, ZERO)
     assert cert.vertices == (
         GVertex(Side.I, ZERO),
         GVertex(Side.J, TWO_ALPHA),
@@ -52,7 +57,7 @@ def test_single_shift_certificate(graph):
 
 def test_identity_certificate_is_one_vertex(graph):
     y = point(Fraction(1, 3))
-    cert = build_path(graph, IDENTITY, y)
+    cert = build_path_at(graph, IDENTITY, y)
     assert cert.vertices == (GVertex(Side.I, y),)
     assert cert.length == 0
     assert cert.validate() == []
@@ -60,33 +65,29 @@ def test_identity_certificate_is_one_vertex(graph):
 
 def test_reflection_with_no_shift_fixes_its_anchor(graph):
     refl = GroupElement(-1, 0, 1)  # x -> 2 - x, in range only at x = 1
-    cert = build_path(graph, refl, ONE)
+    cert = build_path_at(graph, refl, ONE)
     assert cert.length == 0
     with pytest.raises(EquigraphError, match=r"image 3/2 outside \[0, 1\]"):
-        build_path(graph, refl, point(Fraction(1, 2)))
+        build_path_at(graph, refl, point(Fraction(1, 2)))
 
 
 def test_triple_shift_certificate_meets_bound_exactly(graph):
     g = GroupElement(1, 3, -1)  # x -> x + 6a - 2
     y = point(Fraction(1, 10))
-    cert = build_path(graph, g, y)
+    cert = build_path_at(graph, g, y)
     assert cert.length == 6
     assert cert.validate() == []
-    dist = graph.bfs_distance(
-        GVertex(Side.I, y), GVertex(Side.I, apply(g, y)), 500
-    )
+    dist = bfs_points(graph, GVertex(Side.I, y), GVertex(Side.I, apply(g, y)), 500)
     assert dist == 6  # the 2|b| bound is tight here
 
 
 def test_negative_shift_certificate(graph):
     g = GroupElement(1, -2, 1)  # x -> x - 4a + 2
     y = point(Fraction(1, 10))
-    cert = build_path(graph, g, y)
+    cert = build_path_at(graph, g, y)
     assert cert.length == 4
     assert cert.validate() == []
-    dist = graph.bfs_distance(
-        GVertex(Side.I, y), GVertex(Side.I, apply(g, y)), 500
-    )
+    dist = bfs_points(graph, GVertex(Side.I, y), GVertex(Side.I, apply(g, y)), 500)
     assert dist == 4
 
 
@@ -97,7 +98,7 @@ def test_deep_certificate_needs_no_recursion(graph):
     c = -math.floor(graph.ctx.to_float(apply(GroupElement(1, b, 0), y)) / 2)
     g = GroupElement(1, b, c)
     assert graph.ctx.in_interval(apply(g, y), ZERO, ONE)
-    cert = build_path(graph, g, y)
+    cert = build_path_at(graph, g, y)
     assert cert.validate() == []
     assert cert.length <= 2 * b
 
@@ -109,7 +110,7 @@ def test_wide_alpha_fallback_cases(golden_graph):
         (GroupElement(1, 1, -1), Fraction(4, 5)),
         (GroupElement(1, -1, 1), Fraction(1, 10)),
     ]:
-        cert = build_path(golden_graph, el, point(y))
+        cert = build_path_at(golden_graph, el, point(y))
         assert cert.length == 2
         assert cert.validate() == []
         assert cert == build_path_points(golden_graph, el, point(y))
@@ -136,7 +137,7 @@ def test_case_splits_decide_the_reduced_element(spec, g, y, reduced):
     graph = IntervalGraph(AlphaContext(spec))
     g, known = GroupElement(*g), {}
     assert apply(g, y) == y
-    cert = build_path(graph, g, y, known=known)
+    cert = build_path_at(graph, g, y, known=known)
     assert cert.validate() == []
     assert cert == build_path_points(graph, g, y)
     assert set(known) == {g, GroupElement(*reduced)}
@@ -147,7 +148,7 @@ def test_reflection_fixing_its_image_adds_no_connector(graph):
     for g, y in [((-1, 1, 0), ALPHA), ((-1, -1, 1), ONE - ALPHA)]:
         g = GroupElement(*g)
         assert apply(g, y) == y
-        assert build_path(graph, g, y).vertices == (GVertex(Side.I, y),)
+        assert build_path_at(graph, g, y).vertices == (GVertex(Side.I, y),)
 
 
 GENERATOR_OF = {el: gen for gen, el in GENERATOR_ELEMENTS.items()}
@@ -217,12 +218,12 @@ def test_dropping_any_connector_pair_raises(monkeypatch, side, k, h2):
             with monkeypatch.context() as patched:
                 patched.setattr(pathcert_module, "_STEP", mutant)
                 try:
-                    build_path(graph, m, y)
+                    build_path_at(graph, m, y)
                     continue
                 except Finding as f:
                     assert f.kind == CONNECTOR_MISSING
                     assert f.witness["image"] == str(s)
-            cert = build_path(graph, m, y)
+            cert = build_path_at(graph, m, y)
             assert cert.validate() == []
             assert cert.vertices[1] == GVertex(Side.J, apply(h2, s))
             hits.append(spec)
@@ -296,27 +297,34 @@ def test_build_path_matches_point_oracle(spec, sparse, b, threshold, t, v, eps, 
         y = apply(inverse(g), image)
     want = _outcome(build_path_points, graph, g, y)
     if sparse and want[0] is Finding and want[1].startswith(CONNECTOR_MISSING):
-        cert = build_path(graph, g, y)
+        cert = build_path_at(graph, g, y)
         missing = {
             f"vertices {k} and {k + 1} are not adjacent" for k in range(cert.length)
         }
         assert cert.validate() and set(cert.validate()) <= missing
     else:
-        assert _outcome(build_path, graph, g, y) == want
+        assert _outcome(build_path_at, graph, g, y) == want
 
 
 def test_anchor_preconditions(graph):
     with pytest.raises(EquigraphError, match=r"anchor 2 outside \[0, 1\]"):
-        build_path(graph, T, point(2))
+        build_path_at(graph, T, point(2))
     with pytest.raises(EquigraphError, match=r"image .* outside \[0, 1\]"):
-        build_path(graph, GroupElement(1, 3, 0), point(Fraction(1, 2)))
+        build_path_at(graph, GroupElement(1, 3, 0), point(Fraction(1, 2)))
+    # the key form takes the key of an I-vertex on its frame
+    frame = graph.frame(GVertex(Side.I, ONE))
+    not_i = r"^anchor key \(1, 0, 1\) is not on side I$"
+    with pytest.raises(EquigraphError, match=not_i):
+        build_path(frame, T, (1, 0, 1))
+    with pytest.raises(EquigraphError, match=r"^anchor 2 outside \[0, 1\]$"):
+        build_path(frame, T, (0, 2, 0))
 
 
 def test_anchor_off_the_given_frame_is_named(graph):
     # 1/3 has no key over 1/2: the error names the anchor, not a failed unpack
     half = graph.frame(GVertex(Side.I, point(Fraction(1, 2))))
     with pytest.raises(EquigraphError) as err:
-        build_path(graph, T, point(Fraction(1, 3)), half)
+        build_path_at(graph, T, point(Fraction(1, 3)), half)
     assert str(err.value) == "anchor 1/3 is not on the frame over 1/2"
 
 
@@ -349,22 +357,25 @@ def built_frames(monkeypatch):
     return frames
 
 
-def _keyed_chain(graph, vertices, scale):
-    """vertices keyed on the frame over their denominators' lcm times scale."""
-    frame = Frame(graph.ctx, scale * graph.frame(*vertices).den)
-    return VertexChain([frame.key(v) for v in vertices], frame)
+def _keyed_path(graph, vertices, element, anchor, scale):
+    """The certificate of vertices from anchor, keyed on the frame over the
+    lcm of their denominators times scale."""
+    start = GVertex(Side.I, anchor)
+    frame = Frame(graph.ctx, scale * graph.frame(*vertices, start).den)
+    chain = VertexChain([frame.key(v) for v in vertices], frame)
+    return CertifiedPath(chain, element, frame.key(start))
 
 
 def test_validate_flags_tampering(graph):
-    # each tampered certificate is keyed on the frame over its vertices'
-    # denominators, and again on a frame over six times that: the lists agree
-    cert = build_path(graph, T, ZERO)
+    # each tampered certificate is keyed on the frame over its vertices' and
+    # anchor's denominators, and again on a frame over six times that: the
+    # lists agree
+    cert = build_path_at(graph, T, ZERO)
     first, middle, last = cert.vertices
 
     def problems_of(vertices, element=T, anchor=ZERO):
         certs = [
-            CertifiedPath(_keyed_chain(graph, vertices, scale), element, anchor)
-            for scale in (1, 6)
+            _keyed_path(graph, vertices, element, anchor, scale) for scale in (1, 6)
         ]
         problems = certs[0].validate()
         assert certs[1].validate() == problems
@@ -375,7 +386,7 @@ def test_validate_flags_tampering(graph):
     problems = problems_of(cert.vertices, anchor=TWO_ALPHA)
     assert any("not the anchor" in p for p in problems)
     assert any("not the image" in p for p in problems)
-    # an anchor off the certificate's frame (at scale 1) matches neither end
+    # an anchor off the certificate's denominators matches neither end
     assert problems_of(cert.vertices, anchor=point(Fraction(1, 3))) == [
         "first vertex is not the anchor",
         "last vertex is not the image of the anchor",
@@ -399,16 +410,16 @@ def test_validate_flags_tampering(graph):
     ]
     outside = (first, GVertex(Side.J, point(3)), last)
     for scale in (1, 6):
-        chain = _keyed_chain(graph, outside, scale)
         with pytest.raises(EquigraphError, match="^3 outside J interval$"):
-            CertifiedPath(chain, T, ZERO).validate()
+            _keyed_path(graph, outside, T, ZERO, scale).validate()
+    # the anchor is read back from the start key
+    assert _keyed_path(graph, cert.vertices, T, TWO_ALPHA, 6).anchor == TWO_ALPHA
 
 
 def test_validate_checks_the_last_vertex(graph):
     # the last key is checked like every other: a one-vertex certificate
     # outside [0, 1] raises rather than validating
-    two = GVertex(Side.I, point(2))
-    cert = CertifiedPath(_keyed_chain(graph, (two,), 1), IDENTITY, point(2))
+    cert = _keyed_path(graph, (GVertex(Side.I, point(2)),), IDENTITY, point(2), 1)
     with pytest.raises(EquigraphError, match="^2 outside I interval$"):
         cert.validate()
 
@@ -427,7 +438,7 @@ def test_validate_builds_no_frame(graph, monkeypatch):
         return apply(*args)
 
     for g, y in [(T, ZERO), (GroupElement(1, 3, -1), point(Fraction(1, 10)))]:
-        cert = build_path(graph, g, y)
+        cert = build_path_at(graph, g, y)
         with monkeypatch.context() as patched:
             patched.setattr(graph_module.Frame, "__init__", counted_init)
             patched.setattr(pathcert_module, "apply", counted_apply)
@@ -436,9 +447,10 @@ def test_validate_builds_no_frame(graph, monkeypatch):
 
 
 @pytest.mark.parametrize("spec", KERNEL_ALPHAS)
-def test_sweep_builds_only_its_bfs_goals_as_points(monkeypatch, spec):
-    # with no violation the certificates stay keys: the one point a check
-    # builds is its BFS goal, and the only point signs are the threshold
+def test_sweep_keys_each_anchor_once_and_builds_no_point(monkeypatch, spec):
+    # with no violation a sweep runs on keys from end to end: it keys each
+    # anchor it tries once, on the one frame it builds for it, builds no
+    # vertex from a key, and the only point signs are the threshold
     # screen's, made once per sweep
     graph = IntervalGraph(AlphaContext(spec))
     calls = Counter()
@@ -450,14 +462,21 @@ def test_sweep_builds_only_its_bfs_goals_as_points(monkeypatch, spec):
 
         return wrapper
 
-    for owner, attr in [(graph_module.Frame, "vertex"), (AlphaContext, "sign")]:
+    for owner, attr in [
+        (graph_module.Frame, "__init__"),
+        (graph_module.Frame, "key"),
+        (graph_module.Frame, "vertex"),
+        (AlphaContext, "sign"),
+    ]:
         monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
     signs = []
     for samples in (10, 40):
         calls.clear()
         report = verify_lemma(graph, 4, samples, seed=0, bfs_budget=16 * 4 + 64)
         assert report["checks"] > 0 and report["violations"] == []
-        assert calls["vertex"] == report["checks"]
+        assert calls["__init__"] >= samples
+        assert calls["key"] == calls["__init__"]
+        assert calls["vertex"] == 0
         signs.append(calls["sign"])
     assert signs[0] == signs[1] <= 12  # two signs for each of six images
 
@@ -579,8 +598,8 @@ def test_anchor_memo_stays_bounded_and_immutable(graph, monkeypatch):
     assert anchor_frame.den == 1
     key = anchor_frame.key(y)
     anchor_frame.remember(key)
-    far = GVertex(Side.I, ALPHA)
-    assert graph.bfs_distance(y, far, 10_000, anchor_frame) is None
+    far = anchor_frame.key(GVertex(Side.I, ALPHA))
+    assert graph.bfs_distance(anchor_frame, key, far, 10_000) is None
     assert anchor_frame.bfs.start == key
     assert len(anchor_frame.memo) == anchor_frame.bfs.expanded == 10_000
     edges = anchor_frame.adjacent(key)
@@ -612,11 +631,12 @@ def test_sweep_expands_each_key_once_per_anchor_frame(graph, monkeypatch, far_go
         self.adjacent = adjacent
         remember(self, origin)
 
-    def far(self, u, v, budget, frame):
-        y = u.point + ALPHA
-        if not graph.ctx.in_interval(y, ZERO, ONE):
-            y = u.point - ALPHA
-        return bfs_distance(self, u, GVertex(Side.I, y), budget, frame)
+    def far(self, frame, start, goal, budget):
+        side, u, v = start
+        goal = side, u, v + frame.den
+        if not frame.inside(*goal):
+            goal = side, u, v - frame.den
+        return bfs_distance(self, frame, start, goal, budget)
 
     monkeypatch.setattr(Frame, "remember", counted)
     if far_goal:
@@ -648,9 +668,9 @@ def test_sweep_reduces_each_element_once_per_anchor(monkeypatch, spec):
                 steps[id(self), g] += 1
             return super().get(g, default)
 
-    def recorded_build(graph, g, y, frame, known):
+    def recorded_build(frame, g, start, known):
         assert passed.setdefault(frame, known) is known
-        return build(graph, g, y, frame, tables.setdefault(frame, CountedTable()))
+        return build(frame, g, start, tables.setdefault(frame, CountedTable()))
 
     monkeypatch.setattr(pathcert_module, "build_path", recorded_build)
     radius = 6
@@ -682,19 +702,19 @@ def test_remembered_bfs_answers_each_budget_as_a_new_search(graph):
     for budgets in runs:
         frame = kept_frame()
         for budget in budgets:
-            fresh = graph.bfs_distance(origin, goal, budget)
-            assert graph.bfs_distance(origin, goal, budget, frame) == fresh
-    assert graph.bfs_distance(origin, goal, 2) is None
-    assert graph.bfs_distance(origin, goal, 100) == 6
+            fresh = bfs_points(graph, origin, goal, budget)
+            assert bfs_points(graph, origin, goal, budget, frame) == fresh
+    assert bfs_points(graph, origin, goal, 2) is None
+    assert bfs_points(graph, origin, goal, 100) == 6
     # a start other than the kept one gets a new search
     frame = kept_frame()
     other = GVertex(Side.I, point(Fraction(3, 10)))
-    assert graph.bfs_distance(other, goal, 100, frame) == graph.bfs_distance(
+    assert bfs_points(graph, other, goal, 100, frame) == bfs_points(graph, 
         other, goal, 100
     )
     assert frame.bfs.reached == {frame.key(origin): (0, 0)}
     # the kept start is at distance 0 from itself at the smallest budget
-    assert graph.bfs_distance(origin, origin, 1, kept_frame()) == 0
+    assert bfs_points(graph, origin, origin, 1, kept_frame()) == 0
 
 
 @pytest.mark.parametrize("radius, budget", [(4, 3), (6, 7), (8, 12)])
@@ -757,6 +777,44 @@ def test_sweep_frozen_on_negative_q_alpha():
         "max_path_len_by_b": {"0": 0, "1": 2, "2": 4},
         "violations": [],
     }
+
+
+# anchors off Z + Z*alpha, and the anchors y = b'*alpha + c' in [0, 1] as
+# (c', b'): 0, 1, alpha, 1 - alpha, 2*alpha, 2*alpha - 1 and 2 - 2*alpha
+RATIONAL_ANCHORS = tuple(map(Fraction, ("1/10", "2/7", "1/3", "1/2", "4/5")))
+LATTICE_ANCHORS = ((0, 0), (1, 0), (0, 1), (1, -1), (0, 2), (-1, 2), (2, -2))
+
+
+@pytest.mark.parametrize("spec", KERNEL_ALPHAS)
+def test_bfs_distance_is_exactly_the_lemma_formula(spec):
+    # dist((I, y), (I, g(y))) is 2|b| off Z + Z*alpha, so the 2|b| bound is
+    # tight there; at y = b'*alpha + c', the reflection (-1, b', c') fixes y,
+    # so g and g(-1, b', c'), whose shift is b + a*b', both send y to g(y),
+    # and the distance is 2*min(|b|, |b + a*b'|).  An extra edge in the
+    # kernel only shortens some distance, which a bound cannot see
+    graph = IntervalGraph(AlphaContext(spec))
+    ball = sorted(enumerate_ball(6))
+    anchors = [(point(y), None) for y in RATIONAL_ANCHORS]
+    anchors += [(point(c, b), b) for c, b in LATTICE_ANCHORS]
+    checked = Counter()
+    for y, b_anchor in anchors:
+        origin = GVertex(Side.I, y)
+        frame = graph.frame(origin)
+        start = frame.key(origin)
+        if not frame.inside(*start):
+            continue
+        frame.remember(start)
+        for g in ball:
+            goal = (0, *frame.image(g, *start[1:]))
+            if not frame.inside(*goal):
+                continue
+            k = abs(g.b)
+            if b_anchor is not None:
+                k = min(k, abs(g.b + g.a * b_anchor))
+                checked["shorter"] += k < abs(g.b)
+            assert graph.bfs_distance(frame, start, goal, 400) == 2 * k, (g, y)
+            checked["off" if b_anchor is None else "on"] += 1
+    assert checked["off"] >= 30 and checked["on"] >= 40 and checked["shorter"] >= 10
 
 
 def test_sweep_bounds_hold_per_element(graph):
