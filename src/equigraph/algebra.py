@@ -1,10 +1,11 @@
 """Exact arithmetic for numbers of the form u + v*alpha.
 
 alpha is a fixed quadratic irrational (p + q*sqrt(d)) / r in (0, 1).
-Every quantity the rest of the package compares or hashes is kept as a
-pair of rationals (u, v); no decision anywhere is made in floating point.
-AlphaContext.approx, a float within an exactly checked 2**-48 of alpha,
-serves only as a filter in front of the exact sign (graph.Frame).
+Every sign the package decides is AlphaContext.sign_scaled's, on an
+integer form u + v*alpha, and never a float's: approx, within an exactly
+checked 2**-48 of alpha, only filters in front of it (graph.Frame) and
+draws the figure.  The point API (AlgebraicPoint, sign, in_interval) is
+the edge where values enter and leave; no decision path calls it.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class AlphaContext:
     The constructor checks irrationality and the open-interval bound
     0 < alpha < 1 exactly, raising EquigraphError on a bad spec.
 
-    approx is a float with |approx - alpha| < 2**-48, for Frame's filter.
+    approx is a float with |approx - alpha| < 2**-48, for Frame's filter and to_float.
     It is found from integers alone, by isqrt and one correctly rounded
     int division, so no libm call takes part and no valid spec overflows;
     the constructor then checks the enclosure exactly, with sign_scaled
@@ -105,7 +106,7 @@ class AlphaContext:
         if spec.q == 0:
             raise EquigraphError("q = 0 makes alpha rational")
         self.spec = spec
-        if self.sign(ALPHA) <= 0 or self.sign(ALPHA - ONE) >= 0:
+        if self.sign_scaled(0, 1) <= 0 or self.sign_scaled(-1, 1) >= 0:
             raise EquigraphError(
                 f"alpha = ({spec.p}+{spec.q}*sqrt({spec.d}))/{spec.r} is not in (0, 1)"
             )
@@ -147,21 +148,15 @@ class AlphaContext:
             u.numerator * v.denominator, v.numerator * u.denominator
         )
 
-    def compare(self, x: AlgebraicPoint, y: AlgebraicPoint) -> int:
-        """Sign of x - y: -1, 0 or 1; total order, exact."""
-        return self.sign(x - y)
-
     def in_interval(
         self, x: AlgebraicPoint, lo: AlgebraicPoint, hi: AlgebraicPoint
     ) -> bool:
         """Exact membership of x in [lo, hi]; empty when lo > hi."""
-        return self.compare(lo, x) <= 0 and self.compare(x, hi) <= 0
+        return self.sign(x - lo) >= 0 and self.sign(hi - x) >= 0
 
     def to_float(self, x: AlgebraicPoint) -> float:
         """Approximate value, for display and sanity cross-checks only."""
-        root = self.spec.d ** 0.5
-        alpha = (self.spec.p + self.spec.q * root) / self.spec.r
-        return float(x.u) + float(x.v) * alpha
+        return float(x.u) + float(x.v) * self.approx
 
     def __repr__(self) -> str:
         s = self.spec

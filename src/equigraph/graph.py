@@ -21,14 +21,13 @@ from itertools import product
 from math import lcm
 from typing import Callable, Hashable, Optional
 
-from .algebra import ONE, ZERO, AlgebraicPoint, AlphaContext, point
+from .algebra import AlgebraicPoint, AlphaContext, point
 from .errors import EVEN_PATH_COMPONENT, EquigraphError, Finding
 from .group import (
     GENERATOR_ELEMENTS,
     IDENTITY,
     Generator,
     GroupElement,
-    apply,
     compose,
     inverse,
 )
@@ -561,33 +560,25 @@ def chain_element(view: ComponentView, i: int, j: int) -> GroupElement:
 # edge-set geometry
 
 
-def generator_domain(gen: Generator) -> tuple[AlgebraicPoint, AlgebraicPoint]:
-    """The closed subinterval of [0, 1] that gen maps into [alpha, 1+alpha].
-
-    It is gen's far-interval test on I (its _MAPS entry), for every alpha.
-    """
-    *_, k, direction = _MAPS[0][list(GENERATOR_ELEMENTS).index(gen)]
-    threshold = point(*_THRESHOLDS[0][k])
-    return (threshold, ONE) if direction > 0 else (ZERO, threshold)
-
-
 Corner = tuple[AlgebraicPoint, AlgebraicPoint]
 
 
 def edge_polygon(ctx: AlphaContext) -> list[Corner]:
     """Corners of the closed polygon traced by the four generator graphs.
 
-    Each generator contributes the segment {(y, gen(y))} over its domain;
-    the segments chain into one closed loop with unit slopes.  Corners are
-    returned in traversal order, starting from the lexicographically
-    smallest (i, j) corner.
+    Each generator contributes the segment {(y, gen(y))} over its domain,
+    the part of [0, 1] that its _MAPS entry maps into J; the segments
+    chain into one closed loop with unit slopes, on integer forms (p, q)
+    for p + q*alpha.  Corners are returned as points in traversal order,
+    starting from the lexicographically smallest (i, j) corner.
     """
-    segments: list[tuple[Corner, Corner]] = []
-    for gen, el in GENERATOR_ELEMENTS.items():
-        lo, hi = generator_domain(gen)
-        segments.append(((lo, apply(el, lo)), (hi, apply(el, hi))))
+    segments = []
+    for _bit, a, c2, b2, k, direction in _MAPS[0]:
+        threshold = _THRESHOLDS[0][k]
+        domain = (threshold, (1, 0)) if direction > 0 else ((0, 0), threshold)
+        segments.append(tuple((x, (a * x[0] + c2, a * x[1] + b2)) for x in domain))
 
-    ends: dict[Corner, list[tuple[int, int]]] = {}
+    ends: dict[tuple, list[tuple[int, int]]] = {}
     for si, seg in enumerate(segments):
         for ei in (0, 1):
             ends.setdefault(seg[ei], []).append((si, ei))
@@ -595,11 +586,14 @@ def edge_polygon(ctx: AlphaContext) -> list[Corner]:
     if bad:
         raise EquigraphError(f"segments do not chain into a loop: {bad}")
 
-    def exact_order(c1: Corner, c2: Corner) -> int:
-        return ctx.compare(c1[0], c2[0]) or ctx.compare(c1[1], c2[1])
+    sign = ctx.sign_scaled
+
+    def exact_order(c1: tuple, c2: tuple) -> int:
+        signs = (sign(x[0] - y[0], x[1] - y[1]) for x, y in zip(c1, c2))
+        return next(filter(None, signs), 0)
 
     start = min(ends, key=cmp_to_key(exact_order))
-    loop: list[Corner] = []
+    loop = []
     corner = start
     si, ei = ends[corner][0]
     while True:
@@ -611,4 +605,4 @@ def edge_polygon(ctx: AlphaContext) -> list[Corner]:
         si, ei = b if a == (si, 1 - ei) else a
     if len(loop) != len(segments):
         raise EquigraphError("polygon chaining did not visit every segment")
-    return loop
+    return [(point(*i), point(*j)) for i, j in loop]

@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 
-from .algebra import ONE, ZERO, AlgebraicPoint, point
+from .algebra import AlgebraicPoint
 from .errors import CONNECTOR_MISSING, EquigraphError, Finding
-from .graph import Frame, GVertex, IntervalGraph, Key, Side, VertexChain
+from .graph import Frame, IntervalGraph, Key, VertexChain
 from .group import (
     GENERATOR_ELEMENTS,
+    IDENTITY,
     GroupElement,
-    apply,
     compose,
     enumerate_ball,
     inverse,
@@ -54,12 +53,6 @@ _STEP = (
         _case((2, -2), (-1, 0), GroupElement(-1, -1, 1), T, R2),  # 2 - 2a - x
         _case(None, (), GroupElement(1, -1, 1), R2),  # s > 2 - 2a: x - 2a + 2
     ),
-)
-THRESHOLDS = tuple(point(*cases[0][0]) for cases in _STEP)  # 2a and 1 - 2a
-# the sweep's threshold anchors are g^-1(x) for these x, on and next to each
-# threshold, where x lies in [0, 1]
-_THRESHOLD_IMAGES = tuple(
-    t + point(Fraction(k, 1000)) for t in THRESHOLDS for k in (-1, 0, 1)
 )
 
 
@@ -200,19 +193,23 @@ def verify_lemma(
 
     The sweep runs one stream of anchors: each base anchor against every
     screened element, then each threshold anchor g^-1(x) against its g
-    alone.  An anchor's checks share its frame's memo and BFS and known,
-    the table of its certificates, and all three go with the anchor,
-    so the sweep holds one anchor's state at a time: O(bfs_budget)
-    keys.  Each element lists its violations in anchor order, and the
-    report joins the lists in ball order.  The base anchors are 0, 1 and
-    max(n_samples, 2) - 2 random ones, so n_samples counts 0 and 1.
+    alone.  An anchor (den, U, V), the point (U + V*alpha)/den, is keyed
+    from ints on the frame over den.  Its checks share the frame's memo
+    and BFS and known, the table of its certificates, and all three go
+    with the anchor, so the sweep holds one anchor's state at a time:
+    O(bfs_budget) keys.  Each element lists its violations in anchor
+    order, and the report joins the lists in ball order.  The base
+    anchors are 0, 1 and max(n_samples, 2) - 2 random ones, so n_samples
+    counts 0 and 1.
     """
     elements = sorted(enumerate_ball(ball_radius))
     rng = random.Random(seed)
-    base: list[AlgebraicPoint] = [ZERO, ONE]
+    base = [(1, 0, 0), (1, 1, 0)]
     while len(base) < max(n_samples, 2):
-        base.append(point(graph.sample_unit_rational(rng)))
-    sign = graph.ctx.sign_scaled
+        y = graph.sample_unit_rational(rng)
+        base.append((y.denominator, y.numerator, 0))
+    ctx = graph.ctx
+    sign = ctx.sign_scaled
     # g([0, 1]) = [2c + min(0, a), 2c + max(0, a)] + 2b*alpha; when it misses
     # [0, 1], no anchor yields a check
     screened = [
@@ -226,15 +223,18 @@ def verify_lemma(
     max_dist_by_b: dict[int, int] = {}
     max_len_by_b: dict[int, int] = {}
 
-    def violation(g: GroupElement, y: AlgebraicPoint, **defect) -> None:
-        """Record g's defect at anchor y; built only when a check finds one."""
-        witness = {"element": [g.a, g.b, g.c], "anchor": str(y), "bound": 2 * abs(g.b)}
+    def violation(g: GroupElement, frame: Frame, key: Key, **defect) -> None:
+        """Record g's defect at the anchor key; built only when a check finds one."""
+        anchor = str(frame.vertex(key).point)
+        witness = {"element": [g.a, g.b, g.c], "anchor": anchor, "bound": 2 * abs(g.b)}
         violations[g].append(witness | defect)
 
-    def check_anchor(y: AlgebraicPoint, targets: list[GroupElement]) -> None:
-        origin = GVertex(Side.I, y)
-        frame = graph.frame(origin)
-        key = frame.key(origin)
+    def check_anchor(
+        den: int, u: int, v: int, back: GroupElement, targets: list[GroupElement]
+    ) -> None:
+        """Check targets from the anchor back((u + v*alpha)/den)."""
+        frame = Frame(ctx, den)
+        key = (0, *frame.image(back, u, v))
         if not frame.inside(*key):
             return
         frame.remember(key)
@@ -247,26 +247,32 @@ def verify_lemma(
             k = abs(g.b)
             dist = graph.bfs_distance(frame, key, goal, bfs_budget)
             if dist is None or dist > 2 * k:
-                violation(g, y, defect="bfs", distance=dist)
+                violation(g, frame, key, defect="bfs", distance=dist)
             else:
                 max_dist_by_b[k] = max(max_dist_by_b.get(k, 0), dist)
             try:
                 cert = build_path(frame, g, key, known)
                 defects = cert.validate()
                 if defects:
-                    violation(g, y, defect="certificate", problems=defects)
+                    violation(g, frame, key, defect="certificate", problems=defects)
                 else:
                     max_len_by_b[k] = max(max_len_by_b.get(k, 0), cert.length)
             except Finding as f:
-                violation(g, y, defect=f.kind, finding=f.witness)
+                violation(g, frame, key, defect=f.kind, finding=f.witness)
 
-    ctx = graph.ctx
+    # x on each of _STEP's first splits (p, q), 2a and 1 - 2a, and 1/1000 to
+    # either side, as (den, U, V) for (U + V*alpha)/den, where x is in [0, 1]
     images = [
-        x for x in _THRESHOLD_IMAGES if ctx.sign(x) >= 0 and ctx.sign(ONE - x) >= 0
+        (den, u, v)
+        for p, q in (cases[0][0] for cases in _STEP)
+        for k, den in ((-1, 1000), (0, 1), (1, 1000))
+        for u, v in [(den * p + k, den * q)]
+        if sign(u, v) >= 0 and sign(den - u, -v) >= 0
     ]
-    threshold_anchors = ((apply(inverse(g), x), [g]) for g in screened for x in images)
-    for y, targets in chain(zip(base, repeat(screened)), threshold_anchors):
-        check_anchor(y, targets)
+    base_anchors = ((*y, IDENTITY, screened) for y in base)
+    threshold_anchors = ((*x, inverse(g), [g]) for g in screened for x in images)
+    for anchor in chain(base_anchors, threshold_anchors):
+        check_anchor(*anchor)
     return {
         "ball_radius": ball_radius,
         "ball_size": len(elements),

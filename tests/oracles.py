@@ -13,16 +13,18 @@ matching are plain functions of a package KMatching here: the package
 checks convergence by is_standard alone.
 
 The exceptions are build_path_points, the package's earlier distance
-certificate construction on exact points (apply, compare, in_interval and
+certificate construction on exact points (apply, sign, in_interval and
 neighbors), kept verbatim as the reference for the integer construction,
-verify_lemma_reference, the sweep with no frame shared between calls,
+verify_lemma_reference, the sweep with no frame shared between calls and
+its own point-level thresholds,
 bfs_points and build_path_at, the point forms of bfs_distance and
 build_path, which key their vertices on a frame they build,
 integer_step_reference, the package's earlier adjacency kernel, which tests
 both far-interval bounds of all four generator maps, inside_reference, the
-earlier interval test, with an exact sign for each endpoint, and
+earlier interval test, with an exact sign for each endpoint,
 chain_element_points, the earlier chain_element, which reads each step's
-side from its vertex.
+side from its vertex, and generator_domain, the domains that
+graph.edge_polygon once read as points.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Iterator, Optional
 
+from equigraph import graph as graph_module
 from equigraph.algebra import ALPHA, ONE, ZERO, AlgebraicPoint, point
 from equigraph.dynamics import KMatching, _canonical_window, phi_pairs
 from equigraph.errors import CONNECTOR_MISSING, EquigraphError, Finding
@@ -47,7 +50,7 @@ from equigraph.group import (
     enumerate_ball,
     inverse,
 )
-from equigraph.pathcert import THRESHOLDS, CertifiedPath, build_path
+from equigraph.pathcert import CertifiedPath, build_path
 
 getcontext().prec = 60
 
@@ -339,6 +342,8 @@ def random_deviations(window: int, k: int, seed: int) -> dict[int, int]:
 TWO_ALPHA = ALPHA + ALPHA
 ONE_MINUS_TWO_ALPHA = ONE - TWO_ALPHA
 TWO = point(2)
+# the sweep's thresholds, 2a and 1 - 2a, kept here as points
+THRESHOLDS = (TWO_ALPHA, ONE_MINUS_TWO_ALPHA)
 
 
 def _reduced_step(
@@ -353,7 +358,7 @@ def _reduced_step(
     ctx = graph.ctx
     a, b, c = g.a, g.b, g.c
     if b < 0:
-        if ctx.compare(gy, ONE_MINUS_TWO_ALPHA) <= 0:
+        if ctx.sign(gy - ONE_MINUS_TWO_ALPHA) <= 0:
             z = gy + TWO_ALPHA
             reduced = GroupElement(a, b + 1, c)
         else:
@@ -363,7 +368,7 @@ def _reduced_step(
                 z = gy + TWO_ALPHA - TWO
                 reduced = GroupElement(a, b + 1, c - 1)
     else:
-        if ctx.compare(TWO_ALPHA, gy) < 0:
+        if ctx.sign(TWO_ALPHA - gy) < 0:
             z = gy - TWO_ALPHA
             reduced = GroupElement(a, b - 1, c)
         else:
@@ -385,7 +390,7 @@ def _connector(
     z_far = {far.point for far, _labels in graph.neighbors(GVertex(Side.I, z))}
     for far, _labels in graph.neighbors(GVertex(Side.I, gy)):
         if far.point in z_far:
-            if shared is None or graph.ctx.compare(far.point, shared) < 0:
+            if shared is None or graph.ctx.sign(far.point - shared) < 0:
                 shared = far.point
     if shared is None:
         return None
@@ -637,3 +642,14 @@ def integer_step_reference(
 
         out.sort(key=cmp_to_key(order))
     return out
+
+
+def generator_domain(gen: Generator) -> tuple[AlgebraicPoint, AlgebraicPoint]:
+    """The closed subinterval of [0, 1] that gen maps into [alpha, 1+alpha].
+
+    It is gen's far-interval test on I (the package's _MAPS entry), for
+    every alpha.
+    """
+    *_, k, direction = graph_module._MAPS[0][list(GENERATOR_ELEMENTS).index(gen)]
+    threshold = point(*graph_module._THRESHOLDS[0][k])
+    return (threshold, ONE) if direction > 0 else (ZERO, threshold)

@@ -29,7 +29,7 @@ def test_named_alphas_validate():
     for spec in KERNEL_ALPHAS:
         ctx = AlphaContext(spec)
         assert ctx.sign(ALPHA) == 1
-        assert ctx.compare(ALPHA, ONE) < 0
+        assert ctx.sign(ALPHA - ONE) < 0
 
 
 def test_bad_specs_rejected():
@@ -81,12 +81,12 @@ def test_str_forms():
 
 def test_known_comparisons(ctx):
     two_alpha = point(0, 2)
-    assert ctx.compare(two_alpha, ONE) < 0  # 2(sqrt(2)-1) < 1
-    assert ctx.compare(ONE - two_alpha, ALPHA) < 0
-    assert ctx.compare(ALPHA, ALPHA) == 0
+    assert ctx.sign(two_alpha - ONE) < 0  # 2(sqrt(2)-1) < 1
+    assert ctx.sign(ONE - two_alpha - ALPHA) < 0
+    assert ctx.sign(ALPHA - ALPHA) == 0
     assert ctx.sign(ALPHA - ONE) == -1
     golden = AlphaContext(AlphaSpec(-1, 1, 5, 2))
-    assert golden.compare(ONE, point(0, 2)) < 0  # 2a > 1 for a above 1/2
+    assert golden.sign(ONE - point(0, 2)) < 0  # 2a > 1 for a above 1/2
 
 
 def test_pell_convergent_needs_exact_sign(ctx):
@@ -96,8 +96,8 @@ def test_pell_convergent_needs_exact_sign(ctx):
     p, q = 665857, 470832
     assert p * p - 2 * q * q == 1
     near = point(Fraction(p, q) - 1)  # approximates alpha = sqrt(2)-1
-    assert ctx.compare(near, ALPHA) == 1
-    assert ctx.compare(point(-Fraction(p, q) + 1), point(0, -1)) == -1
+    assert ctx.sign(near - ALPHA) == 1
+    assert ctx.sign(point(-Fraction(p, q) + 1) - point(0, -1)) == -1
     assert abs(ctx.to_float(near - ALPHA)) < 1e-11
 
 
@@ -153,19 +153,19 @@ def test_point_hash_matches_equality():
 @given(points, points)
 def test_compare_antisymmetric(x, y):
     ctx = AlphaContext(AlphaSpec(-1, 1, 2, 1))
-    assert ctx.compare(x, y) == -ctx.compare(y, x)
+    assert ctx.sign(x - y) == -ctx.sign(y - x)
     if x == y:
-        assert ctx.compare(x, y) == 0
+        assert ctx.sign(x - y) == 0
     else:
-        assert ctx.compare(x, y) != 0  # alpha irrational: no other ties
+        assert ctx.sign(x - y) != 0  # alpha irrational: no other ties
 
 
 @settings(max_examples=200)
 @given(points, points, points)
 def test_compare_transitive(x, y, z):
     ctx = AlphaContext(AlphaSpec(-1, 1, 2, 1))
-    if ctx.compare(x, y) <= 0 and ctx.compare(y, z) <= 0:
-        assert ctx.compare(x, z) <= 0
+    if ctx.sign(x - y) <= 0 and ctx.sign(y - z) <= 0:
+        assert ctx.sign(x - z) <= 0
 
 
 @settings(max_examples=200)
@@ -204,7 +204,7 @@ def test_integer_sign_and_compare_match_fraction_reference(x, y):
     for spec in KERNEL_ALPHAS:
         ctx = AlphaContext(spec)
         assert ctx.sign(x) == _reference_sign(spec, x.u, x.v)
-        assert ctx.compare(x, y) == _reference_sign(spec, x.u - y.u, x.v - y.v)
+        assert ctx.sign(x - y) == _reference_sign(spec, x.u - y.u, x.v - y.v)
 
 
 @settings(max_examples=300)
@@ -223,8 +223,8 @@ def test_integer_sign_on_near_ties(k, m, nudge, spec):
     diff_u, diff_v = near - m, Fraction(-k)
     assert abs(point_decimal(alpha, diff_u, diff_v)) < Decimal("1e-12")
     want = _reference_sign(spec, diff_u, diff_v)
-    assert ctx.compare(point(near), target) == want
-    assert ctx.compare(target, point(near)) == -want
+    assert ctx.sign(point(near) - target) == want
+    assert ctx.sign(target - point(near)) == -want
     assert ctx.sign(AlgebraicPoint(diff_u, diff_v)) == want
     if want != 0:
         assert want == (1 if point_decimal(alpha, diff_u, diff_v) > 0 else -1)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -322,6 +323,19 @@ def test_figure_depends_on_alpha(tmp_path):
     a = (tmp_path / "a" / "figure.svg").read_bytes()
     b = (tmp_path / "b" / "figure.svg").read_bytes()
     assert a != b
+
+
+def test_figure_draws_an_alpha_whose_d_overflows_a_float(tmp_path):
+    # sqrt(d)/(2*isqrt(d) + 1) lies just under 1/2, with d far above the
+    # largest float: the figure reads the checked float approximation of
+    # alpha, and never converts d
+    d = 2**1100 + 3
+    while isqrt(d) ** 2 == d:
+        d += 1
+    alpha = f"--alpha=0,1,{d},{2 * isqrt(d) + 1}"
+    assert main(["--out", str(tmp_path), alpha, "figure"]) == 0
+    svg = (tmp_path / "figure.svg").read_text()
+    assert svg.count("<circle ") == 4
 
 
 def test_report_requires_all_inputs(tmp_path, capsys):

@@ -20,7 +20,6 @@ from equigraph.graph import (
     Side,
     chain_element,
     edge_polygon,
-    generator_domain,
     vertex_record,
 )
 from equigraph.group import (
@@ -40,6 +39,7 @@ from oracles import (
     bfs_distance as oracle_bfs,
     bfs_points,
     build_path_at,
+    generator_domain,
     inside_reference,
     integer_step_reference,
     neighbors as oracle_neighbors,
@@ -162,6 +162,22 @@ def test_bfs_checks_origin_then_goal_then_budget(graph):
         graph.bfs_distance(frame, start, start, 0)
 
 
+def test_bfs_distance_given_its_frame_builds_none(graph, monkeypatch):
+    frames = []
+    frame_init = Frame.__init__
+
+    def counted(self, *args):
+        frames.append(args)
+        frame_init(self, *args)
+
+    origin = graph.vertex(Side.I, ZERO)
+    goal = graph.vertex(Side.I, TWO_ALPHA)
+    frame = graph.frame(origin)
+    monkeypatch.setattr(Frame, "__init__", counted)
+    assert graph.bfs_distance(frame, frame.key(origin), frame.key(goal), 100) == 2
+    assert frames == []
+
+
 def test_bfs_builds_one_frame_for_a_goal_on_the_origin_frame(graph, monkeypatch):
     frames = []
     make_frame = IntervalGraph.frame
@@ -175,11 +191,6 @@ def test_bfs_builds_one_frame_for_a_goal_on_the_origin_frame(graph, monkeypatch)
     monkeypatch.setattr(IntervalGraph, "frame", counted)
     assert bfs_points(graph, origin, goal, 100) == 2
     assert frames == [(origin,)]
-    # given its frame, the key form builds none
-    frame = graph.frame(origin)
-    frames.clear()
-    assert graph.bfs_distance(frame, frame.key(origin), frame.key(goal), 100) == 2
-    assert frames == []
 
 
 def test_bfs_off_origin_denominators_expands_nothing(graph, monkeypatch):
@@ -472,7 +483,7 @@ def test_reference_keys_meet_every_sign_pattern(spec):
     for side in (0, 1):
         lo = point(0, side)
         thresholds = [point(*t) for t in graph_module._THRESHOLDS[side]]
-        cuts = sorted([lo, lo + ONE, *thresholds], key=cmp_to_key(ctx.compare))
+        cuts = sorted([lo, lo + ONE, *thresholds], key=cmp_to_key(lambda x, y: ctx.sign(x - y)))
         halves = [
             point((x.u + y.u) / 2, (x.v + y.v) / 2) for x, y in zip(cuts, cuts[1:])
         ]
@@ -690,7 +701,7 @@ def test_generator_domains_cover_interval_twice():
         total = ZERO
         for gen in Generator:
             lo, hi = generator_domain(gen)
-            assert ctx.compare(lo, hi) <= 0
+            assert ctx.sign(lo - hi) <= 0
             total = total + (hi - lo)
         assert total == point(2)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import sys
 import weakref
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from equigraph.algebra import ALPHA, ONE, ZERO, AlphaContext, point
+from equigraph.algebra import ALPHA, ONE, ZERO, AlgebraicPoint, AlphaContext, point
 from equigraph.cli import load_config
 from equigraph import graph as graph_module
 from equigraph.errors import CONNECTOR_MISSING, EquigraphError, Finding
@@ -34,6 +35,7 @@ from conftest import (
     SQRT2_MINUS_1,
 )
 from oracles import (
+    THRESHOLDS,
     bfs_points,
     build_path_at,
     build_path_points,
@@ -167,7 +169,8 @@ STEP_PAIRS = [
 
 
 def test_step_cases_lower_b_by_one_through_generator_connectors():
-    assert pathcert_module.THRESHOLDS == (TWO_ALPHA, ONE - TWO_ALPHA)
+    # the first splits, 2a and 1 - 2a, as forms (p, q) for p + q*alpha
+    assert [cases[0][0] for cases in pathcert_module._STEP] == [(0, 2), (1, -2)]
     for sign, cases in zip((1, -1), pathcert_module._STEP):
         for _split, _signs, m, back, h2s in cases:
             assert back == inverse(m)
@@ -437,22 +440,52 @@ def test_validate_builds_no_frame(graph, monkeypatch):
         calls["apply"] += 1
         return apply(*args)
 
+    # apply is patched at every package binding that holds it
+    bindings = [
+        module
+        for name, module in sys.modules.items()
+        if name.startswith("equigraph") and getattr(module, "apply", None) is apply
+    ]
+    assert bindings
     for g, y in [(T, ZERO), (GroupElement(1, 3, -1), point(Fraction(1, 10)))]:
         cert = build_path_at(graph, g, y)
         with monkeypatch.context() as patched:
             patched.setattr(graph_module.Frame, "__init__", counted_init)
-            patched.setattr(pathcert_module, "apply", counted_apply)
+            for module in bindings:
+                patched.setattr(module, "apply", counted_apply)
             assert cert.validate() == []
         assert calls == {}
 
 
+def _sweep_anchors(graph, radius, samples, seed):
+    """The anchors a sweep tries, in order, found with the point API: 0, 1
+    and the samples, then g^-1(x) for each element g whose image of [0, 1],
+    [2c + min(0, a), 2c + max(0, a)] + 2b*alpha, meets it and each threshold
+    image x in [0, 1]; and those elements."""
+    sign = graph.ctx.sign
+    rng = random.Random(seed)
+    base = [ZERO, ONE]
+    base += [point(graph.sample_unit_rational(rng)) for _ in range(samples - 2)]
+    meeting = [
+        g
+        for g in sorted(enumerate_ball(radius))
+        if sign(point(2 * g.c + max(0, g.a), 2 * g.b) - ZERO) >= 0
+        and sign(point(2 * g.c + min(0, g.a), 2 * g.b) - ONE) <= 0
+    ]
+    images = [t + point(Fraction(k, 1000)) for t in THRESHOLDS for k in (-1, 0, 1)]
+    images = [x for x in images if sign(x) >= 0 and sign(ONE - x) >= 0]
+    return base + [apply(inverse(g), x) for g in meeting for x in images], meeting
+
+
 @pytest.mark.parametrize("spec", KERNEL_ALPHAS)
 def test_sweep_keys_each_anchor_once_and_builds_no_point(monkeypatch, spec):
-    # with no violation a sweep runs on keys from end to end: it keys each
-    # anchor it tries once, on the one frame it builds for it, builds no
-    # vertex from a key, and the only point signs are the threshold
-    # screen's, made once per sweep
+    # with no violation a sweep runs on integer forms from end to end: it
+    # builds one frame for each anchor it tries and keys the anchor from
+    # ints, so it keys no vertex, builds no point and no vertex from a key,
+    # and makes no point sign
     graph = IntervalGraph(AlphaContext(spec))
+    tried = {n: len(_sweep_anchors(graph, 4, n, 0)[0]) for n in (10, 40)}
+    assert tried[40] == tried[10] + 30
     calls = Counter()
 
     def counted(name, fn):
@@ -462,23 +495,20 @@ def test_sweep_keys_each_anchor_once_and_builds_no_point(monkeypatch, spec):
 
         return wrapper
 
-    for owner, attr in [
-        (graph_module.Frame, "__init__"),
-        (graph_module.Frame, "key"),
-        (graph_module.Frame, "vertex"),
-        (AlphaContext, "sign"),
+    for name, owner, attr in [
+        ("frame", graph_module.Frame, "__init__"),
+        ("key", graph_module.Frame, "key"),
+        ("vertex", graph_module.Frame, "vertex"),
+        ("sign", AlphaContext, "sign"),
+        ("point", AlgebraicPoint, "__init__"),
     ]:
-        monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
-    signs = []
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
     for samples in (10, 40):
         calls.clear()
         report = verify_lemma(graph, 4, samples, seed=0, bfs_budget=16 * 4 + 64)
         assert report["checks"] > 0 and report["violations"] == []
-        assert calls["__init__"] >= samples
-        assert calls["key"] == calls["__init__"]
-        assert calls["vertex"] == 0
-        signs.append(calls["sign"])
-    assert signs[0] == signs[1] <= 12  # two signs for each of six images
+        assert calls["frame"] == tried[samples]
+        assert calls["key"] == calls["vertex"] == calls["sign"] == calls["point"] == 0
 
 
 def test_sweep_leaves_few_interval_tests_to_the_exact_sign(monkeypatch):
@@ -507,7 +537,8 @@ def test_sweep_builds_one_frame_per_anchor_and_expands_each_key_once(
     graph, monkeypatch
 ):
     # no check builds a frame of its own, and the checks of one anchor share
-    # its adjacency: a frame's step runs once per (anchor frame, key)
+    # its adjacency: a frame's step runs once per (anchor frame, key).  Each
+    # anchor's frame has the denominator that graph.frame gives its point
     total = Counter()
     frame_step = graph_module._frame_step
 
@@ -520,37 +551,31 @@ def test_sweep_builds_one_frame_per_anchor_and_expands_each_key_once(
 
         return counted_step, inside
 
-    frames, steps = [], Counter()
-    make_frame = IntervalGraph.frame
+    anchors, meeting = _sweep_anchors(graph, 4, 10, 0)
+    expected = [graph.frame(GVertex(Side.I, y)).den for y in anchors]
+    dens, steps = [], Counter()
+    frame_init = Frame.__init__
 
-    def tagged(self, *vertices):
-        frames.append(vertices)
-        frame = make_frame(self, *vertices)
-        step, tag = frame.adjacent, len(frames)
+    def tagged(self, ctx, den):
+        frame_init(self, ctx, den)
+        dens.append(den)
+        step, tag = self.adjacent, len(dens)
 
         def adjacent(key):
             steps[tag, key] += 1
             return step(key)
 
-        frame.adjacent = adjacent
-        return frame
+        self.adjacent = adjacent
 
     monkeypatch.setattr(graph_module, "_frame_step", counted_frame_step)
-    monkeypatch.setattr(IntervalGraph, "frame", tagged)
+    monkeypatch.setattr(Frame, "__init__", tagged)
     report = verify_lemma(graph, 4, 10, seed=0, bfs_budget=16 * 4 + 64)
     assert report["checks"] > 0
     # the 10 base anchors once, then 6 threshold anchors per element whose
-    # image of [0, 1], [2c + min(0, a), 2c + max(0, a)] + 2b*alpha, meets it
-    compare = graph.ctx.compare
-    meeting = [
-        g
-        for g in enumerate_ball(4)
-        if compare(point(2 * g.c + max(0, g.a), 2 * g.b), ZERO) >= 0
-        and compare(point(2 * g.c + min(0, g.a), 2 * g.b), ONE) <= 0
-    ]
+    # image of [0, 1] meets it
     assert 0 < len(meeting) < report["ball_size"]
-    assert len(frames) == 10 + 6 * len(meeting)
-    assert all(len(vs) == 1 and vs[0].side is Side.I for vs in frames)
+    assert len(dens) == 10 + 6 * len(meeting)
+    assert dens == expected
     assert max(steps.values()) == 1
     assert total["calls"] == len(steps)
 
