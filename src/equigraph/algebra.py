@@ -2,10 +2,10 @@
 
 alpha is a fixed quadratic irrational (p + q*sqrt(d)) / r in (0, 1).
 Every sign the package decides is AlphaContext.sign_scaled's, on an
-integer form u + v*alpha, and never a float's: approx, within an exactly
-checked 2**-48 of alpha, only filters in front of it (graph.Frame) and
-draws the figure.  The point API (AlgebraicPoint, sign, in_interval) is
-the edge where values enter and leave; no decision path calls it.
+integer form u + v*alpha.  scaled, an integer within an exactly checked 1
+of alpha*2**64, filters in front of it (graph.Frame); the float approx
+only draws the figure.  The point API (AlgebraicPoint, sign, in_interval)
+is the edge where values enter and leave; no decision path calls it.
 """
 
 from __future__ import annotations
@@ -91,11 +91,11 @@ class AlphaContext:
     The constructor checks irrationality and the open-interval bound
     0 < alpha < 1 exactly, raising EquigraphError on a bad spec.
 
-    approx is a float with |approx - alpha| < 2**-48, for Frame's filter and to_float.
-    It is found from integers alone, by isqrt and one correctly rounded
-    int division, so no libm call takes part and no valid spec overflows;
-    the constructor then checks the enclosure exactly, with sign_scaled
-    on its two dyadic endpoints.
+    scaled is an integer with |alpha*2**64 - scaled| < 1, for Frame's
+    filter; the constructor checks that bound exactly, with sign_scaled.
+    approx, a float near alpha for to_float alone, comes from the same
+    integers by one correctly rounded int division, so no valid spec
+    overflows.
     """
 
     def __init__(self, spec: AlphaSpec):
@@ -110,20 +110,14 @@ class AlphaContext:
             raise EquigraphError(
                 f"alpha = ({spec.p}+{spec.q}*sqrt({spec.d}))/{spec.r} is not in (0, 1)"
             )
-        # (p + q*sqrt(d)) * 2**64 to within 1, by isqrt, then one correctly
-        # rounded division by r * 2**64: within 2**-52 of alpha
+        # (p + q*sqrt(d)) * 2**64 to within 1, by isqrt
         root = isqrt(spec.q * spec.q * spec.d << 128)
         num = (spec.p << 64) + (root if spec.q > 0 else -root)
-        self.approx = num / (spec.r << 64)
-        # alpha must lie strictly between (mid -+ half) / one, where one is a
-        # power of 2 that clears approx's and 2**-48's denominators
-        n, power = self.approx.as_integer_ratio()
-        one = max(power, 1 << 48)
-        mid, half = n * one // power, one >> 48
-        if self.sign_scaled(half - mid, one) <= 0 or (
-            self.sign_scaled(-half - mid, one) >= 0
+        self.scaled, self.approx = num // spec.r, num / (spec.r << 64)
+        if self.sign_scaled(-1 - self.scaled, 1 << 64) >= 0 or (
+            self.sign_scaled(1 - self.scaled, 1 << 64) <= 0
         ):
-            raise EquigraphError(f"approx {self.approx!r} misses alpha by 2**-48")
+            raise EquigraphError(f"scaled {self.scaled} misses alpha*2**64 by 1")
 
     def sign_scaled(self, u: int, v: int) -> int:
         """Exact sign of u + v*alpha for integers u, v.

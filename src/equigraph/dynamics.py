@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import CLAIM1_VIOLATION, EquigraphError, Finding
-from .graph import ComponentView, Side, chain_element
-from .group import GroupElement, apply
+from .graph import ComponentView, chain_element
+from .group import GroupElement
 
 
 class KMatching:
@@ -329,21 +329,21 @@ def kmatching_from_assignment(
     [lo, hi] to the J-vertex holding g(y); uncovered coordinates stay
     standard.  The result's K is bridge_k_bound(max |b| over the pieces).
     """
-    if view.visited[view.origin_index].side is not Side.I:
+    keys, frame, origin = view.visited.keys, view.visited.frame, view.origin_index
+    if keys[origin][0] != 0:
         raise EquigraphError("assignment views must originate at an I-vertex")
-    origin = view.origin_index
-    point_at = {idx - origin: v.point for idx, v in enumerate(view.visited)}
-    j_coord = {pt: coord for coord, pt in point_at.items() if coord % 2 != 0}
+    key_at = {idx - origin: key[1:] for idx, key in enumerate(keys)}
+    j_coord = {uv: coord for coord, uv in key_at.items() if coord % 2 != 0}
     k = bridge_k_bound(max((abs(el.b) for _, _, el in assignment), default=0))
     targets: dict[int, int] = {}
     for lo, hi, el in assignment:
         for a in range(lo + lo % 2, hi + 1, 2):
             if a in targets:
                 raise EquigraphError(f"pieces overlap at coordinate {a}")
-            y = point_at.get(a)
+            y = key_at.get(a)
             if y is None:
                 raise EquigraphError(f"coordinate {a} outside the explored window")
-            t = j_coord.get(apply(el, y))
+            t = j_coord.get(frame.image(el, *y))
             if t is None:
                 raise EquigraphError(
                     f"image of coordinate {a} is not a J-vertex of the window"

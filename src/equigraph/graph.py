@@ -122,9 +122,9 @@ class Frame:
     labels) sorted by far point; inside(side, U, V) tells whether (U, V)
     lies in side's interval [side*alpha, 1 + side*alpha]; sign(U, V) is the
     exact sign of U + V*alpha.  adjacent and inside are built once by
-    _frame_step: a float filter that decides most keys' threshold and
-    endpoint signs, in front of the exact sign, which decides a key on or
-    next to a threshold or an endpoint, and a key too large for a float.
+    _frame_step: an integer filter on alpha*2**64 that decides most keys'
+    threshold and endpoint signs, in front of the exact sign, which decides
+    a key on or next to a threshold or an endpoint.
     """
 
     def __init__(self, ctx: AlphaContext, den: int):
@@ -459,57 +459,31 @@ def _frame_step(ctx: AlphaContext, den: int) -> tuple[Callable, Callable]:
     as well: (0, 0) and (1, 0) on I, (0, 1) and (1, 1) on J.
 
     Each sign is that of D = X - T, X = U + V*alpha, T a threshold or an
-    endpoint, and one float position x = fl(U + V*a), a = ctx.approx,
-    decides them all: the sign of d = fl(x - fl((p + q*a)*den)) is D's
-    when |d| > e, where
-
-        e = (|U| + |V| + 2*den) * 2**-46,
-
-    and sign_scaled decides it otherwise.  With eps = 2**-53, |a - alpha|
-    < 2**-48 = 32eps (checked exactly by AlphaContext) and |p| + |q| <= 2
-    for all four thresholds and all four endpoints, so |q| <= 2 and
-    |a| <= 1 + 32eps:
-      - x is off X by 32eps*|V| from a, and by 2eps*|U| + 3eps*|a|*|V| +
-        O(eps**2) from rounding U, V, V*a and the sum;
-      - T's float is off by 32eps*|q|*den from a (q*a itself is exact),
-        and by 3eps*(|p| + |q|*|a|)*den + O(eps**2) from rounding p + q*a,
-        den and the product;
-      - the subtraction adds eps*|x - T| <= 1.01eps*(|U| + |V| + 2*den).
-    So |d - D| < 37eps*(|U| + |V| + 2*den), under e = 128eps*(...) even
-    after e's own rounding, and |d| > e leaves D nonzero with d's sign; a
-    tie D = 0, at a threshold or on an endpoint, always takes the exact
-    path.  Underflow adds at most 2**-1070 in all, far under e >=
-    2*den*2**-46.  e is formed as float(4*(|U| + |V| + 2*den)) * 2**-48,
-    and that conversion raises OverflowError from 2**1024 on; below it
-    every float above is finite.  A key that raises takes the exact path
-    for every sign.
+    endpoint.  With s = ctx.scaled, |alpha*2**64 - s| < 1, the integers
+    x = U*2**64 + V*s and t = (p*2**64 + q*s)*den miss X*2**64 and T*2**64
+    by at most |V| and |q|*den, and |q| <= 2 for all four thresholds and all
+    four endpoints.  So with e = |V| + 2*den, D > 0 when x - e > t and
+    D < 0 when x + e < t; otherwise, a tie D = 0 included, sign_scaled
+    decides.
     """
-    sign, approx, den2 = ctx.sign_scaled, ctx.approx, 2 * den
+    sign, scaled, den2 = ctx.sign_scaled, ctx.scaled, 2 * den
     sides, ends = [], []  # per side: the step's thresholds, inside's endpoints
     for side in (0, 1):
         (p0, q0), (p1, q1) = forms = _THRESHOLDS[side]
-        try:
-            t0, t1, lo, hi = [
-                (p + q * approx) * den for p, q in (*forms, (0, side), (1, side))
-            ]
-        except OverflowError:  # every key's e overflows too: never read
-            t0 = t1 = lo = hi = 0
+        t0, t1, lo, hi = [
+            (p * den << 64) + q * den * scaled
+            for p, q in (*forms, (0, side), (1, side))
+        ]
         sides.append((p0 * den, q0 * den, p1 * den, q1 * den, t0, t1, _TABLES[side]))
         ends.append((side * den, lo, hi))
 
     def step(key: Key) -> list[tuple[Key, frozenset[Generator]]]:
         side, u, v = key
         p0, q0, p1, q1, t0, t1, table = sides[side]
-        try:
-            x = u + v * approx
-            e = (abs(u) + abs(v) + den2 << 2) * 2**-48
-        except OverflowError:
-            s0, s1 = sign(u - p0, v - q0), sign(u - p1, v - q1)
-        else:
-            d = x - t0
-            s0 = 1 if d > e else -1 if d < -e else sign(u - p0, v - q0)
-            d = x - t1
-            s1 = 1 if d > e else -1 if d < -e else sign(u - p1, v - q1)
+        x, e = (u << 64) + v * scaled, abs(v) + den2
+        below, above = x - e, x + e
+        s0 = 1 if below > t0 else -1 if above < t0 else sign(u - p0, v - q0)
+        s1 = 1 if below > t1 else -1 if above < t1 else sign(u - p1, v - q1)
         (a0, c0, b0, l0), (a1, c1, b1, l1), union = table[3 * s0 + s1]
         far = 1 - side
         k0 = far, a0 * u + c0 * den, a0 * v + b0 * den
@@ -518,14 +492,10 @@ def _frame_step(ctx: AlphaContext, den: int) -> tuple[Callable, Callable]:
 
     def inside(side: int, u: int, v: int) -> bool:
         shift, lo, hi = ends[side]
-        try:
-            x = u + v * approx
-            e = (abs(u) + abs(v) + den2 << 2) * 2**-48
-        except OverflowError:
-            return sign(u, v - shift) >= 0 and sign(den - u, shift - v) >= 0
-        d0, d1 = x - lo, hi - x  # hi - x is -(x - hi), exactly
-        return (d0 > e or d0 >= -e and sign(u, v - shift) >= 0) and (
-            d1 > e or d1 >= -e and sign(den - u, shift - v) >= 0
+        x, e = (u << 64) + v * scaled, abs(v) + den2
+        below, above = x - e, x + e
+        return (below > lo or above >= lo and sign(u, v - shift) >= 0) and (
+            above < hi or below <= hi and sign(den - u, shift - v) >= 0
         )
 
     return step, inside

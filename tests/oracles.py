@@ -23,8 +23,10 @@ integer_step_reference, the package's earlier adjacency kernel, which tests
 both far-interval bounds of all four generator maps, inside_reference, the
 earlier interval test, with an exact sign for each endpoint,
 chain_element_points, the earlier chain_element, which reads each step's
-side from its vertex, and generator_domain, the domains that
-graph.edge_polygon once read as points.
+side from its vertex, kmatching_from_assignment_points, the earlier
+kmatching_from_assignment, which applies each piece to the vertex's point,
+and generator_domain, the domains that graph.edge_polygon once read as
+points.
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ from typing import Callable, Iterator, Optional
 
 from equigraph import graph as graph_module
 from equigraph.algebra import ALPHA, ONE, ZERO, AlgebraicPoint, point
-from equigraph.dynamics import KMatching, _canonical_window, phi_pairs
+from equigraph.dynamics import (
+    KMatching,
+    _canonical_window,
+    bridge_k_bound,
+    phi_pairs,
+)
 from equigraph.errors import CONNECTOR_MISSING, EquigraphError, Finding
 from equigraph.graph import Frame, GVertex, IntervalGraph, Side, VertexChain
 from equigraph.group import (
@@ -578,6 +585,40 @@ def chain_element_points(view, i: int, j: int) -> GroupElement:
         else:
             acc = compose(inverse(el), acc)  # J -> I applies its inverse
     return acc
+
+
+def kmatching_from_assignment_points(view, assignment) -> KMatching:
+    """kmatching_from_assignment with each piece applied to visited's points."""
+    if view.visited[view.origin_index].side is not Side.I:
+        raise EquigraphError("assignment views must originate at an I-vertex")
+    origin = view.origin_index
+    point_at = {idx - origin: v.point for idx, v in enumerate(view.visited)}
+    j_coord = {pt: coord for coord, pt in point_at.items() if coord % 2 != 0}
+    k = bridge_k_bound(max((abs(el.b) for _, _, el in assignment), default=0))
+    targets: dict[int, int] = {}
+    for lo, hi, el in assignment:
+        for a in range(lo + lo % 2, hi + 1, 2):
+            if a in targets:
+                raise EquigraphError(f"pieces overlap at coordinate {a}")
+            y = point_at.get(a)
+            if y is None:
+                raise EquigraphError(f"coordinate {a} outside the explored window")
+            t = j_coord.get(apply(el, y))
+            if t is None:
+                raise EquigraphError(
+                    f"image of coordinate {a} is not a J-vertex of the window"
+                )
+            if abs(t - a) > k:
+                raise EquigraphError(
+                    f"displacement {t - a} at coordinate {a} exceeds K={k}"
+                )
+            targets[a] = t
+    if len(set(targets.values())) != len(targets):
+        raise EquigraphError("two pieces share a target J-vertex")
+    dev = {a: t for a, t in targets.items() if t != a + 1}
+    matching = KMatching(k, _canonical_window(dev, (0, -1)), dev)
+    matching.validate()
+    return matching
 
 
 # ----------------------------------------------------------------------

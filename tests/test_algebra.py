@@ -55,10 +55,13 @@ def test_bad_specs_rejected():
     ),
 )
 def test_approx_lies_within_2_to_the_minus_48_of_alpha(spec):
-    # the filter's premise, checked in plain Fraction arithmetic: alpha
-    # lies strictly inside approx -+ 2**-48, whatever the coefficients
-    approx, half = Fraction(AlphaContext(spec).approx), Fraction(1, 2**48)
-    for end, above in ((approx - half, 1), (approx + half, -1)):
+    # checked in plain Fraction arithmetic, whatever the coefficients: alpha
+    # lies strictly inside approx -+ 2**-48, and, the frame filter's premise,
+    # alpha*2**64 strictly inside scaled -+ 1
+    ctx = AlphaContext(spec)
+    approx, half = Fraction(ctx.approx), Fraction(1, 2**48)
+    scaled = [Fraction(ctx.scaled + k, 2**64) for k in (-1, 1)]
+    for end, above in ((approx - half, 1), (approx + half, -1), *zip(scaled, (1, -1))):
         assert sign_fraction(spec.p, spec.q, spec.d, spec.r, -end, Fraction(1)) == above
 
 

@@ -25,6 +25,7 @@ from oracles import (
     direction,
     extract_matching,
     facing_pairs_bruteforce,
+    kmatching_from_assignment_points,
     kmatching_targets,
     partner,
     random_deviations,
@@ -522,24 +523,26 @@ def test_random_kmatchings_round_trip_through_isometry_pieces(graph, k):
 
 
 def test_bridge_reads_the_lazy_chain_as_its_tuple(graph, monkeypatch):
-    # chain_element reads sides from the chain's keys and builds no vertex;
-    # on the view read as a tuple, the vertex-reading oracle stands in for it
+    # chain_element and kmatching_from_assignment read the chain's keys and
+    # build no vertex; on the view read as a tuple, the vertex-reading
+    # oracles stand in for them
     v = graph.vertex(Side.I, point(Fraction(1, 2)))
     view = graph.explore_component(v, 64)
     eager = dataclasses.replace(view, visited=tuple(view.visited))
     n = len(view.visited)
     pairs = [(0, n - 1), (n - 1, 0), (30, 35), (35, 30), (33, 33)]
+    targets = {-4: -1, -2: -3, 0: 3, 2: 1}
     built = []
     with monkeypatch.context() as patched:
         patched.setattr(Frame, "vertex", lambda *args: built.append(args))
         elements = [chain_element(view, i, j) for i, j in pairs]
+        pieces = assignment_from_targets(view, targets)
+        lazy_m = kmatching_from_assignment(view, pieces)
     assert built == []
     assert elements == [chain_element_points(eager, i, j) for i, j in pairs]
-    targets = {-4: -1, -2: -3, 0: 3, 2: 1}
-    pieces = assignment_from_targets(view, targets)
     monkeypatch.setattr(dynamics_module, "chain_element", chain_element_points)
     assert pieces == assignment_from_targets(eager, targets)
-    lazy_m, eager_m = (kmatching_from_assignment(w, pieces) for w in (view, eager))
+    eager_m = kmatching_from_assignment_points(eager, pieces)
     assert (lazy_m.k, lazy_m.window, lazy_m.deviations) == (
         eager_m.k,
         eager_m.window,

@@ -348,7 +348,7 @@ def _floor_times_alpha(spec, v: int) -> int:
 def _far_keys(spec, den: int, n: int, rng: random.Random) -> list:
     """Keys of den's frame, inside their interval or next to it, with |V|
     up to 2**40*den, half of them within 2/den of a threshold or an
-    endpoint, where a float position of U + V*alpha cannot tell the sign."""
+    endpoint, where the frame's integer filter cannot tell the sign."""
     keys = []
     for k in range(n):
         side = k % 2
@@ -363,13 +363,35 @@ def _far_keys(spec, den: int, n: int, rng: random.Random) -> list:
     return keys
 
 
+def _convergent_keys(spec) -> list:
+    """(den, key) with V = 0 next to each threshold or endpoint T = (p +
+    q*alpha)*den with q != 0, at each den in (2**30, 2**64) that is a
+    continued-fraction convergent denominator of q*alpha.  There X = U is
+    within 1/den of T, and the form's own filter error, up to |q|*den in
+    units of 2**-64, dominates X - T."""
+    keys = []
+    for side, forms in ((0, ((0, 1), (1, -1))), (1, ((0, 2), (0, 1), (1, 1)))):
+        for p, q in forms:
+            # q*alpha to 2**-256, whose convergents up to 2**64 are q*alpha's
+            x = Fraction(_floor_times_alpha(spec, q << 256), 1 << 256)
+            prev, den = 1, 0
+            while den < 2**64:
+                a = x.numerator // x.denominator
+                prev, den, x = den, a * den + prev, 1 / (x - a)
+                if 2**30 < den < 2**64:
+                    u = p * den + _floor_times_alpha(spec, q * den)
+                    keys += [(den, (side, u + nudge, 0)) for nudge in range(-1, 3)]
+    return keys
+
+
 @pytest.mark.parametrize("spec", KERNEL_ALPHAS)
 def test_integer_step_matches_eight_test_reference(spec):
     # far keys, label sets and their order, on keys inside their interval:
     # 1/den from the special points, far along the component next to the
-    # thresholds, where the frame step's float filter must leave the sign
-    # to sign_scaled, and a key and a frame too large for a float, which
-    # take the exact path for both signs
+    # thresholds, where the frame step's integer filter must leave the sign
+    # to sign_scaled, V = 0 keys next to them at convergent denominators,
+    # where a form's own filter error dominates, and a key and a frame far
+    # beyond 2**64
     ctx = AlphaContext(spec)
     sign = ctx.sign_scaled
     rng = random.Random(29)
@@ -377,6 +399,8 @@ def test_integer_step_matches_eight_test_reference(spec):
     for den in (1, 7, 10**6, 2**40 + 1):
         far = _far_keys(spec, den, 1000, rng)
         cases += [(den, key) for key in _inside_keys(spec, den, far)]
+    convergent = _convergent_keys(spec)
+    cases += [(den, k) for den, k in convergent if inside_reference(sign, den, k)]
     v = -(10**400)
     huge = (0, -_floor_times_alpha(spec, v), v)
     assert inside_reference(sign, 1, huge)
@@ -392,11 +416,11 @@ def test_integer_step_matches_eight_test_reference(spec):
 
 @pytest.mark.parametrize("spec", KERNEL_ALPHAS)
 def test_filtered_inside_matches_the_two_sign_test(spec):
-    # Frame.inside decides by the frame's float filter, and by sign_scaled
+    # Frame.inside decides by the frame's integer filter, and by sign_scaled
     # where it cannot: on the step test's keys before they are screened, on
     # keys within 2/den of each endpoint on both sides, near and far along
-    # the component, and on a key and a frame too large for a float, it
-    # answers as two exact signs do
+    # the component, on V = 0 keys at convergent denominators, and on a key
+    # and a frame far beyond 2**64, it answers as two exact signs do
     ctx = AlphaContext(spec)
     sign = ctx.sign_scaled
     rng, far_rng, near_rng = random.Random(23), random.Random(29), random.Random(31)
@@ -413,6 +437,7 @@ def test_filtered_inside_matches_the_two_sign_test(spec):
             for v in (side * den, *far_vs):
                 u = p * den + _floor_times_alpha(spec, side * den - v)
                 cases += [(den, (side, u + nudge, v)) for nudge in range(-2, 3)]
+    cases += _convergent_keys(spec)
     v = -(10**400)
     huge = -_floor_times_alpha(spec, v)
     cases += [(1, (0, huge, v)), (1, (0, huge - 1, v))]
@@ -431,7 +456,7 @@ def test_walks_take_the_exact_sign_only_where_the_filter_cannot_decide(
     monkeypatch, spec
 ):
     # a walk from 1/2 decides check_vertex's interval test and every
-    # threshold sign by the float filter; a walk from 0 falls back twice on
+    # threshold sign by the integer filter; a walk from 0 falls back twice on
     # the frame over 1: the interval test at the origin, on the endpoint 0,
     # and the step at (J, 2*alpha), on its threshold 2*alpha, each with
     # sign_scaled(0, 0)
@@ -454,7 +479,7 @@ def test_walks_take_the_exact_sign_only_where_the_filter_cannot_decide(
 
 
 def test_huge_coefficient_spec_walks_like_its_reduced_form():
-    # sqrt(2) - 1 with every coefficient times 10**400: approx comes from
+    # sqrt(2) - 1 with every coefficient times 10**400: scaled comes from
     # integers, so nothing overflows, and every walk keys the same vertices
     huge = IntervalGraph(AlphaContext(AlphaSpec(-(10**400), 10**400, 2, 10**400)))
     small = IntervalGraph(AlphaContext(SQRT2_MINUS_1))

@@ -513,7 +513,7 @@ def test_sweep_keys_each_anchor_once_and_builds_no_point(monkeypatch, spec):
 
 def test_sweep_leaves_few_interval_tests_to_the_exact_sign(monkeypatch):
     # the default sweep tests keys against their interval about 35,000
-    # times; the frame's float filter decides all but those on or next to
+    # times; the frame's integer filter decides all but those on or next to
     # an endpoint, such as the anchors 0 and 1
     cfg = load_config(None)
     assert cfg.alpha == SQRT2_MINUS_1
