@@ -3,9 +3,9 @@
 alpha is a fixed quadratic irrational (p + q*sqrt(d)) / r in (0, 1).
 Every sign the package decides is AlphaContext.sign_scaled's, on an
 integer form u + v*alpha.  scaled, an integer within an exactly checked 1
-of alpha*2**64, filters in front of it (graph.Frame); the float approx
-only draws the figure.  The point API (AlgebraicPoint, sign, in_interval)
-is the edge where values enter and leave; no decision path calls it.
+of alpha*2**64, filters in front of it (graph.Frame); the module holds no
+float.  The point API (AlgebraicPoint, sign, in_interval) is the edge
+where values enter and leave; no decision path calls it.
 """
 
 from __future__ import annotations
@@ -80,11 +80,6 @@ def point(u: RationalLike, v: RationalLike = 0) -> AlgebraicPoint:
     return AlgebraicPoint(Fraction(u), Fraction(v))
 
 
-ZERO = point(0)
-ONE = point(1)
-ALPHA = point(0, 1)
-
-
 class AlphaContext:
     """Comparison context for a validated alpha.
 
@@ -93,9 +88,6 @@ class AlphaContext:
 
     scaled is an integer with |alpha*2**64 - scaled| < 1, for Frame's
     filter; the constructor checks that bound exactly, with sign_scaled.
-    approx, a float near alpha for to_float alone, comes from the same
-    integers by one correctly rounded int division, so no valid spec
-    overflows.
     """
 
     def __init__(self, spec: AlphaSpec):
@@ -113,7 +105,7 @@ class AlphaContext:
         # (p + q*sqrt(d)) * 2**64 to within 1, by isqrt
         root = isqrt(spec.q * spec.q * spec.d << 128)
         num = (spec.p << 64) + (root if spec.q > 0 else -root)
-        self.scaled, self.approx = num // spec.r, num / (spec.r << 64)
+        self.scaled = num // spec.r
         if self.sign_scaled(-1 - self.scaled, 1 << 64) >= 0 or (
             self.sign_scaled(1 - self.scaled, 1 << 64) <= 0
         ):
@@ -147,10 +139,6 @@ class AlphaContext:
     ) -> bool:
         """Exact membership of x in [lo, hi]; empty when lo > hi."""
         return self.sign(x - lo) >= 0 and self.sign(hi - x) >= 0
-
-    def to_float(self, x: AlgebraicPoint) -> float:
-        """Approximate value, for display and sanity cross-checks only."""
-        return float(x.u) + float(x.v) * self.approx
 
     def __repr__(self) -> str:
         s = self.spec

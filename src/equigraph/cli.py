@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .algebra import ALPHA, AlgebraicPoint, AlphaContext, AlphaSpec, point
+from .algebra import AlgebraicPoint, AlphaContext, AlphaSpec, point
 from .dynamics import (
     DynamicsTrace,
     KMatching,
@@ -402,14 +402,15 @@ def cmd_dynamics(cfg: RunConfig) -> int:
 def render_figure(ctx: AlphaContext) -> str:
     """SVG 1.1 drawing of the closed edge-set polygon in I x J.
 
-    Geometry is computed exactly; floats appear only at render time.  The
+    Geometry is computed exactly; floats appear only at render time, from
+    alpha = scaled / 2**64, one correctly rounded int division.  The
     <desc> element carries the exact corners as (nu, du, nv, dv) tuples
     (numerator/denominator of the rational and alpha parts) for i and j.
     """
     corners = edge_polygon(ctx)
     margin, scale = 60.0, 440.0
-    j_bottom = ctx.to_float(ALPHA)
-    j_top = j_bottom + 1.0
+    alpha = ctx.scaled / 2**64
+    j_top = alpha + 1.0
 
     def sx(i_val: float) -> str:
         return f"{margin + scale * i_val:.6f}"
@@ -430,7 +431,9 @@ def render_figure(ctx: AlphaContext) -> str:
         )
         for corner in corners
     ]
-    rendered = [(ctx.to_float(ci), ctx.to_float(cj)) for ci, cj in corners]
+    rendered = [
+        tuple(float(x.u) + float(x.v) * alpha for x in corner) for corner in corners
+    ]
     poly_points = " ".join(f"{sx(px)},{sy(py)}" for px, py in rendered)
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -448,7 +451,7 @@ def render_figure(ctx: AlphaContext) -> str:
         lines.append(text(float(sx(px)) + 9.0, float(sy(py)) - 9.0, f"({ci}, {cj})"))
     for i_val, label in ((0.0, "0"), (1.0, "1")):
         lines.append(text(float(sx(i_val)), margin + scale + 24, label, "middle"))
-    for j_val, label in ((j_bottom, "a"), (j_top, "1+a")):
+    for j_val, label in ((alpha, "a"), (j_top, "1+a")):
         lines.append(text(margin - 14, float(sy(j_val)), label, "end"))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -405,12 +405,11 @@ def _side_tables(side: int) -> tuple[tuple, tuple]:
 def _sign_table(side: int, thresholds: tuple, maps: tuple) -> tuple:
     """The side's _TABLES item: one entry per pair of threshold signs.
 
-    Entry 3*s0 + s1 is (edge, edge, union).  An edge is (a, 2c, 2b, labels)
-    of the maps facing one threshold: both at a sign of 0, which must agree
-    there, and the other threshold's edge again where none does.  The edges
-    are in far-point order, which _least must fix for every pair of maps on
-    the two thresholds and every alpha; union labels the one edge they make
-    where the images coincide.  A derivation that fails raises.
+    Entry 3*s0 + s1 is (edge, edge).  An edge is (a, 2c, 2b, labels) of the
+    maps facing one threshold: both at a sign of 0, which must agree there,
+    and the other threshold's edge again where none does.  The edges are in
+    far-point order, which _least must fix for every pair of maps on the two
+    thresholds and every alpha.  A derivation that fails raises.
     """
     on = [[m for m in maps if m[4] == k] for k in (0, 1)]
     if not all(on):
@@ -431,8 +430,7 @@ def _sign_table(side: int, thresholds: tuple, maps: tuple) -> tuple:
         edges = [(*ms[0][1:4], _LABELS[sum(m[0] for m in ms)]) for ms in facing if ms]
         if not edges:
             raise EquigraphError(f"side {side}: no map faces signs {s0, s1}")
-        union = _LABELS[sum(m[0] for ms in facing for m in ms)]
-        table[3 * s0 + s1] = (*(edges[0], edges[-1])[:: orders[0]], union)
+        table[3 * s0 + s1] = (edges[0], edges[-1])[:: orders[0]]
     return tuple(table)
 
 
@@ -484,11 +482,11 @@ def _frame_step(ctx: AlphaContext, den: int) -> tuple[Callable, Callable]:
         below, above = x - e, x + e
         s0 = 1 if below > t0 else -1 if above < t0 else sign(u - p0, v - q0)
         s1 = 1 if below > t1 else -1 if above < t1 else sign(u - p1, v - q1)
-        (a0, c0, b0, l0), (a1, c1, b1, l1), union = table[3 * s0 + s1]
+        (a0, c0, b0, l0), (a1, c1, b1, l1) = table[3 * s0 + s1]
         far = 1 - side
         k0 = far, a0 * u + c0 * den, a0 * v + b0 * den
         k1 = far, a1 * u + c1 * den, a1 * v + b1 * den
-        return [(k0, l0), (k1, l1)] if k0 != k1 else [(k0, union)]
+        return [(k0, l0), (k1, l1)] if k0 != k1 else [(k0, l0 | l1)]
 
     def inside(side: int, u: int, v: int) -> bool:
         shift, lo, hi = ends[side]

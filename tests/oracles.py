@@ -26,7 +26,8 @@ chain_element_points, the earlier chain_element, which reads each step's
 side from its vertex, kmatching_from_assignment_points, the earlier
 kmatching_from_assignment, which applies each piece to the vertex's point,
 and generator_domain, the domains that graph.edge_polygon once read as
-points.
+points.  ZERO, ONE and ALPHA are the points 0, 1 and alpha, and to_float
+draws a point as cli.render_figure does.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import cmp_to_key
 from typing import Callable, Iterator, Optional
 
 from equigraph import graph as graph_module
-from equigraph.algebra import ALPHA, ONE, ZERO, AlgebraicPoint, point
+from equigraph.algebra import AlgebraicPoint, AlphaContext, point
 from equigraph.dynamics import (
     KMatching,
     _canonical_window,
@@ -60,6 +61,16 @@ from equigraph.group import (
 from equigraph.pathcert import CertifiedPath, build_path
 
 getcontext().prec = 60
+
+ZERO = point(0)
+ONE = point(1)
+ALPHA = point(0, 1)
+
+
+def to_float(ctx: AlphaContext, x: AlgebraicPoint) -> float:
+    """x as a float, with alpha = ctx.scaled / 2**64 as the figure reads it."""
+    return float(x.u) + float(x.v) * (ctx.scaled / 2**64)
+
 
 # image of the point u + v*alpha under each generator, as (u, v)
 GEN_IMAGE_RULES = {

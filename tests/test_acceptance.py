@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from equigraph.algebra import ALPHA, ONE, ZERO, AlphaContext, point
+from equigraph.algebra import AlphaContext, point
 from equigraph.cli import main, render_figure
 from equigraph.dynamics import improve, phi_pairs, random_kmatching
 from equigraph.errors import EVEN_PATH_COMPONENT, Finding
@@ -23,6 +23,9 @@ from equigraph.pathcert import verify_lemma
 
 from conftest import ALL_ALPHAS
 from oracles import (
+    ALPHA,
+    ONE,
+    ZERO,
     check_nested_rays,
     extract_matching,
     facing_pairs_bruteforce,

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equigraph.algebra import (
-    ALPHA,
-    ONE,
-    ZERO,
-    AlgebraicPoint,
-    AlphaContext,
-    AlphaSpec,
-    point,
-)
+from equigraph.algebra import AlgebraicPoint, AlphaContext, AlphaSpec, point
 from equigraph.errors import EquigraphError
 
 from conftest import ALL_ALPHAS, KERNEL_ALPHAS
-from oracles import alpha_decimal, in_closed, point_decimal, sign_fraction
+from oracles import (
+    ALPHA,
+    ONE,
+    ZERO,
+    alpha_decimal,
+    in_closed,
+    point_decimal,
+    sign_fraction,
+    to_float,
+)
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=100
@@ -56,10 +57,11 @@ def test_bad_specs_rejected():
 )
 def test_approx_lies_within_2_to_the_minus_48_of_alpha(spec):
     # checked in plain Fraction arithmetic, whatever the coefficients: alpha
-    # lies strictly inside approx -+ 2**-48, and, the frame filter's premise,
+    # lies strictly inside approx -+ 2**-48, approx the float scaled / 2**64
+    # that the figure draws with, and, the frame filter's premise,
     # alpha*2**64 strictly inside scaled -+ 1
     ctx = AlphaContext(spec)
-    approx, half = Fraction(ctx.approx), Fraction(1, 2**48)
+    approx, half = Fraction(ctx.scaled / 2**64), Fraction(1, 2**48)
     scaled = [Fraction(ctx.scaled + k, 2**64) for k in (-1, 1)]
     for end, above in ((approx - half, 1), (approx + half, -1), *zip(scaled, (1, -1))):
         assert sign_fraction(spec.p, spec.q, spec.d, spec.r, -end, Fraction(1)) == above
@@ -101,7 +103,7 @@ def test_pell_convergent_needs_exact_sign(ctx):
     near = point(Fraction(p, q) - 1)  # approximates alpha = sqrt(2)-1
     assert ctx.sign(near - ALPHA) == 1
     assert ctx.sign(point(-Fraction(p, q) + 1) - point(0, -1)) == -1
-    assert abs(ctx.to_float(near - ALPHA)) < 1e-11
+    assert abs(to_float(ctx, near - ALPHA)) < 1e-11
 
 
 def test_in_interval_endpoints(ctx):
@@ -189,11 +191,11 @@ def test_sign_agrees_with_decimal_oracle(x, y):
 @given(points, points)
 def test_arithmetic_matches_float(x, y):
     ctx = AlphaContext(AlphaSpec(-1, 1, 2, 1))
-    assert ctx.to_float(x + y) == pytest.approx(
-        ctx.to_float(x) + ctx.to_float(y), abs=1e-9
+    assert to_float(ctx, x + y) == pytest.approx(
+        to_float(ctx, x) + to_float(ctx, y), abs=1e-9
     )
-    assert ctx.to_float(x - y) == pytest.approx(
-        ctx.to_float(x) - ctx.to_float(y), abs=1e-9
+    assert to_float(ctx, x - y) == pytest.approx(
+        to_float(ctx, x) - to_float(ctx, y), abs=1e-9
     )
 
 

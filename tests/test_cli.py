@@ -327,8 +327,8 @@ def test_figure_depends_on_alpha(tmp_path):
 
 def test_figure_draws_an_alpha_whose_d_overflows_a_float(tmp_path):
     # sqrt(d)/(2*isqrt(d) + 1) lies just under 1/2, with d far above the
-    # largest float: the figure reads the float approximation of alpha
-    # that AlphaContext derives from integers, and never converts d
+    # largest float: the figure divides AlphaContext's integer scaled by
+    # 2**64, one correctly rounded int division, and never converts d
     d = 2**1100 + 3
     while isqrt(d) ** 2 == d:
         d += 1

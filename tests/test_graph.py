@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from equigraph import graph as graph_module
-from equigraph.algebra import ALPHA, ONE, ZERO, AlphaContext, AlphaSpec, point
+from equigraph.algebra import AlphaContext, AlphaSpec, point
 from equigraph.cli import _bridge_suite, load_config
 from equigraph.errors import EVEN_PATH_COMPONENT, EquigraphError, Finding
 from equigraph.graph import (
@@ -35,6 +35,9 @@ from equigraph.pathcert import verify_lemma
 from conftest import ALL_ALPHAS, KERNEL_ALPHAS, SQRT2_MINUS_1
 import oracles
 from oracles import (
+    ALPHA,
+    ONE,
+    ZERO,
     alpha_decimal,
     bfs_distance as oracle_bfs,
     bfs_points,
@@ -312,7 +315,7 @@ def _kernel_keys(spec, den: int, n_random: int, rng: random.Random) -> list:
     """Keys of den's frame, inside their interval or next to it: special
     points, their neighbours 1/den away, and random keys anywhere along
     the component."""
-    approx = AlphaContext(spec).to_float(ALPHA)
+    approx = oracles.to_float(AlphaContext(spec), ALPHA)
     keys = [
         (side, u * den + nudge, v * den)
         for side in (0, 1)
@@ -750,6 +753,21 @@ def test_edge_polygon_exact_corners():
             assert di != ZERO
 
 
+def test_edge_polygon_rejects_maps_that_make_no_single_loop(monkeypatch, ctx):
+    # Id's segment moved by 2 leaves four corners with one segment end each;
+    # the maps (Id, Id, T, T) chain into two loops of two segments
+    maps = graph_module._MAPS
+    ident, shift = maps[0][:2]
+    moved = (*ident[:2], ident[2] + 2, *ident[3:])
+    for side_i, match in [
+        ((moved, *maps[0][1:]), "segments do not chain into a loop"),
+        ((ident, ident, shift, shift), "did not visit every segment"),
+    ]:
+        monkeypatch.setattr(graph_module, "_MAPS", (side_i, maps[1]))
+        with pytest.raises(EquigraphError, match=match):
+            edge_polygon(ctx)
+
+
 def test_vertex_record_shape():
     rec = vertex_record(GVertex(Side.J, point(Fraction(1, 2), 1)))
     assert rec == {"side": "J", "u": "1/2", "v": "1"}
@@ -827,6 +845,7 @@ def test_fake_even_cycle_classified(ctx):
     view = g.explore_component(vertices[0], 100)
     assert view.kind == "even_cycle"
     assert view.cycle_length == 6
+    assert view.to_record()["cycle_length"] == 6
     assert len(view.visited) == 6
     assert len(set(view.visited)) == 6
     n = len(view.visited)

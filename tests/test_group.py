@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equigraph.algebra import ONE, ZERO, AlgebraicPoint, point
+from equigraph.algebra import AlgebraicPoint, point
 from equigraph.errors import EquigraphError
 from equigraph.group import (
     GENERATOR_ELEMENTS,
@@ -17,7 +17,7 @@ from equigraph.group import (
     inverse,
 )
 
-from oracles import ball_fingerprints, ball_sizes, element_fingerprint
+from oracles import ONE, ZERO, ball_fingerprints, ball_sizes, element_fingerprint
 
 
 def word_to_element(word):

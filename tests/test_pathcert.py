@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from equigraph.algebra import ALPHA, ONE, ZERO, AlgebraicPoint, AlphaContext, point
+from equigraph.algebra import AlgebraicPoint, AlphaContext, point
 from equigraph.cli import load_config
 from equigraph import graph as graph_module
 from equigraph.errors import CONNECTOR_MISSING, EquigraphError, Finding
@@ -29,16 +29,21 @@ from equigraph import pathcert as pathcert_module
 from equigraph.pathcert import CertifiedPath, build_path, verify_lemma
 
 from conftest import (
+    ALL_ALPHAS,
     GOLDEN_CONJUGATE,
     KERNEL_ALPHAS,
     SEVEN_MINUS_TWO_SQRT5_OVER_3,
     SQRT2_MINUS_1,
 )
 from oracles import (
+    ALPHA,
+    ONE,
     THRESHOLDS,
+    ZERO,
     bfs_points,
     build_path_at,
     build_path_points,
+    to_float,
     verify_lemma_reference,
 )
 
@@ -97,7 +102,7 @@ def test_deep_certificate_needs_no_recursion(graph):
     # |b| = 1500 reduction steps, beyond Python's default recursion limit
     b = 1500
     y = point(Fraction(1, 3))
-    c = -math.floor(graph.ctx.to_float(apply(GroupElement(1, b, 0), y)) / 2)
+    c = -math.floor(to_float(graph.ctx, apply(GroupElement(1, b, 0), y)) / 2)
     g = GroupElement(1, b, c)
     assert graph.ctx.in_interval(apply(g, y), ZERO, ONE)
     cert = build_path_at(graph, g, y)
@@ -233,6 +238,22 @@ def test_dropping_any_connector_pair_raises(monkeypatch, side, k, h2):
     assert hits
     if k == 2:
         assert SQRT2_MINUS_1 not in hits
+    # the sweep records each such Finding as a violation carrying its
+    # witness, and a Finding never drops a check
+    swept = []
+    for spec, checks in zip(ALL_ALPHAS, (176, 102, 107)):
+        graph = IntervalGraph(AlphaContext(spec))
+        with monkeypatch.context() as patched:
+            patched.setattr(pathcert_module, "_STEP", mutant)
+            report = verify_lemma(graph, 4, 20, seed=0, bfs_budget=500)
+        assert report["checks"] == checks
+        for v in report["violations"]:
+            assert v["defect"] == CONNECTOR_MISSING
+            assert set(v["finding"]) == {"element", "anchor", "z", "image"}
+            swept.append(spec)
+    assert swept
+    if k == 2:
+        assert SQRT2_MINUS_1 not in swept
 
 
 class _SparseGraph(IntervalGraph):
@@ -278,12 +299,12 @@ def test_build_path_matches_point_oracle(spec, sparse, b, threshold, t, v, eps, 
     # (in floats) to put y and g(y) in [0, 1]; a nonzero nudge of c moves one
     # of them out.
     graph = (_SparseGraph if sparse else IntervalGraph)(AlphaContext(spec))
-    alpha = graph.ctx.to_float(ALPHA)
+    alpha = to_float(graph.ctx, ALPHA)
     if threshold is None:
         # a sampled anchor near t, with alpha part v
         y = point(t - Fraction(v * alpha).limit_denominator(1000), v)
         for a in (1, -1):
-            shifted = a * graph.ctx.to_float(y) + 2 * b * alpha
+            shifted = a * to_float(graph.ctx, y) + 2 * b * alpha
             c = -math.floor(shifted / 2)
             if shifted + 2 * c <= 1:
                 break
@@ -291,7 +312,7 @@ def test_build_path_matches_point_oracle(spec, sparse, b, threshold, t, v, eps, 
     else:
         # y = g^-1(threshold + eps/1000): g(y) on or next to a case split
         image = threshold + point(Fraction(eps, 1000))
-        x = graph.ctx.to_float(image) - 2 * b * alpha
+        x = to_float(graph.ctx, image) - 2 * b * alpha
         for a in (1, -1):
             c = math.floor(x / 2) if a == 1 else math.ceil(x / 2)
             if a * (x - 2 * c) <= 1:

@@ -101,17 +101,32 @@ def _definitions(node: ast.AST, prefix: str = ""):
             yield from _definitions(child, prefix)
 
 
+def _assigned(tree: ast.Module):
+    """(name, name) of each name that a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, name.id
+
+
 def test_every_source_definition_is_read_in_src():
-    # test-only helpers live in tests/.  A name counts as read when src/
-    # loads it, reads it as an attribute, or spells it as a string, as
-    # cli.COMMANDS does for its handlers and __all__ for the public names.
-    # improve and AlphaContext.in_interval are read only by the tests and
-    # by bench/tracing.py's SPANS, which times them.
+    # test-only helpers and constants live in tests/.  A name counts as read
+    # when src/ loads it, reads it as an attribute, or spells it as a
+    # string, as cli.COMMANDS does for its handlers and __all__ for the
+    # public names.  improve and AlphaContext.in_interval are read only by
+    # the tests and by bench/tracing.py's SPANS, which times them.
     files = (ROOT / "src" / "equigraph").glob("*.py")
     trees = [ast.parse(path.read_text()) for path in files]
     read = set()
     for node in (node for tree in trees for node in ast.walk(tree)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
@@ -120,7 +135,7 @@ def test_every_source_definition_is_read_in_src():
     unread = {
         qualified
         for tree in trees
-        for qualified, name in _definitions(tree)
+        for qualified, name in (*_definitions(tree), *_assigned(tree))
         if name not in read and not (name.startswith("__") and name.endswith("__"))
     }
     assert unread == {"improve", "AlphaContext.in_interval"}
@@ -253,19 +268,33 @@ def _float_uses(code: types.CodeType, where: str = ""):
             yield where[:-1], name
 
 
+def _true_divisions(path: Path) -> list[str]:
+    """path:line of each true division, a / b or a /= b, in path."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+
+
 def test_floats_only_filter_or_render():
-    # a float only draws the figure: to_float and render_figure
-    allowed = ("AlphaContext.to_float", "render_figure")
+    # a float only draws the figure: render_figure alone makes one
+    paths = sorted((ROOT / "src" / "equigraph").glob("*.py"))
     uses = {
         (path.name, where, what)
-        for path in sorted((ROOT / "src" / "equigraph").glob("*.py"))
+        for path in paths
         for where, what in _float_uses(compile(path.read_text(), path.name, "exec"))
     }
     stray = sorted(
         use
         for use in uses
-        if not any(use[1] == ok or use[1].startswith(ok + ".") for ok in allowed)
+        if use[1].split(".")[0] != "render_figure"
     )
     assert stray == []
     # the search sees the figure's float constants, so it is not vacuous
     assert ("cli.py", "render_figure", "440.0") in uses
+    # nor does true division make one outside cli.py, where / also joins
+    # paths; the search finds those, so it is not vacuous either
+    divisions = {path.name: _true_divisions(path) for path in paths}
+    assert divisions.pop("cli.py")
+    assert [at for found in divisions.values() for at in found] == []
