@@ -13,11 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Union
 
 from .errors import EquigraphError
-
-RationalLike = Union[int, str, Fraction]
 
 
 @dataclass(frozen=True)
@@ -36,7 +33,7 @@ class AlphaSpec:
 
 @dataclass(frozen=True)
 class AlgebraicPoint:
-    """Exact value u + v*alpha with rational u, v.
+    """Exact value u + v*alpha; u and v are coerced to Fractions, v defaults to 0.
 
     Because alpha is irrational, two points are equal iff their (u, v)
     pairs are equal, so dataclass equality and hashing are sound and need
@@ -44,7 +41,7 @@ class AlgebraicPoint:
     """
 
     u: Fraction
-    v: Fraction
+    v: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
         if type(self.u) is not Fraction:
@@ -75,9 +72,7 @@ class AlgebraicPoint:
         return f"{self.u}{sign}{tail}"
 
 
-def point(u: RationalLike, v: RationalLike = 0) -> AlgebraicPoint:
-    """Convenience constructor coercing ints/strings to Fractions."""
-    return AlgebraicPoint(Fraction(u), Fraction(v))
+point = AlgebraicPoint
 
 
 class AlphaContext:

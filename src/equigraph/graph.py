@@ -158,8 +158,8 @@ class Frame:
         return g.a * u + 2 * g.c * self.den, g.a * v + 2 * g.b * self.den
 
     def remember(self, origin: Key) -> None:
-        """Keep adjacent's lists as tuples in memo, and one breadth-first
-        search from origin, which bfs_distance resumes.
+        """Keep adjacent's edge tuples in memo, as step builds them, and one
+        breadth-first search from origin, which bfs_distance resumes.
 
         Both grow as the frame is used and die with it.  Walks keep the bare
         adjacency: a walk never revisits a vertex.
@@ -169,7 +169,7 @@ class Frame:
         def adjacent(key: Key) -> tuple[tuple[Key, frozenset[Generator]], ...]:
             edges = memo.get(key)
             if edges is None:
-                edges = memo[key] = tuple(step(key))
+                edges = memo[key] = step(key)
             return edges
 
         self.adjacent, self.memo = adjacent, memo
@@ -366,11 +366,6 @@ def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView
 # adjacency in integer coordinates
 
 _SIDES = (Side.I, Side.J)
-# _LABELS[mask] holds the generators whose bits are set in mask
-_LABELS = tuple(
-    frozenset(gen for k, gen in enumerate(GENERATOR_ELEMENTS) if mask >> k & 1)
-    for mask in range(1 << len(GENERATOR_ELEMENTS))
-)
 
 
 def _least(e: int, f: int, h: int, side: int) -> int:
@@ -379,7 +374,7 @@ def _least(e: int, f: int, h: int, side: int) -> int:
 
 
 def _side_tables(side: int) -> tuple[tuple, tuple]:
-    """The side's thresholds, and (bit, a, 2c, 2b, k, direction) per generator.
+    """The side's thresholds, and (gen, a, 2c, 2b, k, direction) per generator.
 
     The map is the generator's for I, its inverse's for J: x -> a*x + 2c +
     2b*alpha.  With x = side*alpha + t, t in [0, 1], and s = 1 - side, the
@@ -389,7 +384,7 @@ def _side_tables(side: int) -> tuple[tuple, tuple]:
     direction*(x - threshold) >= 0, with threshold (-e*f, -e*h), direction e.
     """
     s, thresholds, maps = 1 - side, {}, []
-    for n, el in enumerate(GENERATOR_ELEMENTS.values()):
+    for gen, el in GENERATOR_ELEMENTS.items():
         el = inverse(el) if side else el
         a, c2, b2 = el.a, 2 * el.c, 2 * el.b
         ((threshold, direction),) = [  # unpacking fails unless one bound is open
@@ -398,18 +393,19 @@ def _side_tables(side: int) -> tuple[tuple, tuple]:
             if _least(e, f, h, side) < 0
         ]
         k = thresholds.setdefault(threshold, len(thresholds))
-        maps.append((1 << n, a, c2, b2, k, direction))
+        maps.append((gen, a, c2, b2, k, direction))
     return tuple(thresholds), tuple(maps)
 
 
 def _sign_table(side: int, thresholds: tuple, maps: tuple) -> tuple:
     """The side's _TABLES item: one entry per pair of threshold signs.
 
-    Entry 3*s0 + s1 is (edge, edge).  An edge is (a, 2c, 2b, labels) of the
-    maps facing one threshold: both at a sign of 0, which must agree there,
-    and the other threshold's edge again where none does.  The edges are in
-    far-point order, which _least must fix for every pair of maps on the two
-    thresholds and every alpha.  A derivation that fails raises.
+    Entry 3*s0 + s1 is (edge, edge).  An edge is (a, 2c, 2b, labels), labels
+    the Generator set of the maps facing one threshold: both at a sign of 0,
+    which must agree there, and the other threshold's edge again where none
+    does.  The edges are in far-point order, which _least must fix for every
+    pair of maps on the two thresholds and every alpha.  A derivation that
+    fails raises.
     """
     on = [[m for m in maps if m[4] == k] for k in (0, 1)]
     if not all(on):
@@ -427,7 +423,7 @@ def _sign_table(side: int, thresholds: tuple, maps: tuple) -> tuple:
     table = [None] * 9
     for s0, s1 in product((-1, 0, 1), repeat=2):
         facing = [[m for m in ms if m[5] * s >= 0] for ms, s in zip(on, (s0, s1))]
-        edges = [(*ms[0][1:4], _LABELS[sum(m[0] for m in ms)]) for ms in facing if ms]
+        edges = [(*ms[0][1:4], frozenset(m[0] for m in ms)) for ms in facing if ms]
         if not edges:
             raise EquigraphError(f"side {side}: no map faces signs {s0, s1}")
         table[3 * s0 + s1] = (edges[0], edges[-1])[:: orders[0]]
@@ -443,7 +439,7 @@ def _frame_step(ctx: AlphaContext, den: int) -> tuple[Callable, Callable]:
     """Adjacency and the interval test on the keys (side, U, V) of the
     frame over den: the pair (step, inside) that Frame binds.
 
-    step(key) lists key's edges.  An I-vertex steps by each generator
+    step(key) is the tuple of key's edges.  An I-vertex steps by each generator
     x -> a*x + 2b*alpha + 2c, a J-vertex by its inverse; an image is kept
     when it lies in the far interval, all in units of 1/den, and
     coinciding images merge into one edge carrying every generator that
@@ -475,7 +471,7 @@ def _frame_step(ctx: AlphaContext, den: int) -> tuple[Callable, Callable]:
         sides.append((p0 * den, q0 * den, p1 * den, q1 * den, t0, t1, _TABLES[side]))
         ends.append((side * den, lo, hi))
 
-    def step(key: Key) -> list[tuple[Key, frozenset[Generator]]]:
+    def step(key: Key) -> tuple[tuple[Key, frozenset[Generator]], ...]:
         side, u, v = key
         p0, q0, p1, q1, t0, t1, table = sides[side]
         x, e = (u << 64) + v * scaled, abs(v) + den2
@@ -486,7 +482,7 @@ def _frame_step(ctx: AlphaContext, den: int) -> tuple[Callable, Callable]:
         far = 1 - side
         k0 = far, a0 * u + c0 * den, a0 * v + b0 * den
         k1 = far, a1 * u + c1 * den, a1 * v + b1 * den
-        return [(k0, l0), (k1, l1)] if k0 != k1 else [(k0, l0 | l1)]
+        return ((k0, l0), (k1, l1)) if k0 != k1 else ((k0, l0 | l1),)
 
     def inside(side: int, u: int, v: int) -> bool:
         shift, lo, hi = ends[side]
@@ -541,7 +537,7 @@ def edge_polygon(ctx: AlphaContext) -> list[Corner]:
     starting from the lexicographically smallest (i, j) corner.
     """
     segments = []
-    for _bit, a, c2, b2, k, direction in _MAPS[0]:
+    for _gen, a, c2, b2, k, direction in _MAPS[0]:
         threshold = _THRESHOLDS[0][k]
         domain = (threshold, (1, 0)) if direction > 0 else ((0, 0), threshold)
         segments.append(tuple((x, (a * x[0] + c2, a * x[1] + b2)) for x in domain))

@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 
-from .algebra import AlgebraicPoint
 from .errors import CONNECTOR_MISSING, EquigraphError, Finding
 from .graph import Frame, IntervalGraph, Key, VertexChain
 from .group import (
@@ -69,10 +68,6 @@ class CertifiedPath:
     vertices: VertexChain
     element: GroupElement
     start: Key
-
-    @property
-    def anchor(self) -> AlgebraicPoint:
-        return self.vertices.frame.vertex(self.start).point
 
     @property
     def length(self) -> int:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equigraph import algebra
 from equigraph.algebra import AlgebraicPoint, AlphaContext, AlphaSpec, point
 from equigraph.errors import EquigraphError
 
@@ -31,9 +32,11 @@ def test_named_alphas_validate():
         ctx = AlphaContext(spec)
         assert ctx.sign(ALPHA) == 1
         assert ctx.sign(ALPHA - ONE) < 0
+    ctx = AlphaContext(AlphaSpec(-1, 1, 2, 1))
+    assert repr(ctx) == "AlphaContext((-1+1*sqrt(2))/1)"
 
 
-def test_bad_specs_rejected():
+def test_bad_specs_rejected(monkeypatch):
     with pytest.raises(EquigraphError, match="non-square"):
         AlphaContext(AlphaSpec(-1, 1, 4, 1))  # d square
     with pytest.raises(EquigraphError, match="rational"):
@@ -44,6 +47,11 @@ def test_bad_specs_rejected():
         AlphaContext(AlphaSpec(1, 1, 2, 1))  # 1 + sqrt(2) > 1
     with pytest.raises(EquigraphError, match=r"not in \(0, 1\)"):
         AlphaContext(AlphaSpec(1, -1, 2, 1))  # 1 - sqrt(2) < 0
+    # a root off by 2**64 puts scaled off by about 2**64: the bound catches it
+    isqrt = algebra.isqrt
+    monkeypatch.setattr(algebra, "isqrt", lambda n: isqrt(n) + (1 << 64))
+    with pytest.raises(EquigraphError, match=r"misses alpha\*2\*\*64 by 1$"):
+        AlphaContext(AlphaSpec(-1, 1, 2, 1))
 
 
 @pytest.mark.parametrize(

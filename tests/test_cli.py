@@ -1,18 +1,24 @@
 import ast
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
 import pytest
 
+from equigraph.algebra import AlphaContext
 from equigraph.cli import (
+    RunConfig,
     load_config,
     main,
     parse_alpha_spec,
     parse_point_text,
+    render_figure,
 )
 from equigraph.dynamics import improve, run_dynamics
 from equigraph.errors import (
@@ -22,6 +28,8 @@ from equigraph.errors import (
     Finding,
 )
 from equigraph.graph import Frame
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL = """
 # compact settings for fast end-to-end runs
@@ -336,6 +344,27 @@ def test_figure_draws_an_alpha_whose_d_overflows_a_float(tmp_path):
     assert main(["--out", str(tmp_path), alpha, "figure"]) == 0
     svg = (tmp_path / "figure.svg").read_text()
     assert svg.count("<circle ") == 4
+
+
+def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
+    # python -m equigraph.cli runs main in a process of its own and exits
+    # with its code: 0 and the default figure, and 2 on a bad alpha
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
+    )
+
+    def run(*args):
+        command = [sys.executable, "-m", "equigraph.cli", *args]
+        return subprocess.run(command, env=env, capture_output=True, text=True)
+
+    done = run("--out", str(tmp_path), "figure")
+    assert done.returncode == 0, done.stderr
+    want = render_figure(AlphaContext(RunConfig().alpha)).encode("utf-8")
+    assert (tmp_path / "figure.svg").read_bytes() == want
+    done = run("--alpha", "0,1,4,1", "figure")
+    assert done.returncode == 2
+    assert "bad alpha" in done.stderr
 
 
 def test_report_requires_all_inputs(tmp_path, capsys):

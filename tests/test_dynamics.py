@@ -86,6 +86,7 @@ def test_partner_and_pairs_accessors():
     assert partner(m, 101) == 100
     assert m.deviations == {0: 3, 2: 1}
     assert m.window == (0, 3)
+    assert repr(m) == "KMatching(k=3, deviations={0: 3, 2: 1})"
     assert not m.is_standard
     # odd coordinates are answered by a scan of the deviations
     m = random_kmatching(60, 7, 0)
@@ -324,6 +325,13 @@ def test_run_dynamics_refuses_an_input_pair_beyond_k():
         with pytest.raises(EquigraphError, match=r"pair 6->1 exceeds K=3") as info:
             run(m)
         assert not isinstance(info.value, Finding)
+    # a new partner beyond K is a failed claim; a facing pair cannot reach
+    # it, since old partners within K give new ones within max(K - 2, 1),
+    # so _rewire is handed a pair that does not face
+    leaves = r"rewired pair \(0, 10\) leaves the K=3 bound$"
+    with pytest.raises(Finding, match=leaves) as info:
+        dynamics_module._rewire({}, 3, [(0, 10)])
+    assert info.value.kind == CLAIM1_VIOLATION
 
 
 def test_facing_ends_sharing_a_partner_fail_the_drop_test():
@@ -343,6 +351,11 @@ def test_run_dynamics_catches_a_short_reported_drop(monkeypatch):
     monkeypatch.setattr(dynamics_module, "_rewire", lambda *args: rewire(*args) - 1)
     with pytest.raises(Finding) as info:
         run_dynamics(random_kmatching(40, 5, 3))
+    assert info.value.kind == CLAIM1_VIOLATION
+    # improve compares the costs themselves: a round that writes nothing
+    monkeypatch.setattr(dynamics_module, "_rewire", lambda *args: 0)
+    with pytest.raises(Finding, match=r"dropped cost by less than \|S\|") as info:
+        improve(_swapped())
     assert info.value.kind == CLAIM1_VIOLATION
 
 
@@ -569,7 +582,7 @@ def test_assignment_pieces_do_not_coalesce_across_elements(graph):
     assert pieces[0][2] != pieces[1][2]
 
 
-def test_kmatching_from_assignment_rejects_bad_pieces(graph):
+def test_kmatching_from_assignment_rejects_bad_pieces(graph, monkeypatch):
     v = graph.vertex(Side.I, point(Fraction(1, 2)))
     view = graph.explore_component(v, 64)
     good = assignment_from_targets(view, {0: 1, 2: 3})
@@ -584,6 +597,12 @@ def test_kmatching_from_assignment_rejects_bad_pieces(graph):
     )
     with pytest.raises(EquigraphError, match="share a target"):
         kmatching_from_assignment(view, dup)
+    # each displacement is checked against the K that the pieces' |b| bounds
+    swap = assignment_from_targets(view, {0: 3, 2: 1})
+    monkeypatch.setattr(dynamics_module, "bridge_k_bound", lambda r: 1)
+    exceeds = "^displacement 3 at coordinate 0 exceeds K=1$"
+    with pytest.raises(EquigraphError, match=exceeds):
+        kmatching_from_assignment(view, swap)
 
 
 def test_kmatching_from_assignment_needs_i_origin(graph):

@@ -171,6 +171,8 @@ def test_namedtuple_builders_keep_the_check():
         GroupElement(1, 0, 0)._replace(a=2)
     with pytest.raises(EquigraphError, match="a must be \\+1 or -1, got 0"):
         GroupElement._make((0, 0, 0))
+    with pytest.raises(TypeError, match="^expected 3 arguments, got 2$"):
+        GroupElement._make((1, 0))
     assert GroupElement(1, 0, 0)._replace(b=3) == GroupElement(1, 3, 0)
     assert GroupElement._make([-1, 2, 3]) == GroupElement(-1, 2, 3)
 

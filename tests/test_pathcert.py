@@ -437,7 +437,8 @@ def test_validate_flags_tampering(graph):
         with pytest.raises(EquigraphError, match="^3 outside J interval$"):
             _keyed_path(graph, outside, T, ZERO, scale).validate()
     # the anchor is read back from the start key
-    assert _keyed_path(graph, cert.vertices, T, TWO_ALPHA, 6).anchor == TWO_ALPHA
+    keyed = _keyed_path(graph, cert.vertices, T, TWO_ALPHA, 6)
+    assert keyed.vertices.frame.vertex(keyed.start).point == TWO_ALPHA
 
 
 def test_validate_checks_the_last_vertex(graph):

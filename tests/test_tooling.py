@@ -92,17 +92,21 @@ def test_module_level_imports_are_read():
 
 
 def _definitions(node: ast.AST, prefix: str = ""):
-    """(qualified name, name) of every function, method and class under node."""
+    """(qualified name, name, is a method) of every function, method and
+    class under node; a method is a function defined in a class body."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield prefix + child.name, child.name
+            method = isinstance(node, ast.ClassDef) and isinstance(
+                child, ast.FunctionDef
+            )
+            yield prefix + child.name, child.name, method
             yield from _definitions(child, f"{prefix}{child.name}.")
         else:
             yield from _definitions(child, prefix)
 
 
 def _assigned(tree: ast.Module):
-    """(name, name) of each name that a module-level assignment binds."""
+    """(name, name, False) of each name that a module-level assignment binds."""
     for node in tree.body:
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -113,30 +117,34 @@ def _assigned(tree: ast.Module):
         for target in targets:
             for name in ast.walk(target):
                 if isinstance(name, ast.Name):
-                    yield name.id, name.id
+                    yield name.id, name.id, False
 
 
 def test_every_source_definition_is_read_in_src():
     # test-only helpers and constants live in tests/.  A name counts as read
     # when src/ loads it, reads it as an attribute, or spells it as a
     # string, as cli.COMMANDS does for its handlers and __all__ for the
-    # public names.  improve and AlphaContext.in_interval are read only by
-    # the tests and by bench/tracing.py's SPANS, which times them.
+    # public names; a method or property only when src/ reads it as an
+    # attribute, since a same-named local or string does not reach it.
+    # improve and AlphaContext.in_interval are read only by the tests and
+    # by bench/tracing.py's SPANS, which times them.
     files = (ROOT / "src" / "equigraph").glob("*.py")
     trees = [ast.parse(path.read_text()) for path in files]
-    read = set()
+    read, attributes = set(), set()
     for node in (node for tree in trees for node in ast.walk(tree)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             read.add(node.value)
+    read |= attributes
     unread = {
         qualified
         for tree in trees
-        for qualified, name in (*_definitions(tree), *_assigned(tree))
-        if name not in read and not (name.startswith("__") and name.endswith("__"))
+        for qualified, name, method in (*_definitions(tree), *_assigned(tree))
+        if name not in (attributes if method else read)
+        and not (name.startswith("__") and name.endswith("__"))
     }
     assert unread == {"improve", "AlphaContext.in_interval"}
 
