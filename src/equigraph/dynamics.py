@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 from .errors import CLAIM1_VIOLATION, EquigraphError, Finding
 from .graph import ComponentView, chain_element
@@ -24,7 +24,12 @@ class KMatching:
     """Eventually-standard matching on one path with displacement bound K.
 
     Stored sparsely as one dict: a window (lo, hi) with lo even and hi
-    odd, and only the pairs that differ from standard.
+    odd, and only the pairs that differ from standard.  run_dynamics
+    runs its rounds in one pass each on a displacement list over
+    [lo - 2, max + 2], lo the canonical window's left end and max the
+    rightmost deviation, and reads its result back into this form;
+    improve() and _rewire keep the dict form as the independent replay
+    reference.
     """
 
     def __init__(self, k: int, window: tuple[int, int], deviations: Mapping[int, int]):
@@ -101,6 +106,34 @@ def phi_pairs(m: KMatching) -> list[tuple[int, int]]:
     ]
 
 
+def _refuse(k: int, x: int, y: int, mx: int, my: int) -> NoReturn:
+    """Raise the first check that rewiring the pair (x, y) fails.
+
+    mx and my are the old partners.  In order: an old partner beyond K
+    is the input's EquigraphError, in the words of validate(); a new
+    partner beyond K and a combined displacement that drops by less than
+    2 are Findings; what is left is a parity defect.  Called only once a
+    kernel has seen one of these checks fail.
+    """
+    odx, ody, ndx, ndy = abs(mx - x), abs(my - y), abs(my - x), abs(mx - y)
+    if odx > k or ody > k:
+        a, t = (x, mx) if odx > k else (y, my)
+        raise EquigraphError(f"pair {a}->{t} exceeds K={k}")
+    if ndx > k or ndy > k:
+        raise Finding(
+            CLAIM1_VIOLATION,
+            f"rewired pair ({x}, {y}) leaves the K={k} bound",
+            witness={"pair": [x, y], "new_dists": [ndx, ndy]},
+        )
+    if ndx + ndy > odx + ody - 2:
+        raise Finding(
+            CLAIM1_VIOLATION,
+            f"rewiring ({x}, {y}) dropped cost by less than 2",
+            witness={"pair": [x, y], "old": [odx, ody], "new": [ndx, ndy]},
+        )
+    raise EquigraphError(f"pair {x}->{my} or {y}->{mx} breaks parity")
+
+
 def _rewire(dev: dict[int, int], k: int, pairs: Sequence[tuple[int, int]]) -> int:
     """Swap the partners of every facing pair of one round, in place.
 
@@ -121,21 +154,8 @@ def _rewire(dev: dict[int, int], k: int, pairs: Sequence[tuple[int, int]]) -> in
         ndy = mx - y if mx > y else y - mx
         odx = mx - x if mx > x else x - mx
         ody = my - y if my > y else y - my
-        if odx > k or ody > k:
-            a, t = (x, mx) if odx > k else (y, my)
-            raise EquigraphError(f"pair {a}->{t} exceeds K={k}")
-        if ndx > k or ndy > k:
-            raise Finding(
-                CLAIM1_VIOLATION,
-                f"rewired pair ({x}, {y}) leaves the K={k} bound",
-                witness={"pair": [x, y], "new_dists": [ndx, ndy]},
-            )
-        if ndx + ndy > odx + ody - 2:
-            raise Finding(
-                CLAIM1_VIOLATION,
-                f"rewiring ({x}, {y}) dropped cost by less than 2",
-                witness={"pair": [x, y], "old": [odx, ody], "new": [ndx, ndy]},
-            )
+        if odx > k or ody > k or ndx > k or ndy > k or ndx + ndy > odx + ody - 2:
+            _refuse(k, x, y, mx, my)
         if my == x + 1:
             pop(x, None)
         else:
@@ -145,7 +165,7 @@ def _rewire(dev: dict[int, int], k: int, pairs: Sequence[tuple[int, int]]) -> in
         else:
             dev[y] = mx
         if x % 2 or y % 2 or not (mx % 2 and my % 2):
-            raise EquigraphError(f"pair {x}->{my} or {y}->{mx} breaks parity")
+            _refuse(k, x, y, mx, my)
         drop += odx + ody - ndx - ndy
     return drop
 
@@ -197,31 +217,78 @@ class DynamicsTrace:
         return sum(r.s_size for r in self.records)
 
 
+def _round(
+    d: list[int], off: int, k: int, pairs: Sequence[tuple[int, int]]
+) -> tuple[int, list[tuple[int, int]]]:
+    """Rewire one round's facing pairs on the displacement list d, in one pass.
+
+    d[c - off] is partner(c) - c, so +1 is standard, and d[0] stays
+    standard.  Returns the round's cost drop and the next round's facing
+    pairs, in increasing order.  A pair (x, x + 2) with displacements dx
+    and dy passes every check exactly when 0 < dx <= K, -K <= dy < 0,
+    dx - dy > 2, x is even and dx and dy are odd: a drop of 2 or more
+    needs the pair to face, and a facing pair with old partners within K
+    has new ones within max(K - 2, 1).  Otherwise _refuse names the first
+    failed check.  The swap writes dy + 2 and dx - 2.  Then (x - 2, x) is
+    re-tested, and (x + 2, x + 4) once the next pair is written, unless
+    that pair starts at x + 4 and re-tests it itself.
+    """
+    drop = 0
+    nxt: list[tuple[int, int]] = []
+    last = 0  # index of the pending x + 4 re-test; d[0] fails it
+    for x, _ in pairs:
+        i = x - off
+        dx = d[i]
+        dy = d[i + 2]
+        if not (0 < dx <= k and -k <= dy < 0 and dx - dy > 2 and dx & dy & ~x & 1):
+            _refuse(k, x, x + 2, x + dx, x + 2 + dy)
+        d[i] = dy + 2
+        d[i + 2] = dx - 2
+        drop += (dx > 1) + (dy < -1)
+        if last != i and d[last] < 0 and d[last - 2] > 0:
+            nxt.append((off + last - 2, off + last))
+        if d[i] < 0 and d[i - 2] > 0:
+            nxt.append((x - 2, x))
+        last = i + 4
+    if d[last] < 0 and d[last - 2] > 0:
+        nxt.append((off + last - 2, off + last))
+    return 2 * drop, nxt
+
+
 def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
     """Iterate improve() until no facing pairs remain.
 
     Terminates within cost(M) rounds; a run that reaches that bound with
     facing pairs left raises EquigraphError.
 
-    The rounds run on one mutable copy of the deviations, so a round
-    costs O(|S|): after rewiring (x, x + 2), only (x - 2, x) and
-    (x + 2, x + 4) are re-tested, since a pair whose entries did not
-    change cannot start facing and the rewired pair cannot face again
-    (that needs x -> x + 1 and x + 2 -> x + 1, which the drop test
-    refuses).  Each pair is checked as _rewire writes it: a drop of at
-    least 2, so a round drops by at least |S|, new displacements within
-    K, and parity.  The cost moves by the exact per-pair drops; after the
-    run it is recounted, and the result is built and fully validated,
-    injectivity included, once.  The result equals that of replaying
-    improve(), window and trace included: a run that empties the path
-    keeps the input window after one round, and otherwise takes
-    (x_first, x_last + 3) of its last round's pairs (x, x + 2).
+    Each round is one pass of _round over a list of displacements that
+    covers [lo - 2, max + 2], for lo the canonical window's left end and
+    max the rightmost deviation.  No round reads or writes outside it: a
+    new deviation x takes the partner of the deviation x + 2, so none
+    appears right of max, and one left of lo would hold a partner that
+    only a deviation further left can have given up.  A round costs
+    O(|S|): after rewiring (x, x + 2), only (x - 2, x) and (x + 2, x + 4)
+    are re-tested, since a pair whose entries did not change cannot start
+    facing and the rewired pair cannot face again (that needs x -> x + 1
+    and x + 2 -> x + 1, which the drop test refuses).  Each pair is
+    checked as it is written: a drop of at least 2, so a round drops by
+    at least |S|, new displacements within K, and parity.  The cost moves
+    by the exact per-pair drops; after the run it is recounted, and the
+    result is read back off the list, built and fully validated,
+    injectivity included, once.  improve() and _rewire keep the dict form
+    as the independent replay reference, and the result equals that of
+    replaying improve(), window and trace included: a run that empties
+    the path keeps the input window after one round, and otherwise takes
+    (x_first, x_last + 3) of its last round's pairs (x, x + 2), the
+    canonical window of the state before that round.
     """
     initial = m.cost()
     trace = DynamicsTrace(initial_cost=initial)
-    dev = dict(m.deviations)
-    get = dev.get
-    window = m.window
+    dev = m.deviations
+    off = _canonical_window(dev, m.window)[0] - 2
+    d = [1] * (max(dev, default=off) + 3 - off)
+    for a, t in dev.items():
+        d[a - off] = t - a
     cost = initial
     pairs = phi_pairs(m)
     while pairs:
@@ -229,23 +296,16 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
         if n >= initial:
             raise EquigraphError(f"dynamics exceeded {initial} iterations")
         trace.records.append(IterationRecord(n + 1, 2 * len(pairs), cost, tuple(pairs)))
-        cost -= _rewire(dev, m.k, pairs)
-        # Pairs come sorted and lie at least 4 apart, so the re-tested
-        # right ends x and x + 4 come sorted as well, with x repeating
-        # the previous pair's x + 4 at most.
-        nxt: list[tuple[int, int]] = []
-        done = None
-        for x, _ in pairs:
-            for c in (x, x + 4) if done != x else (x + 4,):
-                if get(c, c + 1) < c and get(c - 2, c - 1) > c - 2:
-                    nxt.append((c - 2, c))
-            done = x + 4
-        # A later round that empties the path keeps, under improve(), the
-        # canonical window of the state before it, which held x -> x + 3
-        # and x + 2 -> x + 1 for each sorted pair (x, x + 2).
-        if n and not dev:
-            window = pairs[0][0], pairs[-1][0] + 3
-        pairs = nxt
+        drop, pairs = _round(d, off, m.k, pairs)
+        cost -= drop
+    if d.count(1) == len(d):
+        dev = {}
+    else:
+        dev = {c: c + t for c, t in enumerate(d, off) if t != 1}
+    window = m.window
+    if len(trace.records) > 1 and not dev:
+        last = trace.records[-1].rewired
+        window = last[0][0], last[-1][0] + 3
     final = KMatching(m.k, window, dev)
     final.validate()
     if final.cost() != cost:

@@ -217,11 +217,32 @@ def _assert_matches_replay(m):
     return final, trace
 
 
+def _shifted(final, trace, shift):
+    """A run's result and trace, with every coordinate moved by shift."""
+    return (
+        tuple(c + shift for c in final.window),
+        {a + shift: t + shift for a, t in final.deviations.items()},
+        (trace.initial_cost, trace.final_cost, trace.iterations),
+        [
+            (r.n, r.s_size, r.cost, tuple((x + shift, y + shift) for x, y in r.rewired))
+            for r in trace.records
+        ],
+    )
+
+
+def _shifted_run(m, shift):
+    """run_dynamics on m moved by shift, in _shifted's form."""
+    lo, hi = m.window
+    dev = {a + shift: t + shift for a, t in m.deviations.items()}
+    return _shifted(*run_dynamics(KMatching(m.k, (lo + shift, hi + shift), dev)), 0)
+
+
 def test_run_dynamics_equals_improve_replay_on_random_instances():
+    # window 1000 is the benchmark's instance size, one seed per K
     rounds = set()
-    for window in (15, 40, 101, 400):
+    for window, seeds in ((15, 6), (40, 6), (101, 6), (400, 6), (1000, 1)):
         for k in (3, 5, 7, 9):
-            for seed in range(6):
+            for seed in range(seeds):
                 _, trace = _assert_matches_replay(random_kmatching(window, k, seed))
                 rounds.add(trace.iterations)
     assert max(rounds) >= 4  # the comparison covers long runs, not just one round
@@ -249,7 +270,8 @@ def test_run_dynamics_equals_improve_replay_on_every_small_matching():
     # every K-matching of the A-vertices 0, 2, .., 2n - 2 onto the
     # B-vertices 1, 3, .., 2n - 1, on its canonical window and on one
     # widened by 2 a side, since the window a path keeps when the dynamics
-    # empty it depends on both the last round and the input window
+    # empty it depends on both the last round and the input window; each
+    # run is repeated shifted by +-2*10**6, far from the list's index 0
     matchings = multi_round = 0
     most_rounds: dict[int, int] = {}
     for k in (3, 5, 7):
@@ -262,7 +284,9 @@ def test_run_dynamics_equals_improve_replay_on_every_small_matching():
                 for window in ((lo, hi), (lo - 2, hi + 2)):
                     m = KMatching(k, window, dev)
                     m.validate()
-                    _, trace = _assert_matches_replay(m)
+                    final, trace = _assert_matches_replay(m)
+                    for shift in (-(2 * 10**6), 2 * 10**6):
+                        assert _shifted_run(m, shift) == _shifted(final, trace, shift)
                     multi_round += trace.iterations >= 2
                     most_rounds[k] = max(most_rounds.get(k, 0), trace.iterations)
     assert matchings == 2109
@@ -315,6 +339,11 @@ def test_run_dynamics_checks_the_entries_it_writes():
     m = KMatching(5, (1, 6), {1: 6, 3: 2})
     with pytest.raises(EquigraphError, match="breaks parity"):
         run_dynamics(m)
+    # the result read back off the list is validated: after (0, 2) is
+    # rewired, 4 -> 7 is left, outside the input window
+    m = KMatching(7, (0, 3), {0: 3, 2: 1, 4: 7})
+    with pytest.raises(EquigraphError, match="^pair 4->7 leaves window$"):
+        run_dynamics(m)
 
 
 def test_run_dynamics_refuses_an_input_pair_beyond_k():
@@ -334,6 +363,45 @@ def test_run_dynamics_refuses_an_input_pair_beyond_k():
     assert info.value.kind == CLAIM1_VIOLATION
 
 
+@pytest.mark.parametrize(
+    "k, dx, dy, error, message",
+    [
+        # a pair that does not face, d[x] = -K and d[x + 2] = +K
+        (5, -5, 5, Finding, r"rewired pair \(0, 2\) leaves the K=5 bound"),
+        (5, 7, -1, EquigraphError, r"pair 0->7 exceeds K=5"),
+        (5, 1, -7, EquigraphError, r"pair 2->-5 exceeds K=5"),
+        (5, 5, 1, Finding, r"rewiring \(0, 2\) dropped cost by less than 2"),
+        (5, -1, -5, Finding, r"rewiring \(0, 2\) dropped cost by less than 2"),
+        (5, 2, -3, EquigraphError, r"pair 0->-1 or 2->2 breaks parity"),
+        (5, 3, -2, EquigraphError, r"pair 0->0 or 2->3 breaks parity"),
+    ],
+    ids=[
+        "new-partner-beyond-k",
+        "old-left-partner-beyond-k",
+        "old-right-partner-beyond-k",
+        "right-end-points-right",
+        "left-end-points-left",
+        "left-displacement-even",
+        "right-displacement-even",
+    ],
+)
+def test_round_refuses_what_rewire_refuses(k, dx, dy, error, message):
+    # the pair (0, 2) with displacements dx and dy, handed to the list
+    # kernel and to _rewire; each case fails one clause of the list
+    # kernel's test, and both kernels raise the same first failed check
+    d = [1, 1, dx, 1, dy, 1, 1]  # d[c + 2] for c = -2, .., 4
+    dev = {a: a + t for a, t in ((0, dx), (2, dy)) if t != 1}
+    for run in (
+        lambda: dynamics_module._round(d, -2, k, [(0, 2)]),
+        lambda: dynamics_module._rewire(dev, k, [(0, 2)]),
+    ):
+        with pytest.raises(error, match=f"{message}$") as info:
+            run()
+        assert isinstance(info.value, Finding) == (error is Finding)
+        if error is Finding:
+            assert info.value.kind == CLAIM1_VIOLATION
+
+
 def test_facing_ends_sharing_a_partner_fail_the_drop_test():
     # 0 -> 1 and 2 -> 1 face; swapping their shared partner keeps both
     # displacements, so no injectivity check is needed to refuse them
@@ -347,9 +415,14 @@ def test_facing_ends_sharing_a_partner_fail_the_drop_test():
 def test_run_dynamics_catches_a_short_reported_drop(monkeypatch):
     # a round that reports one less than its drop leaves the tracked cost
     # off the final matching's
-    rewire = dynamics_module._rewire
-    monkeypatch.setattr(dynamics_module, "_rewire", lambda *args: rewire(*args) - 1)
-    with pytest.raises(Finding) as info:
+    one_round = dynamics_module._round
+
+    def short_round(*args):
+        drop, pairs = one_round(*args)
+        return drop - 1, pairs
+
+    monkeypatch.setattr(dynamics_module, "_round", short_round)
+    with pytest.raises(Finding, match="tracked cost differs") as info:
         run_dynamics(random_kmatching(40, 5, 3))
     assert info.value.kind == CLAIM1_VIOLATION
     # improve compares the costs themselves: a round that writes nothing
