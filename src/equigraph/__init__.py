@@ -9,7 +9,7 @@ Submodules:
   cli       command line entry points
 """
 
-from .algebra import AlgebraicPoint, AlphaContext, AlphaSpec, point
+from .algebra import AlgebraicPoint, AlphaContext, AlphaSpec
 from .errors import EquigraphError, Finding
 from .group import (
     GENERATOR_ELEMENTS,
@@ -51,7 +51,6 @@ __all__ = [
     "enumerate_ball",
     "inverse",
     "kmatching_from_assignment",
-    "point",
     "random_kmatching",
     "run_dynamics",
     "verify_lemma",

@@ -72,9 +72,6 @@ class AlgebraicPoint:
         return f"{self.u}{sign}{tail}"
 
 
-point = AlgebraicPoint
-
-
 class AlphaContext:
     """Comparison context for a validated alpha.
 

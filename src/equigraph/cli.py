@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .algebra import AlgebraicPoint, AlphaContext, AlphaSpec, point
+from .algebra import AlgebraicPoint, AlphaContext, AlphaSpec
 from .dynamics import (
     DynamicsTrace,
     KMatching,
@@ -311,7 +311,7 @@ def _bridge_suite(cfg: RunConfig) -> dict:
     """
     ctx = AlphaContext(cfg.alpha)
     graph = IntervalGraph(ctx)
-    origin = graph.vertex(Side.I, point(Fraction(1, 2)))
+    origin = graph.vertex(Side.I, AlgebraicPoint(Fraction(1, 2)))
     view = graph.explore_component(origin, budget=64)
     targets = {-4: -1, -2: -3, 0: 3, 2: 1}
     assignment = assignment_from_targets(view, targets)

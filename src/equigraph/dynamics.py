@@ -137,33 +137,27 @@ def _refuse(k: int, x: int, y: int, mx: int, my: int) -> NoReturn:
 def _rewire(dev: dict[int, int], k: int, pairs: Sequence[tuple[int, int]]) -> int:
     """Swap the partners of every facing pair of one round, in place.
 
-    Returns the round's cost drop.  Before a pair is written, an old
-    partner beyond K is raised as the input's EquigraphError, and a new
-    partner beyond K or a combined displacement that drops by less than
-    2 as a Finding, so a returned drop is at least |S|.  A written entry
-    is stored only when it is not standard, and its parity is checked.
+    The dict-form reference that improve() replays, written as the rule
+    reads rather than for speed.  Returns the round's cost drop.  Before
+    a pair is written, an old partner beyond K is raised as the input's
+    EquigraphError, and a new partner beyond K or a combined displacement
+    that drops by less than 2 as a Finding, so a returned drop is at
+    least |S|.  Each end is written as an entry only when it is not
+    standard, and then the parity of the ends and partners is checked.
     Ends that share a partner keep their displacements, so the drop test
     refuses them; injectivity as a whole is left to validate().
     """
-    get, pop = dev.get, dev.pop
     drop = 0
     for x, y in pairs:
-        mx = get(x, x + 1)
-        my = get(y, y + 1)
-        ndx = my - x if my > x else x - my
-        ndy = mx - y if mx > y else y - mx
-        odx = mx - x if mx > x else x - mx
-        ody = my - y if my > y else y - my
+        mx, my = dev.get(x, x + 1), dev.get(y, y + 1)
+        odx, ody, ndx, ndy = abs(mx - x), abs(my - y), abs(my - x), abs(mx - y)
         if odx > k or ody > k or ndx > k or ndy > k or ndx + ndy > odx + ody - 2:
             _refuse(k, x, y, mx, my)
-        if my == x + 1:
-            pop(x, None)
-        else:
-            dev[x] = my
-        if mx == y + 1:
-            pop(y, None)
-        else:
-            dev[y] = mx
+        for a, t in ((x, my), (y, mx)):
+            if t == a + 1:
+                dev.pop(a, None)
+            else:
+                dev[a] = t
         if x % 2 or y % 2 or not (mx % 2 and my % 2):
             _refuse(k, x, y, mx, my)
         drop += odx + ody - ndx - ndy

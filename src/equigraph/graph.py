@@ -16,12 +16,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import product
 from math import lcm
 from typing import Callable, Hashable, Optional
 
-from .algebra import AlgebraicPoint, AlphaContext, point
+from .algebra import AlgebraicPoint, AlphaContext
 from .errors import EVEN_PATH_COMPONENT, EquigraphError, Finding
 from .group import (
     GENERATOR_ELEMENTS,
@@ -158,22 +158,14 @@ class Frame:
         return g.a * u + 2 * g.c * self.den, g.a * v + 2 * g.b * self.den
 
     def remember(self, origin: Key) -> None:
-        """Keep adjacent's edge tuples in memo, as step builds them, and one
+        """Cache adjacent's edge tuples, as step builds them, and keep one
         breadth-first search from origin, which bfs_distance resumes.
 
         Both grow as the frame is used and die with it.  Walks keep the bare
         adjacency: a walk never revisits a vertex.
         """
-        step, memo = self.adjacent, {}
-
-        def adjacent(key: Key) -> tuple[tuple[Key, frozenset[Generator]], ...]:
-            edges = memo.get(key)
-            if edges is None:
-                edges = memo[key] = step(key)
-            return edges
-
-        self.adjacent, self.memo = adjacent, memo
-        self.bfs = _Search(adjacent, origin)
+        self.adjacent = cache(self.adjacent)
+        self.bfs = _Search(self.adjacent, origin)
 
 
 class _Search:
@@ -262,15 +254,84 @@ class IntervalGraph:
         return search.distance(goal, budget)
 
     def explore_component(self, v: GVertex, budget: int) -> ComponentView:
-        """Walk the component of v in both directions.
+        """Walk and classify the component of v in both directions.
 
         Degrees are 1 or 2, so components are paths or cycles and a walk
         suffices.  A finite path with an even edge count is raised as a
         Finding rather than returned: it would contradict the structure
         this graph is built to exhibit.  The walk runs on the keys of v's
-        frame; points are built only for the returned view.
+        frame, whose adjacent(key) lists (far key, labels) sorted by far
+        point, and the first direction walked is the first edge at v.
+        Points are built only for the returned view and error witnesses.
         """
-        return walk_component(*self.check_vertex(v), budget)
+        frame, origin = self.check_vertex(v)
+        adjacent, vertex_of = frame.adjacent, frame.vertex
+        if budget <= 0:
+            visited = VertexChain((origin,), frame)
+            return ComponentView("partial", visited, (), 0, (visited[0],), 0)
+        arms: tuple[tuple[list, list], ...] = (([], []), ([], []))  # keys, labels
+        frontier: list[Key] = []
+        seen = {origin}
+        closing: list[frozenset[Generator]] = []
+        origin_edges = adjacent(origin)
+        expanded = 1
+        if len(origin_edges) > 2:
+            raise EquigraphError(f"vertex of degree {len(origin_edges)} at {v}")
+        # give the first direction half the budget so the view is centered on
+        # the origin; the second direction takes whatever remains
+        limits = ((budget + 1) // 2 if len(origin_edges) == 2 else budget, budget)
+        for (keys, labels), limit, (cur, via) in zip(arms, limits, origin_edges):
+            if closing:
+                break
+            prev = origin
+            while True:
+                if cur in seen:
+                    # met the explored region again: the closing edge of a
+                    # cycle (2-regularity leaves no other way back)
+                    closing.append(via)
+                    break
+                seen.add(cur)
+                keys.append(cur)
+                labels.append(via)
+                if expanded >= limit:
+                    frontier.append(cur)
+                    break
+                expanded += 1
+                onward = None  # the one edge at cur that does not lead back
+                for edge in adjacent(cur):
+                    if edge[0] != prev:
+                        if onward is not None:
+                            raise EquigraphError(
+                                f"vertex of degree >2 at {vertex_of(cur)}"
+                            )
+                        onward = edge
+                if onward is None:
+                    break  # degree-one endpoint
+                prev = cur
+                cur, via = onward
+
+        # the chain runs back along arm 1, through origin and out along arm 0;
+        # a cycle's closing edge joins the two chain ends, so it goes last
+        (keys0, labels0), (keys1, labels1) = arms
+        chain_labels = (*reversed(labels1), *labels0, *closing)
+        edge_count = len(chain_labels)
+        kind = "even_cycle" if closing else "partial" if frontier else "finite_path"
+        if closing and edge_count % 2 != 0:
+            raise EquigraphError(f"odd cycle of length {edge_count} at {v}")
+        visited = VertexChain((*reversed(keys1), origin, *keys0), frame)
+        if kind == "finite_path" and edge_count % 2 == 0:
+            ends = [vertex_record(visited[0]), vertex_record(visited[-1])]
+            raise Finding(
+                EVEN_PATH_COMPONENT,
+                f"finite component with even edge count {edge_count}",
+                witness={
+                    "origin": vertex_record(v),
+                    "edge_count": edge_count,
+                    "endpoints": ends,
+                },
+            )
+        tips = tuple(map(vertex_of, frontier)) if kind == "partial" else ()
+        return ComponentView(kind, visited, chain_labels, len(keys1), tips, expanded)
 
     # ------------------------------------------------------------------
     # sampling
@@ -279,87 +340,6 @@ class IntervalGraph:
         den = rng.randint(1, SAMPLE_DENOMINATOR)
         num = rng.randint(0, den)
         return Fraction(num, den)
-
-
-# ----------------------------------------------------------------------
-# the component walker
-
-
-def walk_component(frame: Frame, origin: Hashable, budget: int) -> ComponentView:
-    """Walk and classify the component of origin, whatever its keys are.
-
-    frame.adjacent(key) lists (far key, labels) sorted by far point; the
-    first direction walked is the first edge at origin.  frame.vertex turns
-    a key into its vertex, for the view's reads and for error witnesses.
-    """
-    adjacent, vertex_of = frame.adjacent, frame.vertex
-    if budget <= 0:
-        visited = VertexChain((origin,), frame)
-        return ComponentView("partial", visited, (), 0, (visited[0],), 0)
-    arms: tuple[tuple[list, list], ...] = (([], []), ([], []))  # keys, labels
-    frontier: list[Hashable] = []
-    seen = {origin}
-    closing: list[frozenset[Generator]] = []
-    origin_edges = adjacent(origin)
-    expanded = 1
-    if len(origin_edges) > 2:
-        raise EquigraphError(
-            f"vertex of degree {len(origin_edges)} at {vertex_of(origin)}"
-        )
-    # give the first direction half the budget so the view is centered on
-    # the origin; the second direction takes whatever remains
-    limits = ((budget + 1) // 2 if len(origin_edges) == 2 else budget, budget)
-    for (keys, labels), limit, (cur, via) in zip(arms, limits, origin_edges):
-        if closing:
-            break
-        prev = origin
-        while True:
-            if cur in seen:
-                # met the explored region again: the closing edge of a
-                # cycle (2-regularity leaves no other way back)
-                closing.append(via)
-                break
-            seen.add(cur)
-            keys.append(cur)
-            labels.append(via)
-            if expanded >= limit:
-                frontier.append(cur)
-                break
-            expanded += 1
-            onward = None  # the one edge at cur that does not lead back
-            for edge in adjacent(cur):
-                if edge[0] != prev:
-                    if onward is not None:
-                        raise EquigraphError(
-                            f"vertex of degree >2 at {vertex_of(cur)}"
-                        )
-                    onward = edge
-            if onward is None:
-                break  # degree-one endpoint
-            prev = cur
-            cur, via = onward
-
-    # the chain runs back along arm 1, through origin and out along arm 0;
-    # a cycle's closing edge joins the two chain ends, so it goes last
-    (keys0, labels0), (keys1, labels1) = arms
-    chain_labels = (*reversed(labels1), *labels0, *closing)
-    edge_count = len(chain_labels)
-    kind = "even_cycle" if closing else "partial" if frontier else "finite_path"
-    if closing and edge_count % 2 != 0:
-        raise EquigraphError(f"odd cycle of length {edge_count} at {vertex_of(origin)}")
-    visited = VertexChain((*reversed(keys1), origin, *keys0), frame)
-    if kind == "finite_path" and edge_count % 2 == 0:
-        raise Finding(
-            EVEN_PATH_COMPONENT,
-            f"finite component with even edge count {edge_count}",
-            witness={
-                "origin": vertex_record(vertex_of(origin)),
-                "edge_count": edge_count,
-                "endpoints": [vertex_record(visited[0]), vertex_record(visited[-1])],
-            },
-        )
-    tips = tuple(map(vertex_of, frontier)) if kind == "partial" else ()
-    return ComponentView(kind, visited, chain_labels, len(keys1), tips, expanded)
 
 
 # ----------------------------------------------------------------------
@@ -569,4 +549,4 @@ def edge_polygon(ctx: AlphaContext) -> list[Corner]:
         si, ei = b if a == (si, 1 - ei) else a
     if len(loop) != len(segments):
         raise EquigraphError("polygon chaining did not visit every segment")
-    return [(point(*i), point(*j)) for i, j in loop]
+    return [(AlgebraicPoint(*i), AlgebraicPoint(*j)) for i, j in loop]

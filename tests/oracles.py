@@ -39,7 +39,7 @@ from functools import cmp_to_key
 from typing import Callable, Iterator, Optional
 
 from equigraph import graph as graph_module
-from equigraph.algebra import AlgebraicPoint, AlphaContext, point
+from equigraph.algebra import AlgebraicPoint, AlgebraicPoint as point, AlphaContext
 from equigraph.dynamics import (
     KMatching,
     _canonical_window,
@@ -520,7 +520,7 @@ def verify_lemma_reference(
     """The report of verify_lemma, from the point API alone.
 
     Anchors and images are screened with in_interval, and bfs_points and
-    build_path_at each build their own frame, with no memo.
+    build_path_at each build their own frame, with no cache.
     """
     ctx = graph.ctx
     elements = sorted(enumerate_ball(ball_radius))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from equigraph.algebra import AlphaContext, point
+from equigraph.algebra import AlgebraicPoint as point, AlphaContext
 from equigraph.cli import main, render_figure
 from equigraph.dynamics import improve, phi_pairs, random_kmatching
 from equigraph.errors import EVEN_PATH_COMPONENT, Finding

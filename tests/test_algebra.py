@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equigraph import algebra
-from equigraph.algebra import AlgebraicPoint, AlphaContext, AlphaSpec, point
+from equigraph.algebra import (
+    AlgebraicPoint,
+    AlgebraicPoint as point,
+    AlphaContext,
+    AlphaSpec,
+)
 from equigraph.errors import EquigraphError
 
 from conftest import ALL_ALPHAS, KERNEL_ALPHAS

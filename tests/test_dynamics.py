@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from equigraph.algebra import point
+from equigraph.algebra import AlgebraicPoint as point
 from equigraph.dynamics import (
     KMatching,
     assignment_from_targets,
@@ -364,16 +364,18 @@ def test_run_dynamics_refuses_an_input_pair_beyond_k():
 
 
 @pytest.mark.parametrize(
-    "k, dx, dy, error, message",
+    "k, x, dx, dy, error, message",
     [
         # a pair that does not face, d[x] = -K and d[x + 2] = +K
-        (5, -5, 5, Finding, r"rewired pair \(0, 2\) leaves the K=5 bound"),
-        (5, 7, -1, EquigraphError, r"pair 0->7 exceeds K=5"),
-        (5, 1, -7, EquigraphError, r"pair 2->-5 exceeds K=5"),
-        (5, 5, 1, Finding, r"rewiring \(0, 2\) dropped cost by less than 2"),
-        (5, -1, -5, Finding, r"rewiring \(0, 2\) dropped cost by less than 2"),
-        (5, 2, -3, EquigraphError, r"pair 0->-1 or 2->2 breaks parity"),
-        (5, 3, -2, EquigraphError, r"pair 0->0 or 2->3 breaks parity"),
+        (5, 0, -5, 5, Finding, r"rewired pair \(0, 2\) leaves the K=5 bound"),
+        (5, 0, 7, -1, EquigraphError, r"pair 0->7 exceeds K=5"),
+        (5, 0, 1, -7, EquigraphError, r"pair 2->-5 exceeds K=5"),
+        (5, 0, 5, 1, Finding, r"rewiring \(0, 2\) dropped cost by less than 2"),
+        (5, 0, -1, -5, Finding, r"rewiring \(0, 2\) dropped cost by less than 2"),
+        (5, 0, 2, -3, EquigraphError, r"pair 0->-1 or 2->2 breaks parity"),
+        (5, 0, 3, -2, EquigraphError, r"pair 0->0 or 2->3 breaks parity"),
+        # odd ends whose partners are odd: only the ends' parity is wrong
+        (5, 1, 4, -2, EquigraphError, r"pair 1->1 or 3->5 breaks parity"),
     ],
     ids=[
         "new-partner-beyond-k",
@@ -383,17 +385,18 @@ def test_run_dynamics_refuses_an_input_pair_beyond_k():
         "left-end-points-left",
         "left-displacement-even",
         "right-displacement-even",
+        "ends-odd",
     ],
 )
-def test_round_refuses_what_rewire_refuses(k, dx, dy, error, message):
-    # the pair (0, 2) with displacements dx and dy, handed to the list
+def test_round_refuses_what_rewire_refuses(k, x, dx, dy, error, message):
+    # the pair (x, x + 2) with displacements dx and dy, handed to the list
     # kernel and to _rewire; each case fails one clause of the list
     # kernel's test, and both kernels raise the same first failed check
-    d = [1, 1, dx, 1, dy, 1, 1]  # d[c + 2] for c = -2, .., 4
-    dev = {a: a + t for a, t in ((0, dx), (2, dy)) if t != 1}
+    d = [1, 1, dx, 1, dy, 1, 1]  # d[c - x + 2] for c = x - 2, .., x + 4
+    dev = {a: a + t for a, t in ((x, dx), (x + 2, dy)) if t != 1}
     for run in (
-        lambda: dynamics_module._round(d, -2, k, [(0, 2)]),
-        lambda: dynamics_module._rewire(dev, k, [(0, 2)]),
+        lambda: dynamics_module._round(d, x - 2, k, [(x, x + 2)]),
+        lambda: dynamics_module._rewire(dev, k, [(x, x + 2)]),
     ):
         with pytest.raises(error, match=f"{message}$") as info:
             run()

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from equigraph import graph as graph_module
-from equigraph.algebra import AlphaContext, AlphaSpec, point
+from equigraph.algebra import AlgebraicPoint as point, AlphaContext, AlphaSpec
 from equigraph.cli import _bridge_suite, load_config
 from equigraph.errors import EVEN_PATH_COMPONENT, EquigraphError, Finding
 from equigraph.graph import (
@@ -896,8 +896,11 @@ def test_fake_high_degree_is_structural_error(ctx):
     j2 = GVertex(Side.J, ONE)
     adj = {i0: [j0, j1, j2]}
     g = _FakeGraph(AlphaContext(ALL_ALPHAS[0]), adj)
-    with pytest.raises(EquigraphError):
+    with pytest.raises(EquigraphError) as exc:
         g.explore_component(i0, 100)
+    # not the Finding of the even path that two of the three edges make
+    assert type(exc.value) is EquigraphError
+    assert str(exc.value) == f"vertex of degree 3 at {i0}"
 
 
 def test_fake_interior_high_degree_names_the_vertex(ctx):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equigraph.algebra import AlgebraicPoint, point
+from equigraph.algebra import AlgebraicPoint, AlgebraicPoint as point
 from equigraph.errors import EquigraphError
 from equigraph.group import (
     GENERATOR_ELEMENTS,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from equigraph.algebra import AlgebraicPoint, AlphaContext, point
+from equigraph.algebra import AlgebraicPoint, AlgebraicPoint as point, AlphaContext
 from equigraph.cli import load_config
 from equigraph import graph as graph_module
 from equigraph.errors import CONNECTOR_MISSING, EquigraphError, Finding
@@ -618,12 +618,12 @@ def test_walks_keep_the_bare_adjacency(graph, built_frames, monkeypatch):
     assert len(built_frames) == 2
     for frame, step in zip(built_frames, steps, strict=True):
         assert frame.adjacent is step
-        assert not hasattr(frame, "memo")
+        assert not hasattr(frame.adjacent, "cache_info")
 
 
 def test_anchor_memo_stays_bounded_and_immutable(graph, monkeypatch):
     # each anchor's frame is gone before the next anchor's is remembered, so
-    # a sweep holds one anchor's memo and BFS at a time
+    # a sweep holds one anchor's cache and BFS at a time
     remembered, alive = [], []
     remember = Frame.remember
 
@@ -648,9 +648,12 @@ def test_anchor_memo_stays_bounded_and_immutable(graph, monkeypatch):
     far = anchor_frame.key(GVertex(Side.I, ALPHA))
     assert graph.bfs_distance(anchor_frame, key, far, 10_000) is None
     assert anchor_frame.bfs.start == key
-    assert len(anchor_frame.memo) == anchor_frame.bfs.expanded == 10_000
+    cached = anchor_frame.adjacent.cache_info()
+    assert cached.currsize == anchor_frame.bfs.expanded == 10_000
     edges = anchor_frame.adjacent(key)
-    assert edges is anchor_frame.memo[key]
+    assert anchor_frame.adjacent(key) is edges
+    assert anchor_frame.adjacent.cache_info().hits == cached.hits + 2
+    assert anchor_frame.adjacent.cache_info().currsize == 10_000
     step, _inside = graph_module._frame_step(graph.ctx, 1)
     assert edges == tuple(step(key))
     assert all(isinstance(labels, frozenset) for _far, labels in edges)

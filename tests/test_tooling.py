@@ -3,9 +3,10 @@
 A deleted or renamed function would otherwise blank a per-layer metric
 (the tracer reports it only as `not_traced`) or leave README's example
 and the package's `__all__` pointing at nothing.  Nor does any module
-import a name it never reads, nor does `src/` define a helper that only
-the tests use, and README's configuration table lists the run settings
-and their defaults.  Floats stay where the exact design allows them.
+import a name it never reads, nor does `src/` define a helper or store
+an attribute that only the tests use, and README's configuration table
+lists the run settings and their defaults.  Floats stay where the exact
+design allows them.
 """
 
 import ast
@@ -149,6 +150,42 @@ def test_every_source_definition_is_read_in_src():
     assert unread == {"improve", "AlphaContext.in_interval"}
 
 
+def _self_assigned(tree: ast.Module):
+    """Class.X of each self.X that an assignment in a method of Class binds."""
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in (leaf for t in targets for leaf in ast.walk(t)):
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                ):
+                    yield f"{cls.name}.{target.attr}"
+
+
+def test_every_source_attribute_is_read_in_src():
+    # an attribute that src/ stores on self but never reads back is kept
+    # only for the tests; reading it as an attribute or spelling it as a
+    # string, as a getattr or a record key would, counts
+    files = (ROOT / "src" / "equigraph").glob("*.py")
+    trees = [ast.parse(path.read_text()) for path in files]
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    assigned = {name for tree in trees for name in _self_assigned(tree)}
+    assert "Frame.adjacent" in assigned  # the walk found the assignments
+    assert {name for name in assigned if name.split(".")[1] not in read} == set()
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library example", 1)[1]
@@ -237,7 +274,7 @@ def test_walk_makes_two_signs_per_vertex(monkeypatch, graph):
     # about eight, and one that orders the two edges by a sign makes three
     from fractions import Fraction
 
-    from equigraph.algebra import AlphaContext, point
+    from equigraph.algebra import AlgebraicPoint as point, AlphaContext
     from equigraph.graph import Side
 
     calls = Counter()
