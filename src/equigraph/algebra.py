@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import EquigraphError
 
 
-@dataclass(frozen=True)
-class AlphaSpec:
+class AlphaSpec(NamedTuple):
     """alpha = (p + q*sqrt(d)) / r.
 
     d must be a positive non-square integer and q nonzero, so that alpha

@@ -15,11 +15,10 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from math import inf
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from .algebra import AlgebraicPoint, AlphaContext, AlphaSpec
@@ -41,8 +40,7 @@ EXIT_CONFIG = 2
 EXIT_FINDING = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """The run settings: one field per config key, at its default."""
 
     alpha: AlphaSpec = AlphaSpec(-1, 1, 2, 1)
@@ -127,7 +125,6 @@ def load_config(
             lines = path.read_text(encoding="utf-8-sig").splitlines()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {config_path} is not UTF-8: {exc}") from exc
-        keys = {f.name for f in fields(RunConfig)}
         for lineno, line in enumerate(lines, 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -136,7 +133,7 @@ def load_config(
             if not sep:
                 raise ConfigError(f"{config_path}:{lineno}: expected key=value")
             key, value = key.strip(), value.strip()
-            if key not in keys:
+            if key not in RunConfig._fields:
                 raise ConfigError(f"{config_path}:{lineno}: unknown key {key!r}")
             raw[key] = value
     flags = {"seed": seed, "alpha": alpha, "output_dir": out}
@@ -155,10 +152,7 @@ def config_echo(cfg: RunConfig) -> dict:
     Every output records these as its params, and report compares them
     with the params its inputs were written with.
     """
-    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    text = json.dumps(
-        echo, default=lambda x: astuple(x) if isinstance(x, AlphaSpec) else str(x)
-    )
+    text = json.dumps(cfg._asdict(), default=str)
     return {**json.loads(text), "version": __version__}
 
 

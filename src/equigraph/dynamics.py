@@ -12,8 +12,7 @@ iteration count and the lifetime sum of rewired sets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Mapping, NoReturn, Sequence
+from typing import Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import CLAIM1_VIOLATION, EquigraphError, Finding
 from .graph import ComponentView, chain_element
@@ -188,19 +187,17 @@ def improve(m: KMatching) -> KMatching:
     return result
 
 
-@dataclass
-class IterationRecord:
+class IterationRecord(NamedTuple):
     n: int
     s_size: int
     cost: int
     rewired: tuple[tuple[int, int], ...]
 
 
-@dataclass
-class DynamicsTrace:
+class DynamicsTrace(NamedTuple):
     initial_cost: int
-    records: list[IterationRecord] = field(default_factory=list)
-    final_cost: int = 0
+    records: list[IterationRecord]
+    final_cost: int
 
     @property
     def iterations(self) -> int:
@@ -277,7 +274,7 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
     canonical window of the state before that round.
     """
     initial = m.cost()
-    trace = DynamicsTrace(initial_cost=initial)
+    records: list[IterationRecord] = []
     dev = m.deviations
     off = _canonical_window(dev, m.window)[0] - 2
     d = [1] * (max(dev, default=off) + 3 - off)
@@ -286,10 +283,10 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
     cost = initial
     pairs = phi_pairs(m)
     while pairs:
-        n = len(trace.records)
+        n = len(records)
         if n >= initial:
             raise EquigraphError(f"dynamics exceeded {initial} iterations")
-        trace.records.append(IterationRecord(n + 1, 2 * len(pairs), cost, tuple(pairs)))
+        records.append(IterationRecord(n + 1, 2 * len(pairs), cost, tuple(pairs)))
         drop, pairs = _round(d, off, m.k, pairs)
         cost -= drop
     if d.count(1) == len(d):
@@ -297,8 +294,8 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
     else:
         dev = {c: c + t for c, t in enumerate(d, off) if t != 1}
     window = m.window
-    if len(trace.records) > 1 and not dev:
-        last = trace.records[-1].rewired
+    if len(records) > 1 and not dev:
+        last = records[-1].rewired
         window = last[0][0], last[-1][0] + 3
     final = KMatching(m.k, window, dev)
     final.validate()
@@ -308,8 +305,7 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
             "tracked cost differs from the final matching's cost",
             witness={"tracked": cost, "final": final.cost()},
         )
-    trace.final_cost = cost
-    return final, trace
+    return final, DynamicsTrace(initial, records, cost)
 
 
 # ----------------------------------------------------------------------

@@ -13,13 +13,12 @@ from __future__ import annotations
 import random
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cmp_to_key
 from itertools import product
 from math import lcm
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, NamedTuple, Optional
 
 from .algebra import AlgebraicPoint, AlphaContext
 from .errors import EVEN_PATH_COMPONENT, EquigraphError, Finding
@@ -39,8 +38,7 @@ class Side(Enum):
     J = "J"
 
 
-@dataclass(frozen=True)
-class GVertex:
+class GVertex(NamedTuple):
     side: Side
     point: AlgebraicPoint
 
@@ -67,8 +65,7 @@ class VertexChain(Sequence):
         return isinstance(other, (tuple, VertexChain)) and tuple(self) == tuple(other)
 
 
-@dataclass(frozen=True)
-class ComponentView:
+class ComponentView(NamedTuple):
     """Result of walking a component from an origin vertex.
 
     visited is in path order (cycle order for cycles) and labels[k] is the

@@ -14,8 +14,8 @@ den fixed by y.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import CONNECTOR_MISSING, EquigraphError, Finding
 from .graph import Frame, IntervalGraph, Key, VertexChain
@@ -55,8 +55,7 @@ _STEP = (
 )
 
 
-@dataclass(frozen=True)
-class CertifiedPath:
+class CertifiedPath(NamedTuple):
     """A concrete walk in the graph witnessing dist <= 2|b|.
 
     vertices alternates I/J, starts at (I, y), ends at (I, g(y)); for

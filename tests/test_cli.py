@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from equigraph import __version__
 from equigraph.algebra import AlphaContext
 from equigraph.cli import (
     RunConfig,
+    config_echo,
     load_config,
     main,
     parse_alpha_spec,
@@ -63,6 +65,22 @@ def test_defaults():
     assert cfg.window == 200
     assert cfg.instances == 500
     assert cfg.output_dir == Path("out")
+
+
+def test_config_echo_of_the_defaults():
+    # every output's params: alpha as its four integers, paths as text
+    assert config_echo(RunConfig()) == {
+        "alpha": [-1, 1, 2, 1],
+        "seed": 0,
+        "ball_radius": 8,
+        "samples": 200,
+        "bfs_budget": 10000,
+        "k_values": [3, 5, 7, 9],
+        "window": 200,
+        "instances": 500,
+        "output_dir": "out",
+        "version": __version__,
+    }
 
 
 def test_config_file_and_overrides(tmp_path):

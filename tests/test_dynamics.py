@@ -1,10 +1,10 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from equigraph.algebra import AlgebraicPoint as point
 from equigraph.dynamics import (
+    DynamicsTrace,
     KMatching,
     assignment_from_targets,
     bridge_k_bound,
@@ -209,8 +209,11 @@ def _replay(m):
 def _assert_matches_replay(m):
     final, trace = run_dynamics(m)
     expected, initial, records = _replay(m)
+    assert type(trace) is DynamicsTrace
     assert trace.initial_cost == initial
     assert [(r.n, r.s_size, r.cost, r.rewired) for r in trace.records] == records
+    assert trace.iterations == len(records)
+    assert trace.sum_s == sum(s_size for _, s_size, _, _ in records)
     assert final.deviations == expected.deviations
     assert final.window == expected.window
     assert trace.final_cost == expected.cost() == final.cost()
@@ -617,7 +620,7 @@ def test_bridge_reads_the_lazy_chain_as_its_tuple(graph, monkeypatch):
     # oracles stand in for them
     v = graph.vertex(Side.I, point(Fraction(1, 2)))
     view = graph.explore_component(v, 64)
-    eager = dataclasses.replace(view, visited=tuple(view.visited))
+    eager = view._replace(visited=tuple(view.visited))
     n = len(view.visited)
     pairs = [(0, n - 1), (n - 1, 0), (30, 35), (35, 30), (33, 33)]
     targets = {-4: -1, -2: -3, 0: 3, 2: 1}

@@ -774,6 +774,16 @@ def test_vertex_record_shape():
     assert rec == {"side": "J", "u": "1/2", "v": "1"}
 
 
+def test_vertex_hashes_as_its_pair_and_has_no_order():
+    # a vertex hashes as the tuple (side, point), and neither sides nor
+    # points have an order to sort vertices by
+    p, q = point(Fraction(1, 3)), point(0, 1)
+    assert hash(GVertex(Side.I, p)) == hash((Side.I, p))
+    for other in (GVertex(Side.J, p), GVertex(Side.I, q)):
+        with pytest.raises(TypeError):
+            sorted([GVertex(Side.I, p), other])
+
+
 # ----------------------------------------------------------------------
 # the walker's classifier, driven by synthetic adjacency
 

@@ -6,7 +6,7 @@ and the package's `__all__` pointing at nothing.  Nor does any module
 import a name it never reads, nor does `src/` define a helper or store
 an attribute that only the tests use, and README's configuration table
 lists the run settings and their defaults.  Floats stay where the exact
-design allows them.
+design allows them, and the value records stay NamedTuples.
 """
 
 import ast
@@ -225,14 +225,12 @@ def test_readme_code_names_resolve():
 def test_readme_configuration_table_lists_the_settings(tmp_path):
     # every key of RunConfig in its field order, each default read as
     # config-file text giving back RunConfig's own default
-    from dataclasses import fields
-
     from equigraph.cli import RunConfig, load_config
 
     readme = (ROOT / "README.md").read_text()
     section = readme.split("### Configuration", 1)[1].split("\n### ", 1)[0]
     rows = re.findall(r"^\| `(\w+)`\s*\| `([^`]*)`", section, re.M)
-    assert [key for key, _ in rows] == [f.name for f in fields(RunConfig)]
+    assert [key for key, _ in rows] == list(RunConfig._fields)
     path = tmp_path / "readme.cfg"
     path.write_text("".join(f"{key} = {default}\n" for key, default in rows))
     assert load_config(str(path)) == RunConfig()
@@ -343,3 +341,61 @@ def test_floats_only_filter_or_render():
     divisions = {path.name: _true_divisions(path) for path in paths}
     assert divisions.pop("cli.py")
     assert [at for found in divisions.values() for at in found] == []
+
+
+def test_algebraic_point_is_the_one_dataclass():
+    # a dataclass builds its methods by exec at import, which every CLI call
+    # pays, so the value records are NamedTuples; AlgebraicPoint stays one
+    # because bench/tracing.py counts its __init__ as algebra.point_new
+    import dataclasses
+    import pkgutil
+
+    import equigraph
+
+    modules = [
+        importlib.import_module(f"equigraph.{info.name}")
+        for info in pkgutil.iter_modules(equigraph.__path__)
+    ]
+    made = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type)
+        and obj.__module__ == module.__name__
+        and dataclasses.is_dataclass(obj)
+    ]
+    assert made == ["equigraph.algebra.AlgebraicPoint"]
+    importers = [
+        path.name
+        for path in sorted((ROOT / "src" / "equigraph").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (
+            isinstance(node, ast.Import)
+            and "dataclasses" in [alias.name for alias in node.names]
+        )
+    ]
+    assert importers == ["algebra.py"]
+
+
+def test_records_are_read_only():
+    from equigraph.algebra import AlphaSpec
+    from equigraph.cli import RunConfig
+    from equigraph.dynamics import DynamicsTrace, IterationRecord
+    from equigraph.graph import ComponentView, GVertex
+    from equigraph.pathcert import CertifiedPath
+
+    records = (
+        AlphaSpec,
+        GVertex,
+        ComponentView,
+        CertifiedPath,
+        IterationRecord,
+        DynamicsTrace,
+        RunConfig,
+    )
+    for record in records:
+        rec = record._make(range(len(record._fields)))
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
