@@ -22,20 +22,20 @@ from .group import GroupElement
 class KMatching:
     """Eventually-standard matching on one path with displacement bound K.
 
-    Stored sparsely as one dict: a window (lo, hi) with lo even and hi
-    odd, and only the pairs that differ from standard.  run_dynamics
-    runs its rounds in one pass each on a displacement list over
-    [lo - 2, max + 2], lo the canonical window's left end and max the
-    rightmost deviation, and reads its result back into this form;
-    improve() and _rewire keep the dict form as the independent replay
-    reference.
+    Stored sparsely as one dict of the pairs that differ from standard;
+    the window (lo, hi) is the smallest span holding them and their
+    displaced standard partners, or the given one when there are none.
+    run_dynamics runs its rounds in one pass each on a displacement list
+    over [lo - 2, max + 2], max the rightmost deviation, and reads its
+    result back into this form; improve() and _rewire keep the dict form
+    as the independent replay reference.
     """
 
     def __init__(self, k: int, window: tuple[int, int], deviations: Mapping[int, int]):
         if k <= 0 or k % 2 == 0:
             raise EquigraphError(f"K must be an odd positive integer, got {k}")
         self.k = k
-        self.window = (int(window[0]), int(window[1]))
+        self.window = _canonical_window(deviations, (int(window[0]), int(window[1])))
         self.deviations: dict[int, int] = dict(sorted(deviations.items()))
 
     # ------------------------------------------------------------------
@@ -45,18 +45,13 @@ class KMatching:
         return not self.deviations
 
     def validate(self) -> None:
-        """Raise EquigraphError on any structural defect."""
+        """Raise EquigraphError on any structural defect of the deviations."""
         dev, k = self.deviations, self.k
-        lo, hi = self.window
-        if dev and not (lo % 2 == 0 and hi % 2 == 1 and lo < hi):
-            raise EquigraphError(f"window ({lo}, {hi}) not canonical")
         for a, t in dev.items():
             if a % 2 != 0 or t % 2 != 1:
                 raise EquigraphError(f"pair {a}->{t} breaks parity")
             if t == a + 1:
                 raise EquigraphError(f"standard pair {a} stored")
-            if not (lo <= a <= hi and lo <= t <= hi):
-                raise EquigraphError(f"pair {a}->{t} leaves window")
             if abs(a - t) > k:
                 raise EquigraphError(f"pair {a}->{t} exceeds K={k}")
         targets = set(dev.values())
@@ -168,14 +163,15 @@ def improve(m: KMatching) -> KMatching:
 
     For each pair, the two vertices swap partners.  Each rewired pair
     lowers its combined displacement by at least 2 and stays within K;
-    both facts are checked and a failure is raised as a Finding.
+    both facts are checked and a failure is raised as a Finding.  A round
+    that empties the path keeps m's window.
     """
     pairs = phi_pairs(m)
     if not pairs:
         raise EquigraphError("no facing pairs to rewire")
     dev = dict(m.deviations)
     _rewire(dev, m.k, pairs)
-    result = KMatching(m.k, _canonical_window(dev, m.window), dev)
+    result = KMatching(m.k, m.window, dev)
     result.validate()
     drop_needed = 2 * len(pairs)
     if result.cost() > m.cost() - drop_needed:
@@ -253,7 +249,7 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
     facing pairs left raises EquigraphError.
 
     Each round is one pass of _round over a list of displacements that
-    covers [lo - 2, max + 2], for lo the canonical window's left end and
+    covers [lo - 2, max + 2], for lo the window's left end and
     max the rightmost deviation.  No round reads or writes outside it: a
     new deviation x takes the partner of the deviation x + 2, so none
     appears right of max, and one left of lo would hold a partner that
@@ -269,14 +265,13 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
     injectivity included, once.  improve() and _rewire keep the dict form
     as the independent replay reference, and the result equals that of
     replaying improve(), window and trace included: a run that empties
-    the path keeps the input window after one round, and otherwise takes
-    (x_first, x_last + 3) of its last round's pairs (x, x + 2), the
-    canonical window of the state before that round.
+    the path takes (x_first, x_last + 3) of its last round's pairs
+    (x, x + 2), the window of the state before that round.
     """
     initial = m.cost()
     records: list[IterationRecord] = []
     dev = m.deviations
-    off = _canonical_window(dev, m.window)[0] - 2
+    off = m.window[0] - 2
     d = [1] * (max(dev, default=off) + 3 - off)
     for a, t in dev.items():
         d[a - off] = t - a
@@ -294,7 +289,7 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
     else:
         dev = {c: c + t for c, t in enumerate(d, off) if t != 1}
     window = m.window
-    if len(records) > 1 and not dev:
+    if records and not dev:
         last = records[-1].rewired
         window = last[0][0], last[-1][0] + 3
     final = KMatching(m.k, window, dev)
@@ -351,7 +346,7 @@ def random_kmatching(window: int, k: int, seed: int) -> KMatching:
             continue
         partner[i], partner[j] = p2, p1
     dev = {2 * i: t for i, t in enumerate(partner) if t != 2 * i + 1}
-    result = KMatching(k, _canonical_window(dev, (0, -1)), dev)
+    result = KMatching(k, (0, -1), dev)
     result.validate()
     return result
 
@@ -406,7 +401,7 @@ def kmatching_from_assignment(
     if len(set(targets.values())) != len(targets):
         raise EquigraphError("two pieces share a target J-vertex")
     dev = {a: t for a, t in targets.items() if t != a + 1}
-    matching = KMatching(k, _canonical_window(dev, (0, -1)), dev)
+    matching = KMatching(k, (0, -1), dev)
     matching.validate()
     return matching
 

@@ -43,9 +43,7 @@ def standard_matching(k):
 
 def _swapped(k=3, dev=None):
     dev = {0: 3, 2: 1} if dev is None else dev
-    lo = min(min(dev), min(dev.values()) - 1)
-    hi = max(max(dev) + 1, max(dev.values()))
-    m = KMatching(k, (lo, hi), dev)
+    m = KMatching(k, (0, -1), dev)
     m.validate()
     return m
 
@@ -62,10 +60,8 @@ def test_k_must_be_odd_positive():
 
 def test_validate_rejects_structural_defects():
     cases = [
-        (7, (1, 4), {2: 5}, "not canonical"),
         (7, (0, 3), {1: 2}, "parity"),
         (7, (0, 3), {0: 1}, "standard pair"),
-        (7, (0, 3), {0: 5}, "leaves window"),
         (3, (0, 7), {0: 7, 6: 1}, "exceeds K"),
         (7, (0, 5), {0: 3, 4: 3}, "not injective"),
         (7, (0, 3), {0: 3}, "bijection"),
@@ -74,6 +70,26 @@ def test_validate_rejects_structural_defects():
         m = KMatching(k, window, deviations)
         with pytest.raises(EquigraphError, match=fragment):
             m.validate()
+
+
+def test_window_is_derived_from_the_deviations():
+    # with deviations, the given window is replaced by the smallest span
+    # holding the pairs and their displaced standard partners, so a window
+    # cannot be off canonical or miss a pair: what validate() checked there
+    # is left to the window bijection
+    for window, deviations, derived in (
+        ((1, 4), {2: 5}, (2, 5)),
+        ((0, 3), {0: 5}, (0, 5)),
+    ):
+        m = KMatching(7, window, deviations)
+        assert m.window == derived
+        assert m.window == dynamics_module._canonical_window(deviations, window)
+        with pytest.raises(EquigraphError, match="^window bijection broken$"):
+            m.validate()
+    # with none, the given window is kept, as a tuple of ints
+    m = KMatching(3, [4, 9], {})
+    assert m.window == (4, 9) and type(m.window) is tuple
+    m.validate()
 
 
 def test_partner_and_pairs_accessors():
@@ -252,14 +268,15 @@ def test_run_dynamics_equals_improve_replay_on_random_instances():
 
 
 def test_run_dynamics_equals_improve_replay_on_paths_converging_apart():
-    # a path that converges in round 1 keeps its input window
+    # a path that converges in round 1 keeps its input window, stored as
+    # the canonical (10, 13) in place of the given (10, 15)
     m = KMatching(5, (10, 15), {10: 13, 12: 11})
     m.validate()
     final, trace = _assert_matches_replay(m)
     assert trace.iterations == 1
     assert trace.records[0].rewired == ((10, 12),)
-    assert final.window == (10, 15)
-    # one that converges in round 2, from a window wider than its
+    assert final.window == (10, 13)
+    # one that converges in round 2, from a given window wider than its
     # deviations, takes the canonical window of its previous state
     m = KMatching(5, (0, 9), {0: 5, 2: 1, 4: 3})
     m.validate()
@@ -271,10 +288,10 @@ def test_run_dynamics_equals_improve_replay_on_paths_converging_apart():
 
 def test_run_dynamics_equals_improve_replay_on_every_small_matching():
     # every K-matching of the A-vertices 0, 2, .., 2n - 2 onto the
-    # B-vertices 1, 3, .., 2n - 1, on its canonical window and on one
-    # widened by 2 a side, since the window a path keeps when the dynamics
-    # empty it depends on both the last round and the input window; each
-    # run is repeated shifted by +-2*10**6, far from the list's index 0
+    # B-vertices 1, 3, .., 2n - 1, given its canonical window and one
+    # widened by 2 a side, which the constructor replaces by the canonical
+    # one unless the matching is standard; each run is repeated shifted
+    # by +-2*10**6, far from the list's index 0
     matchings = multi_round = 0
     most_rounds: dict[int, int] = {}
     for k in (3, 5, 7):
@@ -343,9 +360,9 @@ def test_run_dynamics_checks_the_entries_it_writes():
     with pytest.raises(EquigraphError, match="breaks parity"):
         run_dynamics(m)
     # the result read back off the list is validated: after (0, 2) is
-    # rewired, 4 -> 7 is left, outside the input window
+    # rewired, 4 -> 7 is left, which leaves B-vertex 5 unmatched
     m = KMatching(7, (0, 3), {0: 3, 2: 1, 4: 7})
-    with pytest.raises(EquigraphError, match="^pair 4->7 leaves window$"):
+    with pytest.raises(EquigraphError, match="^window bijection broken$"):
         run_dynamics(m)
 
 

@@ -399,3 +399,28 @@ def test_records_are_read_only():
         for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(rec, name, None)
+
+
+def _callers(node: ast.AST, callee: str, prefix: str = ""):
+    """Qualified name of the function around each call of callee under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _callers(child, callee, f"{prefix}{child.name}.")
+            continue
+        if isinstance(child, ast.Call) and callee in (
+            getattr(child.func, "id", None),
+            getattr(child.func, "attr", None),
+        ):
+            yield prefix[:-1]
+        yield from _callers(child, callee, prefix)
+
+
+def test_only_the_constructor_derives_a_window():
+    # a KMatching derives its window from its deviations, so no caller in
+    # src/ computes one for it; tests/oracles.py still may
+    callers = [
+        f"{path.name}:{caller}"
+        for path in sorted((ROOT / "src" / "equigraph").glob("*.py"))
+        for caller in _callers(ast.parse(path.read_text()), "_canonical_window")
+    ]
+    assert callers == ["dynamics.py:KMatching.__init__"]
