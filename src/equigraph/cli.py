@@ -27,7 +27,7 @@ from .dynamics import (
     KMatching,
     assignment_from_targets,
     kmatching_from_assignment,
-    random_kmatching,
+    random_dynamics,
     run_dynamics,
 )
 from .errors import CLAIM1_VIOLATION, ConfigError, EquigraphError, Finding
@@ -268,8 +268,20 @@ def cmd_verify_lemma(cfg: RunConfig) -> int:
     return EXIT_FINDING if n_violations else EXIT_OK
 
 
-def _pairs_cell(pairs: Sequence[tuple[int, int]]) -> str:
-    return ";".join([f"0:{x}:{y}" for x, y in pairs])
+class _PairCells(dict):
+    """The trace cell of each rewired pair, formatted on its first use.
+
+    Rounds rewire the same few pairs over and over, so a dynamics run
+    formats each distinct pair once.
+    """
+
+    def __missing__(self, pair: tuple[int, int]) -> str:
+        cell = self[pair] = f"0:{pair[0]}:{pair[1]}"
+        return cell
+
+
+def _pairs_cell(cells: _PairCells, pairs: Sequence[tuple[int, int]]) -> str:
+    return ";".join(map(cells.__getitem__, pairs))
 
 
 def _assert_converged(label: str, final: KMatching, trace: DynamicsTrace) -> None:
@@ -330,15 +342,15 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     rows_by_k: dict[int, list[tuple]] = {k: [] for k in cfg.k_values}
     instance_records = []
     max_iterations = 0
+    cells = _PairCells()
     for i in range(cfg.instances):
         k = cfg.k_values[i % len(cfg.k_values)]
         inst_seed = cfg.seed * 1_000_003 + i
-        m0 = random_kmatching(cfg.window, k, inst_seed)
-        final, trace = run_dynamics(m0)
+        final, trace = random_dynamics(cfg.window, k, inst_seed)
         _assert_converged(str(i), final, trace)
         for rec in trace.records:
             rows_by_k[k].append(
-                (i, rec.n, rec.s_size, rec.cost, _pairs_cell(rec.rewired))
+                (i, rec.n, rec.s_size, rec.cost, _pairs_cell(cells, rec.rewired))
             )
         max_iterations = max(max_iterations, trace.iterations)
         instance_records.append(

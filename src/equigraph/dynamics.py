@@ -12,6 +12,7 @@ iteration count and the lifetime sum of rewired sets.
 from __future__ import annotations
 
 import random
+from operator import add
 from typing import Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import CLAIM1_VIOLATION, EquigraphError, Finding
@@ -25,10 +26,10 @@ class KMatching:
     Stored sparsely as one dict of the pairs that differ from standard;
     the window (lo, hi) is the smallest span holding them and their
     displaced standard partners, or the given one when there are none.
-    run_dynamics runs its rounds in one pass each on a displacement list
-    over [lo - 2, max + 2], max the rightmost deviation, and reads its
-    result back into this form; improve() and _rewire keep the dict form
-    as the independent replay reference.
+    run_dynamics and random_dynamics run their rounds in one pass each on
+    a displacement list and read the result back into this form;
+    improve() and _rewire keep the dict form as the independent replay
+    reference.
     """
 
     def __init__(self, k: int, window: tuple[int, int], deviations: Mapping[int, int]):
@@ -242,6 +243,48 @@ def _round(
     return 2 * drop, nxt
 
 
+def _converge(
+    d: list[int],
+    off: int,
+    k: int,
+    window: tuple[int, int],
+    pairs: list[tuple[int, int]],
+    cost: int,
+) -> tuple[KMatching, DynamicsTrace]:
+    """Run _round on the displacement list d from its facing pairs to none.
+
+    d[c - off] is partner(c) - c over a span that no round leaves, and
+    cost is the matching's; window is that of a matching with no
+    deviations.  Returns the result read back off d, validated and with
+    its cost recounted, and the trace, as run_dynamics describes.
+    """
+    initial = cost
+    records: list[IterationRecord] = []
+    while pairs:
+        n = len(records)
+        if n >= initial:
+            raise EquigraphError(f"dynamics exceeded {initial} iterations")
+        records.append(IterationRecord(n + 1, 2 * len(pairs), cost, tuple(pairs)))
+        drop, pairs = _round(d, off, k, pairs)
+        cost -= drop
+    if d.count(1) == len(d):
+        dev = {}
+    else:
+        dev = {c: c + t for c, t in enumerate(d, off) if t != 1}
+    if records and not dev:
+        last = records[-1].rewired
+        window = last[0][0], last[-1][0] + 3
+    final = KMatching(k, window, dev)
+    final.validate()
+    if final.cost() != cost:
+        raise Finding(
+            CLAIM1_VIOLATION,
+            "tracked cost differs from the final matching's cost",
+            witness={"tracked": cost, "final": final.cost()},
+        )
+    return final, DynamicsTrace(initial, records, cost)
+
+
 def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
     """Iterate improve() until no facing pairs remain.
 
@@ -268,55 +311,26 @@ def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
     the path takes (x_first, x_last + 3) of its last round's pairs
     (x, x + 2), the window of the state before that round.
     """
-    initial = m.cost()
-    records: list[IterationRecord] = []
     dev = m.deviations
     off = m.window[0] - 2
     d = [1] * (max(dev, default=off) + 3 - off)
     for a, t in dev.items():
         d[a - off] = t - a
-    cost = initial
-    pairs = phi_pairs(m)
-    while pairs:
-        n = len(records)
-        if n >= initial:
-            raise EquigraphError(f"dynamics exceeded {initial} iterations")
-        records.append(IterationRecord(n + 1, 2 * len(pairs), cost, tuple(pairs)))
-        drop, pairs = _round(d, off, m.k, pairs)
-        cost -= drop
-    if d.count(1) == len(d):
-        dev = {}
-    else:
-        dev = {c: c + t for c, t in enumerate(d, off) if t != 1}
-    window = m.window
-    if records and not dev:
-        last = records[-1].rewired
-        window = last[0][0], last[-1][0] + 3
-    final = KMatching(m.k, window, dev)
-    final.validate()
-    if final.cost() != cost:
-        raise Finding(
-            CLAIM1_VIOLATION,
-            "tracked cost differs from the final matching's cost",
-            witness={"tracked": cost, "final": final.cost()},
-        )
-    return final, DynamicsTrace(initial, records, cost)
+    return _converge(d, off, m.k, m.window, phi_pairs(m), m.cost())
 
 
 # ----------------------------------------------------------------------
 # instance construction
 
 
-def random_kmatching(window: int, k: int, seed: int) -> KMatching:
-    """Seeded K-preserving shuffle of the standard matching.
+def _draw(window: int, k: int, seed: int) -> list[int]:
+    """Seeded K-preserving shuffle of the standard matching, as a list.
 
-    window counts the A-vertices allowed to deviate (coords 0..2*window-1).
-    Starting from standard, tries one partner transposition per A-vertex,
-    keeping only those that respect the K bound.  The shuffle runs on a
-    partner list, partner[i] the B-vertex of A-vertex 2*i, so a kept
-    transposition is one swap; the deviations are read off it at the end.
-    The random stream is that of Random.randrange and Random.randint, which
-    tests/oracles.py's random_deviations pins.
+    d[i] is partner(2*i) - 2*i for the A-vertices 0..2*window-2, so +1 is
+    standard.  Starting from standard, tries one partner transposition
+    per A-vertex, keeping only those that respect the K bound; a kept one
+    rewrites two entries.  The random stream is that of Random.randrange
+    and Random.randint, which tests/oracles.py's random_deviations pins.
     """
     if k <= 0 or k % 2 == 0:
         raise EquigraphError(f"K must be an odd positive integer, got {k}")
@@ -325,7 +339,7 @@ def random_kmatching(window: int, k: int, seed: int) -> KMatching:
     getrandbits = random.Random(seed).getrandbits
     half = (k + 1) // 2
     wbits, hbits = window.bit_length(), half.bit_length()
-    partner = list(range(1, 2 * window, 2))
+    d = [1] * window
     # Each loop is Random.randrange(n) without its argument checks, so the
     # stream is the same: n.bit_length() random bits, redrawn while >= n.
     for _ in range(window):
@@ -338,17 +352,55 @@ def random_kmatching(window: int, k: int, seed: int) -> KMatching:
         coin = getrandbits(2)  # rng.randrange(2)
         while coin >= 2:
             coin = getrandbits(2)
-        j = i + delta + 1 if coin else i - delta - 1
+        step = delta + 1 if coin else -delta - 1
+        j = i + step
         if not 0 <= j < window:
             continue
-        p1, p2 = partner[i], partner[j]
-        if abs(2 * i - p2) > k or abs(2 * j - p1) > k:
+        # A-vertices 2i and 2j swap partners, 2*step apart
+        di, dj = d[j] + 2 * step, d[i] - 2 * step
+        if abs(di) > k or abs(dj) > k:
             continue
-        partner[i], partner[j] = p2, p1
-    dev = {2 * i: t for i, t in enumerate(partner) if t != 2 * i + 1}
+        d[i], d[j] = di, dj
+    return d
+
+
+def random_kmatching(window: int, k: int, seed: int) -> KMatching:
+    """Seeded K-preserving shuffle of the standard matching.
+
+    window counts the A-vertices allowed to deviate (coords 0..2*window-1).
+    The shuffle is _draw's displacement list; its deviations are read off
+    it in increasing order and the result is validated.
+    """
+    d = _draw(window, k, seed)
+    dev = {a: a + t for a, t in zip(range(0, 2 * window, 2), d) if t != 1}
     result = KMatching(k, (0, -1), dev)
     result.validate()
     return result
+
+
+def random_dynamics(window: int, k: int, seed: int) -> tuple[KMatching, DynamicsTrace]:
+    """run_dynamics(random_kmatching(window, k, seed)), on one list.
+
+    _draw's displacement list is checked as it stands: every displacement
+    within K, and the targets 2*i + d[i] of the window's A-vertices are
+    exactly its B-vertices 1, 3, .., 2*window - 1, which gives parity and
+    injectivity too.  Its cost and facing pairs are read off it, and it
+    is spread over the list that _round runs on, which covers the
+    coordinates -2..2*window, so no dict of the instance is built.
+    """
+    d = _draw(window, k, seed)
+    if max(map(abs, d)) > k:
+        raise EquigraphError(f"drawn displacement exceeds K={k}")
+    # window targets that include all window B-vertices are a bijection onto them
+    if not set(map(add, range(0, 2 * window, 2), d)).issuperset(
+        range(1, 2 * window, 2)
+    ):
+        raise EquigraphError("drawn targets are not the window's B-vertices")
+    pairs = [(2 * i - 2, 2 * i) for i in range(1, window) if d[i] < 0 < d[i - 1]]
+    cost = sum(map(abs, d)) - window
+    spread = [1] * (2 * window + 3)
+    spread[2 : 2 * window + 2 : 2] = d
+    return _converge(spread, -2, k, (0, -1), pairs, cost)
 
 
 def bridge_k_bound(max_abs_b: int) -> int:

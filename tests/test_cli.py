@@ -22,7 +22,7 @@ from equigraph.cli import (
     parse_point_text,
     render_figure,
 )
-from equigraph.dynamics import improve, run_dynamics
+from equigraph.dynamics import improve, random_kmatching, run_dynamics
 from equigraph.errors import (
     CLAIM1_VIOLATION,
     EVEN_PATH_COMPONENT,
@@ -297,13 +297,17 @@ def test_dynamics_outputs(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "instances, label", [(6, "0"), (0, "bridge")], ids=["random", "bridge"]
+    "instances, label, entry",
+    [(6, "0", "random_dynamics"), (0, "bridge", "run_dynamics")],
+    ids=["random", "bridge"],
 )
 def test_dynamics_stopping_one_round_early_exits_3(
-    tmp_path, monkeypatch, capsys, instances, label
+    tmp_path, monkeypatch, capsys, instances, label, entry
 ):
     # instance 0 takes 2 rounds and the bridge 1, so the mutant hands
-    # back a matching one round short of standard: m0 for the bridge
+    # back a matching one round short of standard: m0 for the bridge.
+    # The random instances run through random_dynamics, the bridge
+    # through run_dynamics
     def one_round_short(m0):
         _, trace = run_dynamics(m0)
         m = m0
@@ -312,7 +316,11 @@ def test_dynamics_stopping_one_round_early_exits_3(
         trace.records.pop()
         return m, trace
 
-    monkeypatch.setattr("equigraph.cli.run_dynamics", one_round_short)
+    mutants = {
+        "random_dynamics": lambda *args: one_round_short(random_kmatching(*args)),
+        "run_dynamics": one_round_short,
+    }
+    monkeypatch.setattr(f"equigraph.cli.{entry}", mutants[entry])
     text = SMALL.replace("instances = 6", f"instances = {instances}")
     cfg = _write_config(tmp_path, text)
     assert main(["--out", str(tmp_path), "--config", cfg, "dynamics"]) == 3

@@ -11,6 +11,7 @@ from equigraph.dynamics import (
     improve,
     kmatching_from_assignment,
     phi_pairs,
+    random_dynamics,
     random_kmatching,
     run_dynamics,
 )
@@ -553,6 +554,9 @@ def test_random_kmatching_draws_as_randrange_did():
             # phi_pairs reads the deviations in increasing order
             assert list(m.deviations.items()) == list(dev.items())
             assert m.window == dynamics_module._canonical_window(dev, (0, -1))
+            # and so does the displacement list that random_dynamics runs on
+            d = dynamics_module._draw(window, k, seed)
+            assert {2 * i: 2 * i + t for i, t in enumerate(d) if t != 1} == dev
             # a deviation at either end of the window was made by a kept swap
             first_moved |= 0 in dev
             last_moved |= 2 * (window - 1) in dev
@@ -561,10 +565,11 @@ def test_random_kmatching_draws_as_randrange_did():
 
 def test_random_kmatching_edge_cases():
     assert random_kmatching(20, 1, 0).cost() == 0  # K=1 admits no swap
-    with pytest.raises(EquigraphError, match="odd positive integer"):
-        random_kmatching(20, 4, 0)
-    with pytest.raises(EquigraphError, match="window 3 smaller than K=5"):
-        random_kmatching(3, 5, 0)
+    for make in (random_kmatching, random_dynamics):
+        with pytest.raises(EquigraphError, match="odd positive integer"):
+            make(20, 4, 0)
+        with pytest.raises(EquigraphError, match="window 3 smaller than K=5"):
+            make(3, 5, 0)
 
 
 def test_random_kmatching_respects_window_and_k():
@@ -573,6 +578,48 @@ def test_random_kmatching_respects_window_and_k():
     assert lo >= 0 and hi <= 59
     for a, t in m.deviations.items():
         assert abs(a - t) <= 7
+
+
+def test_random_dynamics_equals_run_dynamics_on_random_kmatching():
+    # the draw run to convergence on one list, against the same instance
+    # built as a KMatching and run through run_dynamics: records, final
+    # cost, result and window.  K = 1 draws the standard matching, and
+    # window = K is the narrowest window allowed
+    rounds = set()
+    for k in (1, 3, 5, 7, 9, 11):
+        for window in (k, k + 1, 12, 60, 1000):
+            for seed in range(5 if window < 1000 else 2):
+                final, trace = random_dynamics(window, k, seed)
+                expected, expected_trace = run_dynamics(
+                    random_kmatching(window, k, seed)
+                )
+                assert trace == expected_trace
+                assert final.k == expected.k == k
+                assert final.window == expected.window
+                assert final.deviations == expected.deviations
+                rounds.add(trace.iterations)
+    assert 0 in rounds and max(rounds) >= 4
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        # 0 -> 5, 2 -> 1, 4 -> 3, 6 -> 7: a bijection, but 0 -> 5 exceeds K
+        ([5, -1, -1, 1], "drawn displacement exceeds K=3"),
+        ([3, 1, 1, 1], "drawn targets are not the window's B-vertices"),
+        ([2, 1, 1, 1], "drawn targets are not the window's B-vertices"),
+        ([1, 1, 1, 3], "drawn targets are not the window's B-vertices"),
+    ],
+    ids=["beyond-k", "shared-target", "even-displacement", "target-outside-window"],
+)
+def test_random_dynamics_checks_the_drawn_list(monkeypatch, d, message):
+    # each list fails one check of the draw before any round runs; the
+    # checks that would catch it later (_round's, validate()'s) word it
+    # otherwise
+    monkeypatch.setattr(dynamics_module, "_draw", lambda window, k, seed: list(d))
+    with pytest.raises(EquigraphError, match=f"^{message}$") as info:
+        random_dynamics(4, 3, 0)
+    assert not isinstance(info.value, Finding)
 
 
 # ----------------------------------------------------------------------

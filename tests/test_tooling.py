@@ -266,6 +266,38 @@ def test_verify_lemma_runs_each_traced_step_once_per_check(monkeypatch, graph):
     }
 
 
+def test_dynamics_validates_once_per_instance(monkeypatch, tmp_path):
+    # bench/tracing.py counts KMatching.validate, random_kmatching and
+    # phi_pairs: a random instance runs from its draw to convergence on one
+    # displacement list and validates only its result, so n instances and
+    # the bridge (its assignment and its result) validate n + 2 times, and
+    # only the bridge's run_dynamics reads facing pairs off a KMatching
+    from equigraph import cli, dynamics
+    from equigraph.dynamics import KMatching
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(KMatching, "validate", counted("validate", KMatching.validate))
+    for name in ("random_kmatching", "phi_pairs"):
+        original = getattr(dynamics, name)
+        for module in (dynamics, cli):  # every binding, as the tracer patches
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    n = 6
+    cfg = tmp_path / "dynamics.cfg"
+    cfg.write_text(f"window = 12\nk_values = 3,5\ninstances = {n}\n")
+    assert cli.main(["--out", str(tmp_path), "--config", str(cfg), "dynamics"]) == 0
+    assert calls == {"validate": n + 2, "phi_pairs": 1}
+    assert calls["random_kmatching"] == 0
+
+
 def test_walk_makes_two_signs_per_vertex(monkeypatch, graph):
     # one sign per far-interval threshold (two a side); the edges' order is
     # derived at import: a kernel testing every bound of every map makes
