@@ -15,7 +15,6 @@ from .group import (
     GENERATOR_ELEMENTS,
     Generator,
     GroupElement,
-    apply,
     compose,
     enumerate_ball,
     inverse,
@@ -45,7 +44,6 @@ __all__ = [
     "IntervalGraph",
     "KMatching",
     "Side",
-    "apply",
     "build_path",
     "compose",
     "enumerate_ball",

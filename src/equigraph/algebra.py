@@ -4,8 +4,9 @@ alpha is a fixed quadratic irrational (p + q*sqrt(d)) / r in (0, 1).
 Every sign the package decides is AlphaContext.sign_scaled's, on an
 integer form u + v*alpha.  scaled, an integer within an exactly checked 1
 of alpha*2**64, filters in front of it (graph.Frame); the module holds no
-float.  The point API (AlgebraicPoint, sign, in_interval) is the edge
-where values enter and leave; no decision path calls it.
+float.  AlgebraicPoint is the edge where values enter and leave; no
+decision path does arithmetic on it.  The point-level sign and interval
+test are references in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -118,19 +119,6 @@ class AlphaContext:
         if s == 0 or (s > 0) == (t > 0):
             return 1 if t > 0 else -1
         return 1 if (s * s > t * t * spec.d) == (s > 0) else -1
-
-    def sign(self, x: AlgebraicPoint) -> int:
-        """Exact sign of u + v*alpha, one of -1, 0, 1."""
-        u, v = x.u, x.v
-        return self.sign_scaled(
-            u.numerator * v.denominator, v.numerator * u.denominator
-        )
-
-    def in_interval(
-        self, x: AlgebraicPoint, lo: AlgebraicPoint, hi: AlgebraicPoint
-    ) -> bool:
-        """Exact membership of x in [lo, hi]; empty when lo > hi."""
-        return self.sign(x - lo) >= 0 and self.sign(hi - x) >= 0
 
     def __repr__(self) -> str:
         s = self.spec

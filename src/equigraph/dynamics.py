@@ -27,9 +27,9 @@ class KMatching:
     the window (lo, hi) is the smallest span holding them and their
     displaced standard partners, or the given one when there are none.
     run_dynamics and random_dynamics run their rounds in one pass each on
-    a displacement list and read the result back into this form;
-    improve() and _rewire keep the dict form as the independent replay
-    reference.
+    a displacement list and read the result back into this form.  The
+    dict-form replay reference, improve and _rewire, lives in
+    tests/oracles.py.
     """
 
     def __init__(self, k: int, window: tuple[int, int], deviations: Mapping[int, int]):
@@ -107,8 +107,9 @@ def _refuse(k: int, x: int, y: int, mx: int, my: int) -> NoReturn:
     mx and my are the old partners.  In order: an old partner beyond K
     is the input's EquigraphError, in the words of validate(); a new
     partner beyond K and a combined displacement that drops by less than
-    2 are Findings; what is left is a parity defect.  Called only once a
-    kernel has seen one of these checks fail.
+    2 are Findings; what is left is a parity defect.  Called only once
+    _round has seen one of these checks fail; the dict-form _rewire in
+    tests/oracles.py calls it too, so the two kernels name the same check.
     """
     odx, ody, ndx, ndy = abs(mx - x), abs(my - y), abs(my - x), abs(mx - y)
     if odx > k or ody > k:
@@ -127,61 +128,6 @@ def _refuse(k: int, x: int, y: int, mx: int, my: int) -> NoReturn:
             witness={"pair": [x, y], "old": [odx, ody], "new": [ndx, ndy]},
         )
     raise EquigraphError(f"pair {x}->{my} or {y}->{mx} breaks parity")
-
-
-def _rewire(dev: dict[int, int], k: int, pairs: Sequence[tuple[int, int]]) -> int:
-    """Swap the partners of every facing pair of one round, in place.
-
-    The dict-form reference that improve() replays, written as the rule
-    reads rather than for speed.  Returns the round's cost drop.  Before
-    a pair is written, an old partner beyond K is raised as the input's
-    EquigraphError, and a new partner beyond K or a combined displacement
-    that drops by less than 2 as a Finding, so a returned drop is at
-    least |S|.  Each end is written as an entry only when it is not
-    standard, and then the parity of the ends and partners is checked.
-    Ends that share a partner keep their displacements, so the drop test
-    refuses them; injectivity as a whole is left to validate().
-    """
-    drop = 0
-    for x, y in pairs:
-        mx, my = dev.get(x, x + 1), dev.get(y, y + 1)
-        odx, ody, ndx, ndy = abs(mx - x), abs(my - y), abs(my - x), abs(mx - y)
-        if odx > k or ody > k or ndx > k or ndy > k or ndx + ndy > odx + ody - 2:
-            _refuse(k, x, y, mx, my)
-        for a, t in ((x, my), (y, mx)):
-            if t == a + 1:
-                dev.pop(a, None)
-            else:
-                dev[a] = t
-        if x % 2 or y % 2 or not (mx % 2 and my % 2):
-            _refuse(k, x, y, mx, my)
-        drop += odx + ody - ndx - ndy
-    return drop
-
-
-def improve(m: KMatching) -> KMatching:
-    """Rewire every facing pair simultaneously.
-
-    For each pair, the two vertices swap partners.  Each rewired pair
-    lowers its combined displacement by at least 2 and stays within K;
-    both facts are checked and a failure is raised as a Finding.  A round
-    that empties the path keeps m's window.
-    """
-    pairs = phi_pairs(m)
-    if not pairs:
-        raise EquigraphError("no facing pairs to rewire")
-    dev = dict(m.deviations)
-    _rewire(dev, m.k, pairs)
-    result = KMatching(m.k, m.window, dev)
-    result.validate()
-    drop_needed = 2 * len(pairs)
-    if result.cost() > m.cost() - drop_needed:
-        raise Finding(
-            CLAIM1_VIOLATION,
-            "improvement round dropped cost by less than |S|",
-            witness={"before": m.cost(), "after": result.cost(), "s": drop_needed},
-        )
-    return result
 
 
 class IterationRecord(NamedTuple):
@@ -286,30 +232,35 @@ def _converge(
 
 
 def run_dynamics(m: KMatching) -> tuple[KMatching, DynamicsTrace]:
-    """Iterate improve() until no facing pairs remain.
+    """Run improvement rounds until no facing pairs remain.
 
     Terminates within cost(M) rounds; a run that reaches that bound with
     facing pairs left raises EquigraphError.
 
     Each round is one pass of _round over a list of displacements that
-    covers [lo - 2, max + 2], for lo the window's left end and
-    max the rightmost deviation.  No round reads or writes outside it: a
-    new deviation x takes the partner of the deviation x + 2, so none
-    appears right of max, and one left of lo would hold a partner that
-    only a deviation further left can have given up.  A round costs
-    O(|S|): after rewiring (x, x + 2), only (x - 2, x) and (x + 2, x + 4)
-    are re-tested, since a pair whose entries did not change cannot start
+    covers [lo - 2, max + 2], for lo the window's left end and max the
+    rightmost deviation.  No round reads or writes outside it: a new
+    deviation x takes the partner of the deviation x + 2, so none appears
+    right of max, and one left of lo would hold a partner that only a
+    deviation further left can have given up.  A round costs O(|S|):
+    after rewiring (x, x + 2), only (x - 2, x) and (x + 2, x + 4) are
+    re-tested, since a pair whose entries did not change cannot start
     facing and the rewired pair cannot face again (that needs x -> x + 1
     and x + 2 -> x + 1, which the drop test refuses).  Each pair is
     checked as it is written: a drop of at least 2, so a round drops by
     at least |S|, new displacements within K, and parity.  The cost moves
-    by the exact per-pair drops; after the run it is recounted, and the
-    result is read back off the list, built and fully validated,
-    injectivity included, once.  improve() and _rewire keep the dict form
-    as the independent replay reference, and the result equals that of
-    replaying improve(), window and trace included: a run that empties
-    the path takes (x_first, x_last + 3) of its last round's pairs
-    (x, x + 2), the window of the state before that round.
+    by the exact per-pair drops and is recounted after the run; the
+    result is read back off the list and fully validated once.  It equals
+    the replay of the dict-form improve in tests/oracles.py, window and
+    trace included: a run that empties the path takes (x_first, x_last + 3)
+    of its last round's pairs (x, x + 2), the window before that round.
+
+    No round joins two clusters, maximal sets of deviations whose hulls
+    [min(a, t), max(a, t)] overlap.  A facing pair (x, x + 2) has
+    partner(x) >= x + 3 and partner(x + 2) <= x + 1, so its two hulls
+    overlap, and the swap keeps both new partners inside their union.
+    So a run's round count is the largest of its clusters' and each
+    round's |S| is the sum of theirs.
     """
     dev = m.deviations
     off = m.window[0] - 2

@@ -151,7 +151,7 @@ class Frame:
             raise EquigraphError(f"{v.point} outside {v.side.value} interval")
 
     def image(self, g: GroupElement, u: int, v: int) -> tuple[int, int]:
-        """apply(g, .) on (u, v): a*x + 2c + 2b*alpha."""
+        """g on the key (u, v), x = (u + v*alpha)/den: a*x + 2c + 2b*alpha."""
         return g.a * u + 2 * g.c * self.den, g.a * v + 2 * g.b * self.den
 
     def remember(self, origin: Key) -> None:

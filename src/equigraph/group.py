@@ -13,7 +13,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .algebra import AlgebraicPoint
 from .errors import EquigraphError
 
 MAX_BALL_RADIUS = 10
@@ -66,17 +65,12 @@ GENERATOR_ELEMENTS: dict[Generator, GroupElement] = {
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    """g after h: apply(compose(g, h), x) == apply(g, apply(h, x))."""
+    """g after h: the map x -> g(h(x))."""
     return GroupElement(g.a * h.a, g.a * h.b + g.b, g.a * h.c + g.c)
 
 
 def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(g.a, -g.a * g.b, -g.a * g.c)
-
-
-def apply(g: GroupElement, x: AlgebraicPoint) -> AlgebraicPoint:
-    """Image of u + v*alpha: (a*u + 2c) + (a*v + 2b)*alpha."""
-    return AlgebraicPoint(g.a * x.u + 2 * g.c, g.a * x.v + 2 * g.b)
 
 
 def enumerate_ball(radius: int) -> set[GroupElement]:

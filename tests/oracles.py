@@ -12,7 +12,13 @@ partners, ray directions, nested-ray test and extraction to the unit
 matching are plain functions of a package KMatching here: the package
 checks convergence by is_standard alone.
 
-The exceptions are build_path_points, the package's earlier distance
+The exceptions are the point API and the dict-form round that the
+package once shipped: sign and in_interval, the exact sign and interval
+test of a point, by AlphaContext.sign_scaled, apply, the image of a point
+under a group element, and improve and _rewire, the improvement round on
+a KMatching's deviations dict, the replay reference for run_dynamics,
+which names a failed check by the package's _refuse.  Then come
+build_path_points, the package's earlier distance
 certificate construction on exact points (apply, sign, in_interval and
 neighbors), kept verbatim as the reference for the integer construction,
 verify_lemma_reference, the sweep with no frame shared between calls and
@@ -36,24 +42,29 @@ import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from equigraph import graph as graph_module
 from equigraph.algebra import AlgebraicPoint, AlgebraicPoint as point, AlphaContext
 from equigraph.dynamics import (
     KMatching,
     _canonical_window,
+    _refuse,
     bridge_k_bound,
     phi_pairs,
 )
-from equigraph.errors import CONNECTOR_MISSING, EquigraphError, Finding
+from equigraph.errors import (
+    CLAIM1_VIOLATION,
+    CONNECTOR_MISSING,
+    EquigraphError,
+    Finding,
+)
 from equigraph.graph import Frame, GVertex, IntervalGraph, Side, VertexChain
 from equigraph.group import (
     GENERATOR_ELEMENTS,
     IDENTITY,
     Generator,
     GroupElement,
-    apply,
     compose,
     enumerate_ball,
     inverse,
@@ -70,6 +81,24 @@ ALPHA = point(0, 1)
 def to_float(ctx: AlphaContext, x: AlgebraicPoint) -> float:
     """x as a float, with alpha = ctx.scaled / 2**64 as the figure reads it."""
     return float(x.u) + float(x.v) * (ctx.scaled / 2**64)
+
+
+def sign(ctx: AlphaContext, x: AlgebraicPoint) -> int:
+    """Exact sign of u + v*alpha, one of -1, 0, 1."""
+    u, v = x.u, x.v
+    return ctx.sign_scaled(u.numerator * v.denominator, v.numerator * u.denominator)
+
+
+def in_interval(
+    ctx: AlphaContext, x: AlgebraicPoint, lo: AlgebraicPoint, hi: AlgebraicPoint
+) -> bool:
+    """Exact membership of x in [lo, hi]; empty when lo > hi."""
+    return sign(ctx, x - lo) >= 0 and sign(ctx, hi - x) >= 0
+
+
+def apply(g: GroupElement, x: AlgebraicPoint) -> AlgebraicPoint:
+    """Image of u + v*alpha: (a*u + 2c) + (a*v + 2b)*alpha."""
+    return AlgebraicPoint(g.a * x.u + 2 * g.c, g.a * x.v + 2 * g.b)
 
 
 # image of the point u + v*alpha under each generator, as (u, v)
@@ -256,6 +285,66 @@ def extract_matching(m: KMatching) -> KMatching:
 
 
 # ----------------------------------------------------------------------
+# the dict-form improvement round
+
+
+def _rewire(dev: dict[int, int], k: int, pairs: Sequence[tuple[int, int]]) -> int:
+    """Swap the partners of every facing pair of one round, in place.
+
+    The dict-form reference that improve() replays, written as the rule
+    reads rather than for speed.  Returns the round's cost drop.  Before
+    a pair is written, an old partner beyond K is raised as the input's
+    EquigraphError, and a new partner beyond K or a combined displacement
+    that drops by less than 2 as a Finding, so a returned drop is at
+    least |S|.  Each end is written as an entry only when it is not
+    standard, and then the parity of the ends and partners is checked.
+    Ends that share a partner keep their displacements, so the drop test
+    refuses them; injectivity as a whole is left to validate().  A failed
+    check is named by the package's _refuse, as the list kernel names it.
+    """
+    drop = 0
+    for x, y in pairs:
+        mx, my = dev.get(x, x + 1), dev.get(y, y + 1)
+        odx, ody, ndx, ndy = abs(mx - x), abs(my - y), abs(my - x), abs(mx - y)
+        if odx > k or ody > k or ndx > k or ndy > k or ndx + ndy > odx + ody - 2:
+            _refuse(k, x, y, mx, my)
+        for a, t in ((x, my), (y, mx)):
+            if t == a + 1:
+                dev.pop(a, None)
+            else:
+                dev[a] = t
+        if x % 2 or y % 2 or not (mx % 2 and my % 2):
+            _refuse(k, x, y, mx, my)
+        drop += odx + ody - ndx - ndy
+    return drop
+
+
+def improve(m: KMatching) -> KMatching:
+    """Rewire every facing pair simultaneously.
+
+    For each pair, the two vertices swap partners.  Each rewired pair
+    lowers its combined displacement by at least 2 and stays within K;
+    both facts are checked and a failure is raised as a Finding.  A round
+    that empties the path keeps m's window.
+    """
+    pairs = phi_pairs(m)
+    if not pairs:
+        raise EquigraphError("no facing pairs to rewire")
+    dev = dict(m.deviations)
+    _rewire(dev, m.k, pairs)
+    result = KMatching(m.k, m.window, dev)
+    result.validate()
+    drop_needed = 2 * len(pairs)
+    if result.cost() > m.cost() - drop_needed:
+        raise Finding(
+            CLAIM1_VIOLATION,
+            "improvement round dropped cost by less than |S|",
+            witness={"before": m.cost(), "after": result.cost(), "s": drop_needed},
+        )
+    return result
+
+
+# ----------------------------------------------------------------------
 # facing-pair oracle
 
 
@@ -376,23 +465,23 @@ def _reduced_step(
     ctx = graph.ctx
     a, b, c = g.a, g.b, g.c
     if b < 0:
-        if ctx.sign(gy - ONE_MINUS_TWO_ALPHA) <= 0:
+        if sign(ctx, gy - ONE_MINUS_TWO_ALPHA) <= 0:
             z = gy + TWO_ALPHA
             reduced = GroupElement(a, b + 1, c)
         else:
             z = TWO - gy - TWO_ALPHA
             reduced = GroupElement(-a, -(b + 1), 1 - c)
-            if not ctx.in_interval(z, ZERO, ONE):
+            if not in_interval(ctx, z, ZERO, ONE):
                 z = gy + TWO_ALPHA - TWO
                 reduced = GroupElement(a, b + 1, c - 1)
     else:
-        if ctx.sign(TWO_ALPHA - gy) < 0:
+        if sign(ctx, TWO_ALPHA - gy) < 0:
             z = gy - TWO_ALPHA
             reduced = GroupElement(a, b - 1, c)
         else:
             z = TWO_ALPHA - gy
             reduced = GroupElement(-a, 1 - b, -c)
-            if not ctx.in_interval(z, ZERO, ONE):
+            if not in_interval(ctx, z, ZERO, ONE):
                 z = gy + TWO - TWO_ALPHA
                 reduced = GroupElement(a, b - 1, c + 1)
     return z, reduced
@@ -408,7 +497,7 @@ def _connector(
     z_far = {far.point for far, _labels in graph.neighbors(GVertex(Side.I, z))}
     for far, _labels in graph.neighbors(GVertex(Side.I, gy)):
         if far.point in z_far:
-            if shared is None or graph.ctx.sign(far.point - shared) < 0:
+            if shared is None or sign(graph.ctx, far.point - shared) < 0:
                 shared = far.point
     if shared is None:
         return None
@@ -425,13 +514,13 @@ def build_path_points(
     (I, y) outwards; nothing here depends on the recursion limit.
     """
     ctx = graph.ctx
-    if not ctx.in_interval(y, ZERO, ONE):
+    if not in_interval(ctx, y, ZERO, ONE):
         raise EquigraphError(f"anchor {y} outside [0, 1]")
     steps: list[tuple[GroupElement, AlgebraicPoint, AlgebraicPoint]] = []
     element = g
     gy = apply(g, y)
     while True:
-        if not ctx.in_interval(gy, ZERO, ONE):
+        if not in_interval(ctx, gy, ZERO, ONE):
             raise EquigraphError(f"image {gy} outside [0, 1]")
         if element.b == 0:
             break
@@ -542,9 +631,9 @@ def verify_lemma_reference(
         ]
         k = abs(g.b)
         hit = False
-        for y in base + [y for y in thresholds if ctx.in_interval(y, ZERO, ONE)]:
+        for y in base + [y for y in thresholds if in_interval(ctx, y, ZERO, ONE)]:
             gy = apply(g, y)
-            if not ctx.in_interval(gy, ZERO, ONE):
+            if not in_interval(ctx, gy, ZERO, ONE):
                 continue
             hit = True
             checks += 1

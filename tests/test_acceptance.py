@@ -16,7 +16,7 @@ import pytest
 
 from equigraph.algebra import AlgebraicPoint as point, AlphaContext
 from equigraph.cli import main, render_figure
-from equigraph.dynamics import improve, phi_pairs, random_kmatching
+from equigraph.dynamics import phi_pairs, random_kmatching
 from equigraph.errors import EVEN_PATH_COMPONENT, Finding
 from equigraph.graph import IntervalGraph, Side, edge_polygon
 from equigraph.pathcert import verify_lemma
@@ -29,6 +29,7 @@ from oracles import (
     check_nested_rays,
     extract_matching,
     facing_pairs_bruteforce,
+    improve,
     partner,
 )
 from test_dynamics import compute_S

@@ -21,7 +21,9 @@ from oracles import (
     ZERO,
     alpha_decimal,
     in_closed,
+    in_interval,
     point_decimal,
+    sign,
     sign_fraction,
     to_float,
 )
@@ -35,8 +37,8 @@ points = st.builds(AlgebraicPoint, rationals, rationals)
 def test_named_alphas_validate():
     for spec in KERNEL_ALPHAS:
         ctx = AlphaContext(spec)
-        assert ctx.sign(ALPHA) == 1
-        assert ctx.sign(ALPHA - ONE) < 0
+        assert sign(ctx, ALPHA) == 1
+        assert sign(ctx, ALPHA - ONE) < 0
     ctx = AlphaContext(AlphaSpec(-1, 1, 2, 1))
     assert repr(ctx) == "AlphaContext((-1+1*sqrt(2))/1)"
 
@@ -99,12 +101,12 @@ def test_str_forms():
 
 def test_known_comparisons(ctx):
     two_alpha = point(0, 2)
-    assert ctx.sign(two_alpha - ONE) < 0  # 2(sqrt(2)-1) < 1
-    assert ctx.sign(ONE - two_alpha - ALPHA) < 0
-    assert ctx.sign(ALPHA - ALPHA) == 0
-    assert ctx.sign(ALPHA - ONE) == -1
+    assert sign(ctx, two_alpha - ONE) < 0  # 2(sqrt(2)-1) < 1
+    assert sign(ctx, ONE - two_alpha - ALPHA) < 0
+    assert sign(ctx, ALPHA - ALPHA) == 0
+    assert sign(ctx, ALPHA - ONE) == -1
     golden = AlphaContext(AlphaSpec(-1, 1, 5, 2))
-    assert golden.sign(ONE - point(0, 2)) < 0  # 2a > 1 for a above 1/2
+    assert sign(golden, ONE - point(0, 2)) < 0  # 2a > 1 for a above 1/2
 
 
 def test_pell_convergent_needs_exact_sign(ctx):
@@ -114,23 +116,23 @@ def test_pell_convergent_needs_exact_sign(ctx):
     p, q = 665857, 470832
     assert p * p - 2 * q * q == 1
     near = point(Fraction(p, q) - 1)  # approximates alpha = sqrt(2)-1
-    assert ctx.sign(near - ALPHA) == 1
-    assert ctx.sign(point(-Fraction(p, q) + 1) - point(0, -1)) == -1
+    assert sign(ctx, near - ALPHA) == 1
+    assert sign(ctx, point(-Fraction(p, q) + 1) - point(0, -1)) == -1
     assert abs(to_float(ctx, near - ALPHA)) < 1e-11
 
 
 def test_in_interval_endpoints(ctx):
-    assert ctx.in_interval(ZERO, ZERO, ONE)
-    assert ctx.in_interval(ONE, ZERO, ONE)
-    assert ctx.in_interval(ALPHA, ZERO, ONE)
-    assert not ctx.in_interval(point(2), ZERO, ONE)
-    assert not ctx.in_interval(point(0, -1), ZERO, ONE)
-    assert ctx.in_interval(ALPHA, ALPHA, ONE + ALPHA)
-    assert ctx.in_interval(ONE + ALPHA, ALPHA, ONE + ALPHA)
-    assert not ctx.in_interval(ZERO, ALPHA, ONE + ALPHA)
+    assert in_interval(ctx, ZERO, ZERO, ONE)
+    assert in_interval(ctx, ONE, ZERO, ONE)
+    assert in_interval(ctx, ALPHA, ZERO, ONE)
+    assert not in_interval(ctx, point(2), ZERO, ONE)
+    assert not in_interval(ctx, point(0, -1), ZERO, ONE)
+    assert in_interval(ctx, ALPHA, ALPHA, ONE + ALPHA)
+    assert in_interval(ctx, ONE + ALPHA, ALPHA, ONE + ALPHA)
+    assert not in_interval(ctx, ZERO, ALPHA, ONE + ALPHA)
     # reversed bounds hold nothing, not even the bounds themselves
-    assert not ctx.in_interval(ZERO, ONE, ZERO)
-    assert not ctx.in_interval(ONE, ONE, ZERO)
+    assert not in_interval(ctx, ZERO, ONE, ZERO)
+    assert not in_interval(ctx, ONE, ONE, ZERO)
 
 
 @settings(max_examples=200)
@@ -156,7 +158,7 @@ def test_in_interval_matches_closed_oracle(x, v, nudge):
                 probes += [point(end, shift), near]
             for y in probes:
                 want = in_closed(alpha, (y.u, y.v), (lo.u, lo.v), (hi.u, hi.v))
-                assert ctx.in_interval(y, lo, hi) == want
+                assert in_interval(ctx, y, lo, hi) == want
 
 
 def test_point_hash_matches_equality():
@@ -171,19 +173,19 @@ def test_point_hash_matches_equality():
 @given(points, points)
 def test_compare_antisymmetric(x, y):
     ctx = AlphaContext(AlphaSpec(-1, 1, 2, 1))
-    assert ctx.sign(x - y) == -ctx.sign(y - x)
+    assert sign(ctx, x - y) == -sign(ctx, y - x)
     if x == y:
-        assert ctx.sign(x - y) == 0
+        assert sign(ctx, x - y) == 0
     else:
-        assert ctx.sign(x - y) != 0  # alpha irrational: no other ties
+        assert sign(ctx, x - y) != 0  # alpha irrational: no other ties
 
 
 @settings(max_examples=200)
 @given(points, points, points)
 def test_compare_transitive(x, y, z):
     ctx = AlphaContext(AlphaSpec(-1, 1, 2, 1))
-    if ctx.sign(x - y) <= 0 and ctx.sign(y - z) <= 0:
-        assert ctx.sign(x - z) <= 0
+    if sign(ctx, x - y) <= 0 and sign(ctx, y - z) <= 0:
+        assert sign(ctx, x - z) <= 0
 
 
 @settings(max_examples=200)
@@ -195,9 +197,9 @@ def test_sign_agrees_with_decimal_oracle(x, y):
         alpha = alpha_decimal(spec.p, spec.q, spec.d, spec.r)
         oracle_val = point_decimal(alpha, diff.u, diff.v)
         if diff == ZERO:
-            assert ctx.sign(diff) == 0
+            assert sign(ctx, diff) == 0
         else:
-            assert ctx.sign(diff) == (1 if oracle_val > 0 else -1)
+            assert sign(ctx, diff) == (1 if oracle_val > 0 else -1)
 
 
 @settings(max_examples=100)
@@ -221,8 +223,8 @@ def _reference_sign(spec: AlphaSpec, u: Fraction, v: Fraction) -> int:
 def test_integer_sign_and_compare_match_fraction_reference(x, y):
     for spec in KERNEL_ALPHAS:
         ctx = AlphaContext(spec)
-        assert ctx.sign(x) == _reference_sign(spec, x.u, x.v)
-        assert ctx.sign(x - y) == _reference_sign(spec, x.u - y.u, x.v - y.v)
+        assert sign(ctx, x) == _reference_sign(spec, x.u, x.v)
+        assert sign(ctx, x - y) == _reference_sign(spec, x.u - y.u, x.v - y.v)
 
 
 @settings(max_examples=300)
@@ -241,8 +243,8 @@ def test_integer_sign_on_near_ties(k, m, nudge, spec):
     diff_u, diff_v = near - m, Fraction(-k)
     assert abs(point_decimal(alpha, diff_u, diff_v)) < Decimal("1e-12")
     want = _reference_sign(spec, diff_u, diff_v)
-    assert ctx.sign(point(near) - target) == want
-    assert ctx.sign(target - point(near)) == -want
-    assert ctx.sign(AlgebraicPoint(diff_u, diff_v)) == want
+    assert sign(ctx, point(near) - target) == want
+    assert sign(ctx, target - point(near)) == -want
+    assert sign(ctx, AlgebraicPoint(diff_u, diff_v)) == want
     if want != 0:
         assert want == (1 if point_decimal(alpha, diff_u, diff_v) > 0 else -1)

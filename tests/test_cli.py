@@ -22,7 +22,7 @@ from equigraph.cli import (
     parse_point_text,
     render_figure,
 )
-from equigraph.dynamics import improve, random_kmatching, run_dynamics
+from equigraph.dynamics import random_kmatching, run_dynamics
 from equigraph.errors import (
     CLAIM1_VIOLATION,
     EVEN_PATH_COMPONENT,
@@ -30,6 +30,8 @@ from equigraph.errors import (
     Finding,
 )
 from equigraph.graph import Frame
+
+from oracles import improve
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from equigraph.algebra import AlgebraicPoint as point
+from equigraph.algebra import AlgebraicPoint as point, AlphaContext
 from equigraph.dynamics import (
     DynamicsTrace,
     KMatching,
     assignment_from_targets,
     bridge_k_bound,
-    improve,
     kmatching_from_assignment,
     phi_pairs,
     random_dynamics,
@@ -17,15 +16,18 @@ from equigraph.dynamics import (
 )
 from equigraph import dynamics as dynamics_module
 from equigraph.errors import CLAIM1_VIOLATION, EquigraphError, Finding
-from equigraph.graph import Frame, Side, chain_element
-from equigraph.group import GroupElement, IDENTITY
+from equigraph.graph import Frame, IntervalGraph, Side, chain_element
+from equigraph.group import GroupElement, IDENTITY, compose, inverse
 
+from conftest import ALL_ALPHAS
+import oracles
 from oracles import (
     chain_element_points,
     check_nested_rays,
     direction,
     extract_matching,
     facing_pairs_bruteforce,
+    improve,
     kmatching_from_assignment_points,
     kmatching_targets,
     partner,
@@ -355,6 +357,48 @@ def test_rewired_pairs_never_face_again():
     assert refound > 1000  # the later rounds are not empty
 
 
+def _clusters(m):
+    """m's deviations as clusters, maximal sets whose hulls [min(a, t),
+    max(a, t)] overlap, each a dict, from left to right."""
+    clusters = []
+    for a, t in sorted(m.deviations.items(), key=min):
+        if not clusters or min(a, t) > reach:
+            clusters.append({})
+            reach = max(a, t)
+        else:
+            reach = max(reach, a, t)
+        clusters[-1][a] = t
+    return clusters
+
+
+def test_run_is_its_clusters_runs_side_by_side():
+    # no round joins two clusters (run_dynamics's docstring), so each
+    # cluster, run as its own matching, takes the same rounds as in the
+    # whole: the run's round count is the largest of theirs and each
+    # round's |S| and pairs are the sum and union of theirs
+    instances = split = 0
+    for k in range(3, 14, 2):
+        for seed in range(40):
+            m = random_kmatching(200, k, seed)
+            _, trace = run_dynamics(m)
+            parts = []
+            for dev in _clusters(m):
+                cluster = KMatching(k, (0, -1), dev)
+                cluster.validate()  # a cluster is a matching of its own span
+                parts.append(run_dynamics(cluster)[1])
+            assert trace.iterations == max(p.iterations for p in parts)
+            for n, record in enumerate(trace.records):
+                same = [p.records[n] for p in parts if n < p.iterations]
+                assert record.s_size == sum(r.s_size for r in same)
+                assert record.rewired == tuple(
+                    sorted(pair for r in same for pair in r.rewired)
+                )
+            instances += 1
+            split += sum(p.iterations > 0 for p in parts) >= 2
+    # every instance has two or more clusters that take rounds
+    assert instances == split == 240
+
+
 def test_run_dynamics_checks_the_entries_it_writes():
     # A-vertices at odd coordinates: the one facing pair rewires 3 -> 6
     m = KMatching(5, (1, 6), {1: 6, 3: 2})
@@ -380,7 +424,7 @@ def test_run_dynamics_refuses_an_input_pair_beyond_k():
     # so _rewire is handed a pair that does not face
     leaves = r"rewired pair \(0, 10\) leaves the K=3 bound$"
     with pytest.raises(Finding, match=leaves) as info:
-        dynamics_module._rewire({}, 3, [(0, 10)])
+        oracles._rewire({}, 3, [(0, 10)])
     assert info.value.kind == CLAIM1_VIOLATION
 
 
@@ -417,7 +461,7 @@ def test_round_refuses_what_rewire_refuses(k, x, dx, dy, error, message):
     dev = {a: a + t for a, t in ((x, dx), (x + 2, dy)) if t != 1}
     for run in (
         lambda: dynamics_module._round(d, x - 2, k, [(x, x + 2)]),
-        lambda: dynamics_module._rewire(dev, k, [(x, x + 2)]),
+        lambda: oracles._rewire(dev, k, [(x, x + 2)]),
     ):
         with pytest.raises(error, match=f"{message}$") as info:
             run()
@@ -450,7 +494,7 @@ def test_run_dynamics_catches_a_short_reported_drop(monkeypatch):
         run_dynamics(random_kmatching(40, 5, 3))
     assert info.value.kind == CLAIM1_VIOLATION
     # improve compares the costs themselves: a round that writes nothing
-    monkeypatch.setattr(dynamics_module, "_rewire", lambda *args: 0)
+    monkeypatch.setattr(oracles, "_rewire", lambda *args: 0)
     with pytest.raises(Finding, match=r"dropped cost by less than \|S\|") as info:
         improve(_swapped())
     assert info.value.kind == CLAIM1_VIOLATION
@@ -632,6 +676,33 @@ def test_bridge_k_bound_values():
     assert bridge_k_bound(4) == 9
     with pytest.raises(EquigraphError, match="must be nonnegative"):
         bridge_k_bound(-1)
+
+
+@pytest.mark.parametrize("spec", ALL_ALPHAS)
+def test_bridge_offsets_meet_both_ends_of_their_b_range(spec):
+    # an I-vertex i and a J-vertex i + d of an explored chain are joined by
+    # an element with |b| = (|d| - 1)/2 or (|d| + 1)/2, and both occur for
+    # every |d| <= 15: the budget bridge_k_bound(r) = 2r + 1 is tight
+    graph = IntervalGraph(AlphaContext(spec))
+    found: dict[int, set[int]] = {}
+    pairs = 0
+    for y in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(9, 10)):
+        view = graph.explore_component(graph.vertex(Side.I, point(y)), 120)
+        keys, origin = view.visited.keys, view.origin_index
+        # chain_element(view, i, j) is the origin's element to j after the
+        # inverse of its element to i; it is called directly for |d| <= 15
+        to = [chain_element(view, origin, j) for j in range(len(keys))]
+        for i in (i for i, key in enumerate(keys) if key[0] == 0):
+            back = inverse(to[i])
+            for j in (j for j, key in enumerate(keys) if key[0] == 1):
+                el, d = compose(to[j], back), abs(j - i)
+                if d <= 15:
+                    assert el == chain_element(view, i, j)
+                assert abs(el.b) in ((d - 1) // 2, (d + 1) // 2)
+                found.setdefault(d, set()).add(abs(el.b) - (d - 1) // 2)
+                pairs += 1
+    assert pairs == 4 * 61 * 61
+    assert all(found[d] == {0, 1} for d in range(1, 16, 2))
 
 
 def test_assignment_roundtrip_standard(graph):

@@ -5,8 +5,9 @@ temporary directory with a relative --out, which keeps the bytes the
 same wherever the suite runs.  A change that alters these outputs on
 purpose records the new digests here and says why.
 
-Every run also proves that no decision of the command uses the point API:
-AlphaContext.sign and in_interval raise, so only the integer-form sign
+Every run also proves that no decision of the command does arithmetic on
+points: AlgebraicPoint's __add__ and __sub__ raise, so a point can be built
+and printed but not compared, and only the integer-form sign
 (AlphaContext.sign_scaled) can decide.
 """
 
@@ -14,7 +15,7 @@ import hashlib
 
 import pytest
 
-from equigraph.algebra import AlphaContext
+from equigraph.algebra import AlgebraicPoint
 from equigraph.cli import main
 
 CONFIG = "bfs_budget = 500\nball_radius = 4\nsamples = 20\n"
@@ -93,11 +94,11 @@ COMMANDS = {
 
 @pytest.mark.parametrize("alpha, command", sorted({key[:2] for key in GOLDEN}))
 def test_output_digest(alpha, command, tmp_path, monkeypatch):
-    def point_api(*args):
-        raise AssertionError("a decision path called the point API")
+    def point_arithmetic(*args):
+        raise AssertionError("a decision path did arithmetic on points")
 
-    monkeypatch.setattr(AlphaContext, "sign", point_api)
-    monkeypatch.setattr(AlphaContext, "in_interval", point_api)
+    monkeypatch.setattr(AlgebraicPoint, "__add__", point_arithmetic)
+    monkeypatch.setattr(AlgebraicPoint, "__sub__", point_arithmetic)
     monkeypatch.chdir(tmp_path)
     config = DYNAMICS_CONFIG if command == "dynamics" else CONFIG
     (tmp_path / "run.cfg").write_text(config)

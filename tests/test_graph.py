@@ -27,7 +27,6 @@ from equigraph.group import (
     Generator,
     GroupElement,
     IDENTITY,
-    apply,
     inverse,
 )
 from equigraph.pathcert import verify_lemma
@@ -39,6 +38,7 @@ from oracles import (
     ONE,
     ZERO,
     alpha_decimal,
+    apply,
     bfs_distance as oracle_bfs,
     bfs_points,
     build_path_at,
@@ -47,6 +47,7 @@ from oracles import (
     integer_step_reference,
     neighbors as oracle_neighbors,
     point_decimal,
+    sign,
 )
 
 TWO_ALPHA = point(0, 2)
@@ -512,11 +513,12 @@ def test_reference_keys_meet_every_sign_pattern(spec):
     for side in (0, 1):
         lo = point(0, side)
         thresholds = [point(*t) for t in graph_module._THRESHOLDS[side]]
-        cuts = sorted([lo, lo + ONE, *thresholds], key=cmp_to_key(lambda x, y: ctx.sign(x - y)))
+        by_value = cmp_to_key(lambda x, y: sign(ctx, x - y))
+        cuts = sorted([lo, lo + ONE, *thresholds], key=by_value)
         halves = [
             point((x.u + y.u) / 2, (x.v + y.v) / 2) for x, y in zip(cuts, cuts[1:])
         ]
-        occurs = {tuple(ctx.sign(x - t) for t in thresholds) for x in cuts + halves}
+        occurs = {tuple(sign(ctx, x - t) for t in thresholds) for x in cuts + halves}
         # both thresholds lie inside: three pieces, two thresholds
         assert len(occurs) == 5
         for den in (1, 7, 10**6):
@@ -730,7 +732,7 @@ def test_generator_domains_cover_interval_twice():
         total = ZERO
         for gen in Generator:
             lo, hi = generator_domain(gen)
-            assert ctx.sign(lo - hi) <= 0
+            assert sign(ctx, lo - hi) <= 0
             total = total + (hi - lo)
         assert total == point(2)
 

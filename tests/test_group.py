@@ -11,13 +11,19 @@ from equigraph.group import (
     IDENTITY,
     Generator,
     GroupElement,
-    apply,
     compose,
     enumerate_ball,
     inverse,
 )
 
-from oracles import ONE, ZERO, ball_fingerprints, ball_sizes, element_fingerprint
+from oracles import (
+    ONE,
+    ZERO,
+    apply,
+    ball_fingerprints,
+    ball_sizes,
+    element_fingerprint,
+)
 
 
 def word_to_element(word):

@@ -20,7 +20,6 @@ from equigraph.group import (
     GroupElement,
     IDENTITY,
     Generator,
-    apply,
     compose,
     enumerate_ball,
     inverse,
@@ -40,9 +39,12 @@ from oracles import (
     ONE,
     THRESHOLDS,
     ZERO,
+    apply,
     bfs_points,
     build_path_at,
     build_path_points,
+    in_interval,
+    sign,
     to_float,
     verify_lemma_reference,
 )
@@ -104,7 +106,7 @@ def test_deep_certificate_needs_no_recursion(graph):
     y = point(Fraction(1, 3))
     c = -math.floor(to_float(graph.ctx, apply(GroupElement(1, b, 0), y)) / 2)
     g = GroupElement(1, b, c)
-    assert graph.ctx.in_interval(apply(g, y), ZERO, ONE)
+    assert in_interval(graph.ctx, apply(g, y), ZERO, ONE)
     cert = build_path_at(graph, g, y)
     assert cert.validate() == []
     assert cert.length <= 2 * b
@@ -221,7 +223,7 @@ def test_dropping_any_connector_pair_raises(monkeypatch, side, k, h2):
         for n in range(41):
             s = point(Fraction(n, 40))
             y = apply(back, s)
-            if not graph.ctx.in_interval(y, ZERO, ONE):
+            if not in_interval(graph.ctx, y, ZERO, ONE):
                 continue
             with monkeypatch.context() as patched:
                 patched.setattr(pathcert_module, "_STEP", mutant)
@@ -353,15 +355,16 @@ def test_anchor_off_the_given_frame_is_named(graph):
 
 
 def test_verify_lemma_makes_no_point_interval_tests(graph, monkeypatch):
-    # every anchor, image and certificate vertex is decided on integer keys
+    # every anchor, image and certificate vertex is decided on integer keys:
+    # a point interval test subtracts points, and the sweep subtracts none
     calls = []
-    in_interval = AlphaContext.in_interval
+    sub = AlgebraicPoint.__sub__
 
-    def counted(self, *args):
-        calls.append(args)
-        return in_interval(self, *args)
+    def counted(self, other):
+        calls.append((self, other))
+        return sub(self, other)
 
-    monkeypatch.setattr(AlphaContext, "in_interval", counted)
+    monkeypatch.setattr(AlgebraicPoint, "__sub__", counted)
     report = verify_lemma(graph, 4, 10, seed=0, bfs_budget=16 * 4 + 64)
     assert report["checks"] > 0
     assert calls == []
@@ -450,7 +453,8 @@ def test_validate_checks_the_last_vertex(graph):
 
 
 def test_validate_builds_no_frame(graph, monkeypatch):
-    # validate decides on the keys and frame its certificate keeps
+    # validate decides on the keys and frame its certificate keeps: it
+    # builds no frame, and no point, so it applies no element to a point
     calls = Counter()
     frame_init = graph_module.Frame.__init__
 
@@ -458,23 +462,17 @@ def test_validate_builds_no_frame(graph, monkeypatch):
         calls["frame"] += 1
         frame_init(self, *args)
 
-    def counted_apply(*args):
-        calls["apply"] += 1
-        return apply(*args)
+    point_init = AlgebraicPoint.__init__
 
-    # apply is patched at every package binding that holds it
-    bindings = [
-        module
-        for name, module in sys.modules.items()
-        if name.startswith("equigraph") and getattr(module, "apply", None) is apply
-    ]
-    assert bindings
+    def counted_point(self, *args):
+        calls["point"] += 1
+        point_init(self, *args)
+
     for g, y in [(T, ZERO), (GroupElement(1, 3, -1), point(Fraction(1, 10)))]:
         cert = build_path_at(graph, g, y)
         with monkeypatch.context() as patched:
             patched.setattr(graph_module.Frame, "__init__", counted_init)
-            for module in bindings:
-                patched.setattr(module, "apply", counted_apply)
+            patched.setattr(AlgebraicPoint, "__init__", counted_point)
             assert cert.validate() == []
         assert calls == {}
 
@@ -484,18 +482,18 @@ def _sweep_anchors(graph, radius, samples, seed):
     and the samples, then g^-1(x) for each element g whose image of [0, 1],
     [2c + min(0, a), 2c + max(0, a)] + 2b*alpha, meets it and each threshold
     image x in [0, 1]; and those elements."""
-    sign = graph.ctx.sign
+    ctx = graph.ctx
     rng = random.Random(seed)
     base = [ZERO, ONE]
     base += [point(graph.sample_unit_rational(rng)) for _ in range(samples - 2)]
     meeting = [
         g
         for g in sorted(enumerate_ball(radius))
-        if sign(point(2 * g.c + max(0, g.a), 2 * g.b) - ZERO) >= 0
-        and sign(point(2 * g.c + min(0, g.a), 2 * g.b) - ONE) <= 0
+        if sign(ctx, point(2 * g.c + max(0, g.a), 2 * g.b) - ZERO) >= 0
+        and sign(ctx, point(2 * g.c + min(0, g.a), 2 * g.b) - ONE) <= 0
     ]
     images = [t + point(Fraction(k, 1000)) for t in THRESHOLDS for k in (-1, 0, 1)]
-    images = [x for x in images if sign(x) >= 0 and sign(ONE - x) >= 0]
+    images = [x for x in images if sign(ctx, x) >= 0 and sign(ctx, ONE - x) >= 0]
     return base + [apply(inverse(g), x) for g in meeting for x in images], meeting
 
 
@@ -503,8 +501,7 @@ def _sweep_anchors(graph, radius, samples, seed):
 def test_sweep_keys_each_anchor_once_and_builds_no_point(monkeypatch, spec):
     # with no violation a sweep runs on integer forms from end to end: it
     # builds one frame for each anchor it tries and keys the anchor from
-    # ints, so it keys no vertex, builds no point and no vertex from a key,
-    # and makes no point sign
+    # ints, so it keys no vertex, builds no point and no vertex from a key
     graph = IntervalGraph(AlphaContext(spec))
     tried = {n: len(_sweep_anchors(graph, 4, n, 0)[0]) for n in (10, 40)}
     assert tried[40] == tried[10] + 30
@@ -521,7 +518,6 @@ def test_sweep_keys_each_anchor_once_and_builds_no_point(monkeypatch, spec):
         ("frame", graph_module.Frame, "__init__"),
         ("key", graph_module.Frame, "key"),
         ("vertex", graph_module.Frame, "vertex"),
-        ("sign", AlphaContext, "sign"),
         ("point", AlgebraicPoint, "__init__"),
     ]:
         monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
@@ -530,7 +526,7 @@ def test_sweep_keys_each_anchor_once_and_builds_no_point(monkeypatch, spec):
         report = verify_lemma(graph, 4, samples, seed=0, bfs_budget=16 * 4 + 64)
         assert report["checks"] > 0 and report["violations"] == []
         assert calls["frame"] == tried[samples]
-        assert calls["key"] == calls["vertex"] == calls["sign"] == calls["point"] == 0
+        assert calls["key"] == calls["vertex"] == calls["point"] == 0
 
 
 def test_sweep_leaves_few_interval_tests_to_the_exact_sign(monkeypatch):
