@@ -121,7 +121,8 @@ class Frame:
     exact sign of U + V*alpha.  adjacent and inside are built once by
     _frame_step: an integer filter on alpha*2**64 that decides most keys'
     threshold and endpoint signs, in front of the exact sign, which decides
-    a key on or next to a threshold or an endpoint.
+    a key on or next to a threshold or an endpoint.  A remembered frame
+    memoizes both, so it decides each key's edges and interval once.
     """
 
     def __init__(self, ctx: AlphaContext, den: int):
@@ -155,13 +156,14 @@ class Frame:
         return g.a * u + 2 * g.c * self.den, g.a * v + 2 * g.b * self.den
 
     def remember(self, origin: Key) -> None:
-        """Cache adjacent's edge tuples, as step builds them, and keep one
-        breadth-first search from origin, which bfs_distance resumes.
+        """Cache adjacent's edge tuples, as step builds them, and inside's
+        answers, and keep one breadth-first search from origin, which
+        bfs_distance resumes.
 
-        Both grow as the frame is used and die with it.  Walks keep the bare
-        adjacency: a walk never revisits a vertex.
+        All three grow as the frame is used and die with it.  Walks keep the
+        bare adjacency and interval test: a walk never revisits a vertex.
         """
-        self.adjacent = cache(self.adjacent)
+        self.adjacent, self.inside = cache(self.adjacent), cache(self.inside)
         self.bfs = _Search(self.adjacent, origin)
 
 

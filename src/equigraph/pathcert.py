@@ -188,11 +188,12 @@ def verify_lemma(
     The sweep runs one stream of anchors: each base anchor against every
     screened element, then each threshold anchor g^-1(x) against its g
     alone.  An anchor (den, U, V), the point (U + V*alpha)/den, is keyed
-    from ints on the frame over den.  Its checks share the frame's cache
-    and BFS and known, the table of its certificates, and all three go
-    with the anchor, so the sweep holds one anchor's state at a time:
-    O(bfs_budget) keys.  Each element lists its violations in anchor
-    order, and the report joins the lists in ball order.  The base
+    from ints on the frame over den.  Its checks share the frame's caches
+    of adjacency and interval tests, its BFS and known, the table of its
+    certificates, and all four go with the anchor, so the sweep holds one
+    anchor's state at a time: O(bfs_budget) keys, and a few more per ball
+    element.  Each element lists its violations in anchor order, and the
+    report joins the lists in ball order.  The base
     anchors are 0, 1 and max(n_samples, 2) - 2 random ones, so n_samples
     counts 0 and 1.
     """

@@ -531,8 +531,9 @@ def test_sweep_keys_each_anchor_once_and_builds_no_point(monkeypatch, spec):
 
 def test_sweep_leaves_few_interval_tests_to_the_exact_sign(monkeypatch):
     # the default sweep tests keys against their interval about 35,000
-    # times; the frame's integer filter decides all but those on or next to
-    # an endpoint, such as the anchors 0 and 1
+    # times and computes about 9,000 of those tests, the rest being memo
+    # hits on remembered frames; the frame's integer filter decides all but
+    # those on or next to an endpoint, such as the anchors 0 and 1
     cfg = load_config(None)
     assert cfg.alpha == SQRT2_MINUS_1
     calls = Counter()
@@ -548,7 +549,7 @@ def test_sweep_leaves_few_interval_tests_to_the_exact_sign(monkeypatch):
         graph, cfg.ball_radius, cfg.samples, cfg.seed, bfs_budget=cfg.bfs_budget
     )
     assert report["checks"] == 2485
-    assert 0 < calls["inside"] <= 120
+    assert 0 < calls["inside"] <= 21
 
 
 def test_sweep_builds_one_frame_per_anchor_and_expands_each_key_once(
@@ -604,7 +605,7 @@ def test_walks_keep_the_bare_adjacency(graph, built_frames, monkeypatch):
 
     def recorded(ctx, den):
         built = frame_step(ctx, den)
-        steps.append(built[0])
+        steps.append(built)
         return built
 
     monkeypatch.setattr(graph_module, "_frame_step", recorded)
@@ -612,9 +613,11 @@ def test_walks_keep_the_bare_adjacency(graph, built_frames, monkeypatch):
     assert graph.explore_component(v, 50).budget_used == 50
     graph.neighbors(v)
     assert len(built_frames) == 2
-    for frame, step in zip(built_frames, steps, strict=True):
+    for frame, (step, inside) in zip(built_frames, steps, strict=True):
         assert frame.adjacent is step
         assert not hasattr(frame.adjacent, "cache_info")
+        assert frame.inside is inside
+        assert not hasattr(frame.inside, "cache_info")
 
 
 def test_anchor_memo_stays_bounded_and_immutable(graph, monkeypatch):
@@ -646,6 +649,9 @@ def test_anchor_memo_stays_bounded_and_immutable(graph, monkeypatch):
     assert anchor_frame.bfs.start == key
     cached = anchor_frame.adjacent.cache_info()
     assert cached.currsize == anchor_frame.bfs.expanded == 10_000
+    # the interval memo holds only the keys tested, start and goal: the
+    # expansions test none
+    assert anchor_frame.inside.cache_info().currsize == 2
     edges = anchor_frame.adjacent(key)
     assert anchor_frame.adjacent(key) is edges
     assert anchor_frame.adjacent.cache_info().hits == cached.hits + 2
@@ -657,6 +663,49 @@ def test_anchor_memo_stays_bounded_and_immutable(graph, monkeypatch):
         edges[0] = edges[-1]
     with pytest.raises(AttributeError):
         edges.append(edges[0])
+
+
+def test_remembered_frames_decide_each_interval_once(graph, monkeypatch):
+    # a remembered frame memoizes its interval test beside its adjacency:
+    # the anchor, each goal and each certificate key are tested by several
+    # checks and by bfs_distance, build_path and validate within one, but
+    # decided once per anchor frame (the anchor's screen, before remember,
+    # runs on the bare test).  The report is the fresh-frame reference's
+    evals, remembered, tags = Counter(), set(), itertools.count()
+    frame_step, remember = graph_module._frame_step, Frame.remember
+
+    def counted_frame_step(ctx, den):
+        step, inside = frame_step(ctx, den)
+        tag = next(tags)
+
+        def counted_inside(*key):
+            if tag in remembered:
+                evals[tag, key] += 1
+            return inside(*key)
+
+        counted_inside.tag = tag
+        return step, counted_inside
+
+    def tracked(self, origin):
+        remembered.add(self.inside.tag)
+        remember(self, origin)
+
+    monkeypatch.setattr(graph_module, "_frame_step", counted_frame_step)
+    monkeypatch.setattr(Frame, "remember", tracked)
+    args = (graph, 5, 10, 0, 16 * 5 + 64)
+    report = verify_lemma(*args)
+    assert report["checks"] > 0 and len(remembered) > 10
+    assert len(evals) > report["checks"]
+    assert max(evals.values()) == 1
+    monkeypatch.undo()
+    assert report == verify_lemma_reference(*args)
+    # the memo keys the side: (0, 0) is in I's interval [0, 1] and not in
+    # J's [alpha, 1 + alpha]
+    frame = Frame(graph.ctx, 1)
+    frame.remember((0, 0, 0))
+    assert frame.inside(0, 0, 0) is True
+    assert frame.inside(1, 0, 0) is False
+    assert frame.inside.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("far_goal", [False, True], ids=["graph", "far-goal"])
