@@ -243,20 +243,9 @@ def cmd_explore(cfg: RunConfig, point_text: str, side_text: str) -> int:
 
 
 def cmd_verify_lemma(cfg: RunConfig) -> int:
-    # at degree <= 2 a BFS finds a goal at distance d within its first 2d - 1
-    # expansions, and every checked distance is at most 2|b| <= 2*ball_radius;
-    # with less budget a goal out of reach would read as a violation
-    least = 4 * cfg.ball_radius - 1
-    if cfg.bfs_budget < least:
-        raise ConfigError(
-            f"bfs_budget {cfg.bfs_budget} is below 4*ball_radius - 1 = {least} "
-            f"for ball_radius {cfg.ball_radius}"
-        )
     ctx = AlphaContext(cfg.alpha)
     graph = IntervalGraph(ctx)
-    report = verify_lemma(
-        graph, cfg.ball_radius, cfg.samples, cfg.seed, bfs_budget=cfg.bfs_budget
-    )
+    report = verify_lemma(graph, cfg.ball_radius, cfg.samples, cfg.seed)
     out = {"command": "verify-lemma", "params": config_echo(cfg), **report}
     target = cfg.output_dir / "verify_lemma.json"
     _write_json(target, out)

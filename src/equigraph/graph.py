@@ -10,7 +10,6 @@ every operation expands neighbors lazily from exact points.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from collections.abc import Sequence
 from enum import Enum
@@ -31,7 +30,6 @@ from .group import (
     inverse,
 )
 
-SAMPLE_DENOMINATOR = 10**6
 
 class Side(Enum):
     I = "I"
@@ -331,14 +329,6 @@ class IntervalGraph:
             )
         tips = tuple(map(vertex_of, frontier)) if kind == "partial" else ()
         return ComponentView(kind, visited, chain_labels, len(keys1), tips, expanded)
-
-    # ------------------------------------------------------------------
-    # sampling
-
-    def sample_unit_rational(self, rng: random.Random) -> Fraction:
-        den = rng.randint(1, SAMPLE_DENOMINATOR)
-        num = rng.randint(0, den)
-        return Fraction(num, den)
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ den fixed by y.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
@@ -170,13 +171,18 @@ def build_path(
 # ----------------------------------------------------------------------
 # sweep verification
 
+SAMPLE_DENOMINATOR = 10**6
+
+
+def sample_unit_rational(rng: random.Random) -> Fraction:
+    """A random rational in [0, 1], reduced, with denominator <= SAMPLE_DENOMINATOR."""
+    den = rng.randint(1, SAMPLE_DENOMINATOR)
+    num = rng.randint(0, den)
+    return Fraction(num, den)
+
 
 def verify_lemma(
-    graph: IntervalGraph,
-    ball_radius: int,
-    n_samples: int,
-    seed: int,
-    bfs_budget: int,
+    graph: IntervalGraph, ball_radius: int, n_samples: int, seed: int
 ) -> dict:
     """Sweep every ball element against sampled anchors; report violations.
 
@@ -185,24 +191,27 @@ def verify_lemma(
     the 2|b| bound.  Violations are collected with full witnesses rather
     than raised, so one failure does not hide the rest of the sweep.
 
-    The sweep runs one stream of anchors: each base anchor against every
-    screened element, then each threshold anchor g^-1(x) against its g
-    alone.  An anchor (den, U, V), the point (U + V*alpha)/den, is keyed
-    from ints on the frame over den.  Its checks share the frame's caches
-    of adjacency and interval tests, its BFS and known, the table of its
-    certificates, and all four go with the anchor, so the sweep holds one
-    anchor's state at a time: O(bfs_budget) keys, and a few more per ball
-    element.  Each element lists its violations in anchor order, and the
-    report joins the lists in ball order.  The base
-    anchors are 0, 1 and max(n_samples, 2) - 2 random ones, so n_samples
-    counts 0 and 1.
+    Every key has at most two edges, so a BFS finds a goal at distance d
+    within its first 2d - 1 expansions, and every distance the lemma
+    bounds is at most 2|b| <= 2*ball_radius.  So each BFS gets the least
+    budget that decides every check, 4*ball_radius - 1 expansions (at
+    least 1), and a bfs violation with a null distance means the goal is
+    farther than 2*ball_radius.
+
+    The sweep runs one lazy stream of anchors: each base anchor against
+    every screened element, then each threshold anchor g^-1(x) against
+    its g alone.  An anchor (den, U, V), the point (U + V*alpha)/den, is
+    keyed from ints on the frame over den.  Its checks share the frame's
+    caches of adjacency and interval tests, its BFS and known, the table
+    of its certificates, and all four go with the anchor, so the sweep
+    holds one anchor's state at a time: O(ball_radius) keys, and a few
+    more per ball element.  Each element lists its violations in anchor
+    order, and the report joins the lists in ball order.  The base
+    anchors are 0, 1 and max(n_samples, 2) - 2 random ones, each drawn
+    as the stream reaches it, so n_samples counts 0 and 1.
     """
     elements = sorted(enumerate_ball(ball_radius))
-    rng = random.Random(seed)
-    base = [(1, 0, 0), (1, 1, 0)]
-    while len(base) < max(n_samples, 2):
-        y = graph.sample_unit_rational(rng)
-        base.append((y.denominator, y.numerator, 0))
+    budget = max(1, 4 * ball_radius - 1)
     ctx = graph.ctx
     sign = ctx.sign_scaled
     # g([0, 1]) = [2c + min(0, a), 2c + max(0, a)] + 2b*alpha; when it misses
@@ -240,7 +249,7 @@ def verify_lemma(
                 continue  # screened on ints; no vertex is built
             checks[g] += 1
             k = abs(g.b)
-            dist = graph.bfs_distance(frame, key, goal, bfs_budget)
+            dist = graph.bfs_distance(frame, key, goal, budget)
             if dist is None or dist > 2 * k:
                 violation(g, frame, key, defect="bfs", distance=dist)
             else:
@@ -264,7 +273,10 @@ def verify_lemma(
         for u, v in [(den * p + k, den * q)]
         if sign(u, v) >= 0 and sign(den - u, -v) >= 0
     ]
-    base_anchors = ((*y, IDENTITY, screened) for y in base)
+    rng = random.Random(seed)
+    samples = (sample_unit_rational(rng) for _ in range(max(n_samples, 2) - 2))
+    base = chain((Fraction(0), Fraction(1)), samples)
+    base_anchors = ((y.denominator, y.numerator, 0, IDENTITY, screened) for y in base)
     threshold_anchors = ((*x, inverse(g), [g]) for g in screened for x in images)
     for anchor in chain(base_anchors, threshold_anchors):
         check_anchor(*anchor)

@@ -69,7 +69,7 @@ from equigraph.group import (
     enumerate_ball,
     inverse,
 )
-from equigraph.pathcert import CertifiedPath, build_path
+from equigraph.pathcert import CertifiedPath, build_path, sample_unit_rational
 
 getcontext().prec = 60
 
@@ -616,7 +616,7 @@ def verify_lemma_reference(
     rng = random.Random(seed)
     base: list[AlgebraicPoint] = [ZERO, ONE]
     while len(base) < max(n_samples, 2):
-        base.append(point(graph.sample_unit_rational(rng)))
+        base.append(point(sample_unit_rational(rng)))
     checks = 0
     elements_checked = 0
     max_dist_by_b: dict[int, int] = {}

@@ -19,7 +19,7 @@ from equigraph.cli import main, render_figure
 from equigraph.dynamics import phi_pairs, random_kmatching
 from equigraph.errors import EVEN_PATH_COMPONENT, Finding
 from equigraph.graph import IntervalGraph, Side, edge_polygon
-from equigraph.pathcert import verify_lemma
+from equigraph.pathcert import sample_unit_rational, verify_lemma
 
 from conftest import ALL_ALPHAS
 from oracles import (
@@ -84,7 +84,7 @@ def test_criterion_1_degree_one_set(capsys):
         rng = random.Random(2024)
         checked = 0
         while checked < 1000:
-            y = g.sample_unit_rational(rng)
+            y = sample_unit_rational(rng)
             if y == 0 or y == 1:
                 continue
             if checked % 2 == 0:
@@ -104,7 +104,7 @@ def test_criterion_1_degree_one_set(capsys):
 
 
 def test_criterion_2_distance_lemma_sweep(capsys, graph):
-    rep = verify_lemma(graph, 8, 200, seed=0, bfs_budget=10000)
+    rep = verify_lemma(graph, 8, 200, seed=0)
     ok = rep["ball_size"] == 143
     ok &= rep["checks"] == 2485
     ok &= rep["elements_checked"] == 26
@@ -200,7 +200,7 @@ def test_criterion_7_no_even_path_components(capsys, graph, monkeypatch, tmp_pat
     origins.append(graph.vertex(Side.I, point(Fraction(1, 2))))
     rng = random.Random(77)
     for _ in range(4):
-        y = graph.sample_unit_rational(rng)
+        y = sample_unit_rational(rng)
         if 0 < y < 1:
             origins.append(graph.vertex(Side.I, point(y)))
     try:

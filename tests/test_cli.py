@@ -218,8 +218,26 @@ def test_verify_lemma_small_run(tmp_path):
     assert data["max_dist_by_b"] == {"0": 0, "1": 2, "2": 4}
 
 
+def test_verify_lemma_report_does_not_depend_on_bfs_budget(tmp_path):
+    # verify-lemma works out its own BFS budget, so bfs_budget reaches only
+    # its echo; explore still walks exactly bfs_budget vertices
+    texts = {}
+    for budget in (1, 7, 10000):
+        text = f"ball_radius = 2\nsamples = 10\nbfs_budget = {budget}\n"
+        args = ["--out", str(tmp_path), "--config", _write_config(tmp_path, text)]
+        assert main(args + ["verify-lemma"]) == 0
+        assert main(args + ["explore"]) == 0
+        explored = json.loads((tmp_path / "explore.json").read_text())
+        assert explored["component"]["budget"] == budget
+        report = (tmp_path / "verify_lemma.json").read_text()
+        assert json.loads(report)["params"]["bfs_budget"] == budget
+        texts[budget] = report.replace(f'"bfs_budget": {budget},', "")
+    assert texts[1] == texts[7] == texts[10000]
+    assert json.loads(texts[1])["checks"] == 53
+
+
 def test_verify_lemma_violations_exit_3(tmp_path, monkeypatch):
-    def fake_verify(graph, ball_radius, n_samples, seed, bfs_budget=None):
+    def fake_verify(graph, ball_radius, n_samples, seed):
         return {
             "checks": 1,
             "ball_size": 1,
@@ -488,20 +506,6 @@ def test_seed_changes_dynamics_output(tmp_path):
 
 # ----------------------------------------------------------------------
 # refusals that exit 2 before anything is written
-
-
-def test_verify_lemma_refuses_a_budget_that_could_miss_a_goal(tmp_path, capsys):
-    # a goal at distance d <= 2*ball_radius is found within 2d - 1 expansions
-    text = "ball_radius = 1\nsamples = 20\nbfs_budget = {}\n"
-    cfg = _write_config(tmp_path, text.format(2))
-    assert main(["--out", str(tmp_path), "--config", cfg, "verify-lemma"]) == 2
-    err = capsys.readouterr().err
-    assert "bfs_budget" in err and "ball_radius" in err
-    assert not (tmp_path / "verify_lemma.json").exists()
-    cfg = _write_config(tmp_path, text.format(3))
-    assert main(["--out", str(tmp_path), "--config", cfg, "verify-lemma"]) == 0
-    data = json.loads((tmp_path / "verify_lemma.json").read_text())
-    assert data["checks"] > 0 and data["violations"] == []
 
 
 @pytest.mark.parametrize("text", ['{"params": ', "[1, 2]"])

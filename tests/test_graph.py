@@ -29,7 +29,7 @@ from equigraph.group import (
     IDENTITY,
     inverse,
 )
-from equigraph.pathcert import verify_lemma
+from equigraph.pathcert import sample_unit_rational, verify_lemma
 
 from conftest import ALL_ALPHAS, KERNEL_ALPHAS, SQRT2_MINUS_1
 import oracles
@@ -77,7 +77,7 @@ def test_degree_one_exactly_at_extremes():
             assert g.degree(v) == 1
         rng = random.Random(11)
         for _ in range(40):
-            y = g.sample_unit_rational(rng)
+            y = sample_unit_rational(rng)
             if y == 0 or y == 1:
                 continue
             assert g.degree(g.vertex(Side.I, point(y))) == 2
@@ -577,7 +577,7 @@ def test_integer_step_only_sees_keys_inside_their_interval(graph, kernel_keys):
     assert bfs_points(graph, origin, graph.vertex(Side.I, TWO_ALPHA), 100) == 2
     cert = build_path_at(graph, GroupElement(1, 3, -1), point(Fraction(1, 10)))
     assert cert.validate() == []
-    assert verify_lemma(graph, 4, 10, seed=0, bfs_budget=16 * 4 + 64)["checks"] > 0
+    assert verify_lemma(graph, 4, 10, seed=0)["checks"] > 0
     assert _bridge_suite(load_config(None))["extracted_standard"]
     assert len(seen) > 1000
     assert outside == []
@@ -685,7 +685,7 @@ def classify_sample(graph, n: int, budget: int, seed: int) -> dict:
     kinds: dict[str, int] = {}
     degree_one: list[dict] = []
     for _ in range(n):
-        y = point(graph.sample_unit_rational(rng))
+        y = point(sample_unit_rational(rng))
         vtx = GVertex(Side.I, y)
         d = graph.degree(vtx)
         degrees[d] = degrees.get(d, 0) + 1

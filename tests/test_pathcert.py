@@ -25,7 +25,12 @@ from equigraph.group import (
     inverse,
 )
 from equigraph import pathcert as pathcert_module
-from equigraph.pathcert import CertifiedPath, build_path, verify_lemma
+from equigraph.pathcert import (
+    CertifiedPath,
+    build_path,
+    sample_unit_rational,
+    verify_lemma,
+)
 
 from conftest import (
     ALL_ALPHAS,
@@ -247,7 +252,7 @@ def test_dropping_any_connector_pair_raises(monkeypatch, side, k, h2):
         graph = IntervalGraph(AlphaContext(spec))
         with monkeypatch.context() as patched:
             patched.setattr(pathcert_module, "_STEP", mutant)
-            report = verify_lemma(graph, 4, 20, seed=0, bfs_budget=500)
+            report = verify_lemma(graph, 4, 20, seed=0)
         assert report["checks"] == checks
         for v in report["violations"]:
             assert v["defect"] == CONNECTOR_MISSING
@@ -365,7 +370,7 @@ def test_verify_lemma_makes_no_point_interval_tests(graph, monkeypatch):
         return sub(self, other)
 
     monkeypatch.setattr(AlgebraicPoint, "__sub__", counted)
-    report = verify_lemma(graph, 4, 10, seed=0, bfs_budget=16 * 4 + 64)
+    report = verify_lemma(graph, 4, 10, seed=0)
     assert report["checks"] > 0
     assert calls == []
 
@@ -485,7 +490,7 @@ def _sweep_anchors(graph, radius, samples, seed):
     ctx = graph.ctx
     rng = random.Random(seed)
     base = [ZERO, ONE]
-    base += [point(graph.sample_unit_rational(rng)) for _ in range(samples - 2)]
+    base += [point(sample_unit_rational(rng)) for _ in range(samples - 2)]
     meeting = [
         g
         for g in sorted(enumerate_ball(radius))
@@ -523,7 +528,7 @@ def test_sweep_keys_each_anchor_once_and_builds_no_point(monkeypatch, spec):
         monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
     for samples in (10, 40):
         calls.clear()
-        report = verify_lemma(graph, 4, samples, seed=0, bfs_budget=16 * 4 + 64)
+        report = verify_lemma(graph, 4, samples, seed=0)
         assert report["checks"] > 0 and report["violations"] == []
         assert calls["frame"] == tried[samples]
         assert calls["key"] == calls["vertex"] == calls["point"] == 0
@@ -545,9 +550,7 @@ def test_sweep_leaves_few_interval_tests_to_the_exact_sign(monkeypatch):
 
     monkeypatch.setattr(AlphaContext, "sign_scaled", counted)
     graph = IntervalGraph(AlphaContext(cfg.alpha))
-    report = verify_lemma(
-        graph, cfg.ball_radius, cfg.samples, cfg.seed, bfs_budget=cfg.bfs_budget
-    )
+    report = verify_lemma(graph, cfg.ball_radius, cfg.samples, cfg.seed)
     assert report["checks"] == 2485
     assert 0 < calls["inside"] <= 21
 
@@ -588,7 +591,7 @@ def test_sweep_builds_one_frame_per_anchor_and_expands_each_key_once(
 
     monkeypatch.setattr(graph_module, "_frame_step", counted_frame_step)
     monkeypatch.setattr(Frame, "__init__", tagged)
-    report = verify_lemma(graph, 4, 10, seed=0, bfs_budget=16 * 4 + 64)
+    report = verify_lemma(graph, 4, 10, seed=0)
     assert report["checks"] > 0
     # the 10 base anchors once, then 6 threshold anchors per element whose
     # image of [0, 1] meets it
@@ -633,7 +636,7 @@ def test_anchor_memo_stays_bounded_and_immutable(graph, monkeypatch):
 
     monkeypatch.setattr(Frame, "remember", tracked)
     radius = 3
-    verify_lemma(graph, radius, 2, seed=0, bfs_budget=16 * radius + 64)
+    verify_lemma(graph, radius, 2, seed=0)
     assert len(remembered) > 2 and max(alive) == 0
     assert all(ref() is None for ref in remembered)
     # y + alpha is on y's frame but never in y's component (every element
@@ -692,13 +695,13 @@ def test_remembered_frames_decide_each_interval_once(graph, monkeypatch):
 
     monkeypatch.setattr(graph_module, "_frame_step", counted_frame_step)
     monkeypatch.setattr(Frame, "remember", tracked)
-    args = (graph, 5, 10, 0, 16 * 5 + 64)
+    args = (graph, 5, 10, 0)
     report = verify_lemma(*args)
     assert report["checks"] > 0 and len(remembered) > 10
     assert len(evals) > report["checks"]
     assert max(evals.values()) == 1
     monkeypatch.undo()
-    assert report == verify_lemma_reference(*args)
+    assert report == verify_lemma_reference(*args, 4 * 5 - 1)
     # the memo keys the side: (0, 0) is in I's interval [0, 1] and not in
     # J's [alpha, 1 + alpha]
     frame = Frame(graph.ctx, 1)
@@ -736,7 +739,7 @@ def test_sweep_expands_each_key_once_per_anchor_frame(graph, monkeypatch, far_go
     monkeypatch.setattr(Frame, "remember", counted)
     if far_goal:
         monkeypatch.setattr(IntervalGraph, "bfs_distance", far)
-    report = verify_lemma(graph, 3, 5, seed=0, bfs_budget=200)
+    report = verify_lemma(graph, 3, 5, seed=0)
     assert report["checks"] > 0
     bfs = [v for v in report["violations"] if v["defect"] == "bfs"]
     assert report["violations"] == bfs
@@ -769,7 +772,7 @@ def test_sweep_reduces_each_element_once_per_anchor(monkeypatch, spec):
 
     monkeypatch.setattr(pathcert_module, "build_path", recorded_build)
     radius = 6
-    report = verify_lemma(graph, radius, 20, seed=0, bfs_budget=16 * radius + 64)
+    report = verify_lemma(graph, radius, 20, seed=0)
     assert report["violations"] == []
     assert max(steps.values()) == 1
     # with no violation, every element reduced is certified and kept
@@ -814,16 +817,65 @@ def test_remembered_bfs_answers_each_budget_as_a_new_search(graph):
 
 @pytest.mark.parametrize("radius, budget", [(4, 3), (6, 7), (8, 12)])
 @pytest.mark.parametrize("spec", KERNEL_ALPHAS)
-def test_verify_lemma_matches_reference_when_budget_binds(spec, radius, budget):
+def test_verify_lemma_matches_reference_when_budget_binds(
+    monkeypatch, spec, radius, budget
+):
     # budgets too small for the longer distances: the resumed BFS must give
     # None exactly where a new search with that budget does
+    bfs_distance = IntervalGraph.bfs_distance
+
+    def bound(self, frame, start, goal, derived):
+        return bfs_distance(self, frame, start, goal, min(derived, budget))
+
+    monkeypatch.setattr(IntervalGraph, "bfs_distance", bound)
     graph = IntervalGraph(AlphaContext(spec))
-    args = (graph, radius, 10, 0, budget)
-    report = verify_lemma(*args)
-    assert report == verify_lemma_reference(*args)
+    report = verify_lemma(graph, radius, 10, 0)
+    monkeypatch.undo()
+    assert report == verify_lemma_reference(graph, radius, 10, 0, budget)
     assert any(
         v["defect"] == "bfs" and v["distance"] is None for v in report["violations"]
     )
+
+
+def test_verify_lemma_budget_is_the_least_that_decides(graph, monkeypatch):
+    # one expansion short of 4*ball_radius - 1, goals at distance
+    # 2*ball_radius go out of reach and read as violations with no distance
+    assert graph.ctx.spec == SQRT2_MINUS_1
+    assert verify_lemma(graph, 1, 20, 0)["violations"] == []
+    bfs_distance = IntervalGraph.bfs_distance
+
+    def short(self, frame, start, goal, budget):
+        return bfs_distance(self, frame, start, goal, budget - 1)
+
+    monkeypatch.setattr(IntervalGraph, "bfs_distance", short)
+    violations = verify_lemma(graph, 1, 20, 0)["violations"]
+    assert violations
+    for v in violations:
+        assert v["defect"] == "bfs" and v["distance"] is None
+        assert abs(v["element"][1]) == 1
+
+
+def test_verify_lemma_draws_each_base_anchor_as_it_checks_it(graph, monkeypatch):
+    # the base anchors 0 and 1, then each sample drawn just before its
+    # frame is remembered: the sweep never holds a list of samples
+    events = []
+    sample, remember = pathcert_module.sample_unit_rational, Frame.remember
+
+    def drawn(rng):
+        events.append("sample")
+        return sample(rng)
+
+    def remembered(self, origin):
+        events.append("remember")
+        remember(self, origin)
+
+    monkeypatch.setattr(pathcert_module, "sample_unit_rational", drawn)
+    monkeypatch.setattr(Frame, "remember", remembered)
+    samples = 6
+    verify_lemma(graph, 2, samples, 0)
+    base = ["remember"] * 2 + ["sample", "remember"] * (samples - 2)
+    assert events[: len(base)] == base
+    assert events.count("sample") == samples - 2
 
 
 @pytest.mark.parametrize("seed", [0, 11])
@@ -840,15 +892,14 @@ def test_verify_lemma_matches_fresh_frame_reference(monkeypatch, mutant, spec, s
         tables = map(graph_module._sign_table, (0, 1), graph_module._THRESHOLDS, maps)
         monkeypatch.setattr(graph_module, "_TABLES", tuple(tables))
     graph = IntervalGraph(AlphaContext(spec))
-    args = (graph, 5, 10, seed, 16 * 5 + 64)
-    report = verify_lemma(*args)
-    assert report == verify_lemma_reference(*args)
+    report = verify_lemma(graph, 5, 10, seed)
+    assert report == verify_lemma_reference(graph, 5, 10, seed, 4 * 5 - 1)
     assert report["checks"] > 0
     assert bool(report["violations"]) == mutant
 
 
 def test_sweep_small_radius_frozen(graph):
-    rep = verify_lemma(graph, 3, 20, seed=0, bfs_budget=16 * 3 + 64)
+    rep = verify_lemma(graph, 3, 20, seed=0)
     assert rep["ball_size"] == 23
     assert rep["elements_checked"] == 11
     assert rep["checks"] == 134
@@ -861,7 +912,7 @@ def test_sweep_frozen_on_negative_q_alpha():
     # (7 - 2*sqrt(5))/3: r = 3 and q < 0 enter every cleared-integer sign;
     # the report was recorded with the earlier point-based sweep
     graph = IntervalGraph(AlphaContext(SEVEN_MINUS_TWO_SQRT5_OVER_3))
-    assert verify_lemma(graph, 4, 20, seed=3, bfs_budget=16 * 4 + 64) == {
+    assert verify_lemma(graph, 4, 20, seed=3) == {
         "ball_radius": 4,
         "ball_size": 39,
         "elements_checked": 11,
@@ -913,7 +964,7 @@ def test_bfs_distance_is_exactly_the_lemma_formula(spec):
 
 
 def test_sweep_bounds_hold_per_element(graph):
-    rep = verify_lemma(graph, 4, 30, seed=7, bfs_budget=16 * 4 + 64)
+    rep = verify_lemma(graph, 4, 30, seed=7)
     assert rep["violations"] == []
     for b_str, dist in rep["max_dist_by_b"].items():
         assert dist <= 2 * int(b_str)
@@ -922,14 +973,14 @@ def test_sweep_bounds_hold_per_element(graph):
 
 
 def test_sweep_wide_alpha(golden_graph):
-    rep = verify_lemma(golden_graph, 2, 10, seed=1, bfs_budget=16 * 2 + 64)
+    rep = verify_lemma(golden_graph, 2, 10, seed=1)
     assert rep["checks"] == 32
     assert rep["violations"] == []
     assert rep["max_dist_by_b"] == {"0": 0, "1": 2}
 
 
 def test_sweep_without_samples_still_checks_thresholds(graph):
-    rep = verify_lemma(graph, 1, 0, seed=0, bfs_budget=16 * 1 + 64)
+    rep = verify_lemma(graph, 1, 0, seed=0)
     assert rep["samples"] == 0
     assert rep["checks"] == 18
     assert rep["elements_checked"] == 4

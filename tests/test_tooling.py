@@ -263,7 +263,7 @@ def test_verify_lemma_runs_each_traced_step_once_per_check(monkeypatch, graph):
         (pathcert.CertifiedPath, "validate"),
     ]:
         monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
-    report = pathcert.verify_lemma(graph, 4, 10, seed=0, bfs_budget=16 * 4 + 64)
+    report = pathcert.verify_lemma(graph, 4, 10, seed=0)
     assert report["checks"] > 0
     assert calls == {
         "bfs_distance": report["checks"],
@@ -439,26 +439,43 @@ def test_records_are_read_only():
                 setattr(rec, name, None)
 
 
-def _callers(node: ast.AST, callee: str, prefix: str = ""):
-    """Qualified name of the function around each call of callee under node."""
+def _sites(node: ast.AST, match, prefix: str = ""):
+    """Qualified name of the function around each node under node that match takes."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield from _callers(child, callee, f"{prefix}{child.name}.")
+            yield from _sites(child, match, f"{prefix}{child.name}.")
             continue
-        if isinstance(child, ast.Call) and callee in (
-            getattr(child.func, "id", None),
-            getattr(child.func, "attr", None),
-        ):
+        if match(child):
             yield prefix[:-1]
-        yield from _callers(child, callee, prefix)
+        yield from _sites(child, match, prefix)
+
+
+def _src_sites(match) -> list[str]:
+    """file:function of each node in src/ that match takes."""
+    return [
+        f"{path.name}:{site}"
+        for path in sorted((ROOT / "src" / "equigraph").glob("*.py"))
+        for site in _sites(ast.parse(path.read_text()), match)
+    ]
 
 
 def test_only_the_constructor_derives_a_window():
     # a KMatching derives its window from its deviations, so no caller in
     # src/ computes one for it; tests/oracles.py still may
-    callers = [
-        f"{path.name}:{caller}"
-        for path in sorted((ROOT / "src" / "equigraph").glob("*.py"))
-        for caller in _callers(ast.parse(path.read_text()), "_canonical_window")
-    ]
+    callers = _src_sites(
+        lambda node: isinstance(node, ast.Call)
+        and "_canonical_window"
+        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
     assert callers == ["dynamics.py:KMatching.__init__"]
+
+
+def test_only_explore_reads_the_bfs_budget():
+    # verify-lemma works out its own BFS budget from ball_radius, so the
+    # setting is explore's walk budget alone
+    readers = _src_sites(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "bfs_budget"
+        and isinstance(node.ctx, ast.Load)
+    )
+    assert readers == ["cli.py:cmd_explore"]
